@@ -25,7 +25,9 @@ node:
   from its parent by bound tightenings only, which keep that basis dual
   feasible, so the bounded revised dual simplex reoptimizes in a few
   pivots instead of a cold ``lp_method`` solve — and its monotone dual
-  bound prunes the node early once it crosses the incumbent cutoff.
+  bound prunes the node early once it crosses the incumbent cutoff. The
+  basis carries its factorization while the open nodes' factorizations
+  fit under ``_FACTOR_BYTES_CAP``, so a child does not re-invert it.
   Numerical doubt of any kind falls back to the cold engine;
 - **pseudocost branching** (default) — branching scores learned from the
   observed objective degradations of earlier branchings, falling back to
@@ -51,7 +53,7 @@ from repro.ilp.model import MatrixForm, Model
 from repro.ilp.presolve import LB_TIGHTENED, propagate_bounds, reduced_cost_tighten
 from repro.ilp.presolve_root import Postsolve, presolve_root
 from repro.ilp.simplex import Basis, RevisedSimplex
-from repro.ilp.solution import Solution, SolveStats, Status
+from repro.ilp.solution import Solution, SolveStats, Status, relative_gap
 from repro.obs import get_metrics, node_event, now, span
 from repro.obs import event as trace_event
 from repro.obs.policy import (
@@ -67,6 +69,13 @@ _INT_TOL = 1e-6
 #: Floor for pseudocost scores so an (estimated) zero degradation never
 #: erases the other direction's signal in the product rule.
 _PC_EPS = 1e-6
+
+#: Cap on the bytes of simplex factorizations (basis inverse plus reduced
+#: costs) that one solve's queued nodes may hold. A branched node's
+#: factorization is kept for its children only while the total stays under
+#: the cap, and released when its last child pops; past the cap, children
+#: refactorize from the bare basis instead.
+_FACTOR_BYTES_CAP = 16 << 20
 
 
 class BranchAndBoundSolver:
@@ -298,6 +307,7 @@ class BranchAndBoundSolver:
             status = self._search(start)
         finally:
             self._flush_checkpoint()
+            self._settle_bound()
             self._stats.wall_time = now() - start
             metrics = get_metrics()
             metrics.counter("solve.nodes").inc(self._stats.nodes)
@@ -319,6 +329,20 @@ class BranchAndBoundSolver:
         return self._wrap(status)
 
     # ------------------------------------------------------------ internals
+    def _settle_bound(self) -> None:
+        """Report the proven bound in the model's sense, and the gap to it.
+
+        The search keeps ``best_bound`` in minimization sense; every exit
+        with an incumbent then reports ``gap`` relative to that incumbent.
+        """
+        bound = self._stats.best_bound
+        if bound is None:
+            return
+        if self._incumbent_x is not None:
+            self._stats.gap = relative_gap(self._incumbent_obj, bound)
+        if self.model.sense != "min":
+            self._stats.best_bound = -bound
+
     def _solve_node(
         self,
         lb: np.ndarray,
@@ -681,7 +705,6 @@ class BranchAndBoundSolver:
                 objective = float(self._orig_form.c @ x) + self._orig_form.c0
                 self._try_update_incumbent(x, objective)
                 self._stats.best_bound = objective
-                self._stats.gap = 0.0
                 return Status.OPTIMAL
             # Bind even on an identity column mapping: bound tightening and
             # row cleanup change the form without touching any column.
@@ -716,7 +739,6 @@ class BranchAndBoundSolver:
         if frac is None:
             self._accept_candidate(root.x, root.objective)
             self._stats.best_bound = root.objective
-            self._stats.gap = 0.0
             return Status.OPTIMAL
 
         cut_rounds = self.cut_policy.rounds if self._cuts_enabled else 0
@@ -728,7 +750,6 @@ class BranchAndBoundSolver:
                 if self._fractional_index(root.x) is None:
                     self._accept_candidate(root.x, root.objective)
                     self._stats.best_bound = root.objective
-                    self._stats.gap = 0.0
                     return Status.OPTIMAL
 
             # Root duals anchor reduced-cost fixing for the whole search;
@@ -780,21 +801,47 @@ class BranchAndBoundSolver:
         feeds the pseudocost update once the node's LP resolves, and
         ``basis`` is the parent node's optimal simplex basis — both
         children warm-start from it (the tick tie-breaker guarantees tuple
-        comparison never reaches it).
+        comparison never reaches it). The basis keeps its factorization
+        only while the queued ones fit under ``_FACTOR_BYTES_CAP``; its
+        bytes are released when the last child pops.
         """
         counter = itertools.count()  # heap tie-breaker
         heap: list[tuple[float, int, int, tuple | None, tuple | None, Basis | None]] = []
-        heapq.heappush(heap, (root.objective, next(counter), 0, None, None, root.basis))
+        # Factorizations held by queued nodes: bytes, and per carrying
+        # basis (by id; it stays alive while queued) the children still
+        # waiting to pop.
+        held_bytes = 0
+        waiting: dict[int, int] = {}
+
+        def carried(basis: Basis | None, children: int) -> Basis | None:
+            nonlocal held_bytes
+            if basis is None or basis.factor_bytes == 0:
+                return basis
+            if held_bytes + basis.factor_bytes > _FACTOR_BYTES_CAP:
+                return basis.without_factorization()
+            held_bytes += basis.factor_bytes
+            waiting[id(basis)] = children
+            return basis
+
+        heapq.heappush(
+            heap, (root.objective, next(counter), 0, None, None, carried(root.basis, 1))
+        )
 
         while heap:
             bound, _, depth, chain, branch_info, parent_basis = heapq.heappop(heap)
+            if parent_basis is not None and parent_basis.factor_bytes:
+                key = id(parent_basis)
+                waiting[key] -= 1
+                if waiting[key] == 0:
+                    del waiting[key]
+                    held_bytes -= parent_basis.factor_bytes
             self._stats.best_bound = bound
             incumbent = None if self._incumbent_x is None else self._incumbent_obj
             node_event(depth=depth, bound=bound, incumbent=incumbent)
             if bound >= self._cutoff():
-                # Best-first order: every remaining node is at least as bad.
-                self._stats.gap = max(0.0, self._incumbent_obj - bound)
-                return Status.OPTIMAL if self._incumbent_x is not None else Status.INFEASIBLE
+                # Best-first order: every remaining node is at least as bad,
+                # and every pruned one was at least the cutoff.
+                return self._proven()
 
             if self._stats.nodes >= self.node_limit:
                 trace_event("budget_exhausted", kind="nodes", nodes=self._stats.nodes)
@@ -864,20 +911,26 @@ class BranchAndBoundSolver:
             frac = value - math.floor(value)
             down_chain = (chain, j, 1, float(math.floor(value)))
             up_chain = (chain, j, 0, float(math.ceil(value)))
+            basis = carried(result.basis, 2)
             heapq.heappush(
                 heap,
                 (result.objective, next(counter), depth + 1, down_chain,
-                 (j, -1, result.objective, frac), result.basis),
+                 (j, -1, result.objective, frac), basis),
             )
             heapq.heappush(
                 heap,
                 (result.objective, next(counter), depth + 1, up_chain,
-                 (j, +1, result.objective, frac), result.basis),
+                 (j, +1, result.objective, frac), basis),
             )
 
+        return self._proven()
+
+    def _proven(self) -> Status:
+        """Search exhausted below the cutoff: nothing under it survives."""
         if self._incumbent_x is None:
+            self._stats.best_bound = None
             return Status.INFEASIBLE
-        self._stats.gap = 0.0
+        self._stats.best_bound = self._cutoff()
         return Status.OPTIMAL
 
     def _wrap(self, status: Status) -> Solution:

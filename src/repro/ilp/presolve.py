@@ -24,8 +24,9 @@ Two families of tightenings run before (or instead of) a node's LP solve:
 
 Everything is vectorized: the per-:class:`~repro.ilp.model.MatrixForm` row
 tables are precomputed once (:class:`PropagationTables`, owned by the LP
-workspace) and each node pays only dense numpy arithmetic, no Python loop
-over rows or columns.
+workspace) as a sparse layout of the nonzeros, and a propagation round
+costs O(nonzeros + columns) numpy work with no Python loop over rows or
+columns.
 """
 
 from __future__ import annotations
@@ -47,13 +48,22 @@ UB_TIGHTENED = 1
 
 
 class PropagationTables:
-    """Precomputed row tables for bound propagation over one ``MatrixForm``.
+    """Sparse row tables for bound propagation over one ``MatrixForm``.
 
     The propagation matrix stacks ``A_ub``, both directions of ``A_eq``, and
     (when the objective has support) the objective row, whose right-hand
-    side is the incumbent cutoff supplied per call. Positive/negative parts
-    and elementwise reciprocals are cached so each propagation round is a
-    couple of matmuls.
+    side is the incumbent cutoff supplied per call. Only its nonzeros are
+    kept, in the layout one propagation round wants.
+
+    Every nonzero ``a`` in row ``i``, column ``j`` tightens one bound of
+    ``x_j``: the upper bound when ``a > 0`` (from ``lb_j``), the lower bound
+    when ``a < 0`` (from ``ub_j``). A round keeps the bounds in one array
+    ``box = [lb, -ub]`` so that both kinds read the same way — the bound a
+    nonzero starts from is ``box[own]``, its activity term is
+    ``|a| * box[own]`` and its candidate ``box[own] + slack_i / |a|``,
+    where a lower-bound candidate comes out negated. Nonzeros are grouped
+    by the bound they tighten (upper bounds by column, then lower bounds
+    by column), so each bound's best candidate is one segment minimum.
     """
 
     def __init__(self, form: MatrixForm):
@@ -73,24 +83,35 @@ class PropagationTables:
             blocks.append(form.c.reshape(1, n))
             rhs_blocks.append(np.array([math.inf]))
         self.c0 = form.c0
-        if blocks:
-            rows = np.vstack(blocks)
-            rhs = np.concatenate(rhs_blocks)
-        else:
-            rows = np.zeros((0, n))
-            rhs = np.zeros(0)
-        self.rows = rows
-        self.rhs = rhs
-        self.pos = np.maximum(rows, 0.0)
-        self.neg = np.minimum(rows, 0.0)
-        self.pos_mask = rows > 0.0
-        self.neg_mask = rows < 0.0
-        with np.errstate(divide="ignore"):
-            self.inv = np.where(rows != 0.0, 1.0 / np.where(rows != 0.0, rows, 1.0), 0.0)
+        self.num_vars = n
+        rows = np.vstack(blocks) if blocks else np.zeros((0, n))
+        self.rhs = np.concatenate(rhs_blocks) if rhs_blocks else np.zeros(0)
+
+        row, col = np.nonzero(rows)
+        value = rows[row, col]
+        # ``own``: the ``box`` index of the bound a nonzero starts from,
+        # ``lb_j`` (j) when a > 0 and ``-ub_j`` (n + j) when a < 0, which
+        # is also the bound it tightens on the other side. The stable sort
+        # groups nonzeros by it and keeps rows ascending within a group.
+        own = col + (value < 0.0) * n
+        order = np.argsort(own, kind="stable")
+        self.row = row[order]
+        self.own = own[order]
+        self.magnitude = np.abs(value[order])
+        self.inv = 1.0 / self.magnitude
+        self.starts = np.flatnonzero(np.diff(self.own, prepend=-1))
+        # Per segment: its column, and the ``box`` index of the bound it
+        # tightens (``-ub_j`` at n + j for a > 0, ``lb_j`` at j for a < 0).
+        seg_own = self.own[self.starts]
+        upper = seg_own < n
+        self.seg_col = np.where(upper, seg_own, seg_own - n)
+        self.seg_target = np.where(upper, seg_own + n, seg_own - n)
+        #: ``(column, tightens ub)`` per segment, for the change records.
+        self.seg_records = list(zip(self.seg_col.tolist(), upper.tolist()))
 
     @property
     def num_rows(self) -> int:
-        return self.rows.shape[0]
+        return self.rhs.shape[0]
 
 
 def propagate_bounds(
@@ -109,7 +130,9 @@ def propagate_bounds(
     given and the form has an objective row, solutions at least that bad are
     propagated away. Each recorded tightening is ``(column, kind, value)``
     with ``kind`` one of :data:`LB_TIGHTENED` / :data:`UB_TIGHTENED` — the
-    exact delta layout the branch-and-bound node chains store.
+    exact delta layout the branch-and-bound node chains store. Upper-bound
+    tightenings of a round come first, each kind in column order. A round
+    costs O(nonzeros + columns).
     """
     if tables.num_rows == 0:
         return True, []
@@ -117,37 +140,39 @@ def propagate_bounds(
     if tables.has_objective_row:
         rhs = rhs.copy()
         rhs[-1] = math.inf if cutoff is None else cutoff - tables.c0
+    limit = -tol * (1.0 + np.abs(rhs))
     changes: list[tuple[int, int, float]] = []
-    clb = np.clip(lb, -_BIG, _BIG)
-    cub = np.clip(ub, -_BIG, _BIG)
+    n = tables.num_vars
+    box = np.concatenate((lb, -ub))
+    box.clip(-_BIG, _BIG, out=box)
+    clb, neg_cub = box[:n], box[n:]
+    row, own, magnitude, inv = tables.row, tables.own, tables.magnitude, tables.inv
+    if row.size == 0:
+        return not (rhs < limit).any(), changes
+    starts, target, records = tables.starts, tables.seg_target, tables.seg_records
+    integer = integer_mask[tables.seg_col]
     for _ in range(max_rounds):
-        min_activity = tables.pos @ clb + tables.neg @ cub
-        slack = rhs - min_activity
-        if np.any(slack < -tol * (1.0 + np.abs(rhs))):
+        start = box[own]
+        slack = rhs - np.bincount(row, magnitude * start, minlength=rhs.shape[0])
+        if (slack < limit).any():
             return False, changes
-        with np.errstate(invalid="ignore"):
-            ratio = slack[:, None] * tables.inv
-            ub_cand = np.where(tables.pos_mask, clb[None, :] + ratio, math.inf)
-            lb_cand = np.where(tables.neg_mask, cub[None, :] + ratio, -math.inf)
-        new_ub = np.min(ub_cand, axis=0) if ub_cand.size else cub
-        new_lb = np.max(lb_cand, axis=0) if lb_cand.size else clb
-        new_ub = np.where(integer_mask, np.floor(new_ub + tol), new_ub)
-        new_lb = np.where(integer_mask, np.ceil(new_lb - tol), new_lb)
-        improved_ub = np.flatnonzero(new_ub < cub - tol)
-        improved_lb = np.flatnonzero(new_lb > clb + tol)
-        if improved_ub.size == 0 and improved_lb.size == 0:
+        best = np.minimum.reduceat(start + slack[row] * inv, starts)
+        best = np.where(integer, np.floor(best + tol), best)
+        improved = (best < -tol - box[target]).nonzero()[0]
+        if improved.size == 0:
             break
-        for j in improved_ub:
-            value = float(new_ub[j])
-            cub[j] = value
-            ub[j] = value
-            changes.append((int(j), UB_TIGHTENED, value))
-        for j in improved_lb:
-            value = float(new_lb[j])
-            clb[j] = value
-            lb[j] = value
-            changes.append((int(j), LB_TIGHTENED, value))
-        if np.any(clb > cub + tol):
+        box[target[improved]] = -best[improved]
+        for s in improved.tolist():
+            j, upper = records[s]
+            if upper:
+                value = float(best[s])
+                ub[j] = value
+                changes.append((j, UB_TIGHTENED, value))
+            else:
+                value = -float(best[s])
+                lb[j] = value
+                changes.append((j, LB_TIGHTENED, value))
+        if (clb > tol - neg_cub).any():
             return False, changes
     return True, changes
 

@@ -12,7 +12,7 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.ilp.model import Model
-from repro.ilp.solution import Solution, SolveStats, Status
+from repro.ilp.solution import Solution, SolveStats, Status, relative_gap
 from repro.obs import get_metrics, now, span
 
 
@@ -49,10 +49,14 @@ def solve_with_scipy(model: Model, time_limit: float | None = None) -> Solution:
     metrics = get_metrics()
     metrics.counter("solve.nodes").inc(stats.nodes)
     metrics.histogram("solve.wall_time").observe(stats.wall_time)
+    if res.x is not None:
+        dual_bound = getattr(res, "mip_dual_bound", None)
+        if dual_bound is not None and np.isfinite(dual_bound):
+            stats.best_bound = sign * (float(dual_bound) + form.c0)
+            stats.gap = relative_gap(float(res.fun) + form.c0, float(dual_bound) + form.c0)
     if res.status == 0:
         values = {var: float(res.x[var.index]) for var in model.variables}
         objective = sign * (float(res.fun) + form.c0)
-        stats.gap = float(getattr(res, "mip_gap", 0.0) or 0.0)
         return Solution(Status.OPTIMAL, objective, values, stats, backend="scipy")
     if res.status == 2:
         return Solution(Status.INFEASIBLE, stats=stats, backend="scipy")

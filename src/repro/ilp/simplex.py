@@ -309,11 +309,34 @@ class Basis:
     ``status`` tags every column. ``generation`` identifies the constraint
     matrix the basis was factorized against — cut rounds rebuild the matrix
     and bump the engine's generation, which invalidates stale bases.
+
+    A basis returned by :meth:`RevisedSimplex.solve` also carries its
+    factorization: the dense ``inverse`` of the basis matrix, the
+    ``reduced_costs`` of every column, and ``since_refactor``, the pivots
+    made since that inverse was last computed from scratch (counted along
+    the whole chain of warm solves that produced it). A child solve starts
+    from a copy of these instead of re-inverting and re-pricing. They are
+    optional: a basis without them (see :meth:`without_factorization`)
+    names the same vertex and the solve simply refactorizes.
     """
 
     basic: np.ndarray
     status: np.ndarray
     generation: int = 0
+    inverse: np.ndarray | None = None
+    reduced_costs: np.ndarray | None = None
+    since_refactor: int = 0
+
+    @property
+    def factor_bytes(self) -> int:
+        """Bytes held by the carried factorization (0 without one)."""
+        if self.inverse is None or self.reduced_costs is None:
+            return 0
+        return self.inverse.nbytes + self.reduced_costs.nbytes
+
+    def without_factorization(self) -> Basis:
+        """The same basis, minus the inverse and reduced costs."""
+        return Basis(basic=self.basic, status=self.status, generation=self.generation)
 
 
 @dataclass
@@ -340,8 +363,11 @@ class RevisedSimplex:
     with one slack per row (``<=`` rows get a ``[0, inf)`` slack, equality
     rows a ``[0, 0]`` one), so only the variable bounds change between
     solves. ``solve`` accepts per-node ``lb``/``ub`` overrides plus an
-    optional parent :class:`Basis`; the basis inverse is kept explicitly
-    and updated by product-form pivots with periodic refactorization.
+    optional parent :class:`Basis`. The basis inverse is kept dense and
+    explicit; each pivot updates it, the reduced costs and the basic values
+    by rank-one formulas, and every ``refactor_every`` pivots (counted
+    across warm solves, see :attr:`Basis.since_refactor`) all three are
+    recomputed from scratch so rounding drift stays bounded.
     """
 
     def __init__(
@@ -385,7 +411,8 @@ class RevisedSimplex:
         is a matter of parking each column at the right bound: positive
         cost at the lower bound, negative at the upper. A column that needs
         an infinite bound for that cannot be made dual feasible here —
-        returns ``None`` and the caller solves cold.
+        returns ``None`` and the caller solves cold. The basis matrix is the
+        identity, so the factorization comes for free.
         """
         n, m = self.n, self.m
         status = np.empty(n + m, dtype=np.int8)
@@ -406,8 +433,20 @@ class RevisedSimplex:
             return None
         status[n:] = IN_BASIS
         return Basis(
-            basic=np.arange(n, n + m), status=status, generation=self.generation
+            basic=np.arange(n, n + m),
+            status=status,
+            generation=self.generation,
+            inverse=np.eye(m),
+            reduced_costs=self.c.copy(),
         )
+
+    def _factorize(self, bas: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+        """Basis inverse and reduced costs from scratch; None if singular."""
+        try:
+            binv = np.linalg.inv(self.w[:, bas])
+        except np.linalg.LinAlgError:
+            return None
+        return binv, self.c - (self.c[bas] @ binv) @ self.w
 
     # ------------------------------------------------------------------ solve
     def solve(
@@ -420,13 +459,14 @@ class RevisedSimplex:
         """Reoptimize under new bounds, warm from ``basis`` when possible.
 
         A stale-generation (or absent) basis falls back to the all-slack
-        start. ``cutoff`` is an objective value (including the constant
-        offset): the dual objective is a monotone lower bound, so the solve
-        stops with ``"cutoff"`` as soon as it crosses — the caller prunes
-        the node without finishing the LP.
+        start; a basis without a factorization is refactorized. ``cutoff``
+        is an objective value (including the constant offset): the dual
+        objective is a monotone lower bound, so the solve stops with
+        ``"cutoff"`` as soon as it crosses — the caller prunes the node
+        without finishing the LP.
         """
         n, m = self.n, self.m
-        if np.any(lb > ub):
+        if (lb > ub).any():
             return WarmLpResult("infeasible", None, None)
         if m == 0:
             return self._solve_unconstrained(lb, ub)
@@ -439,98 +479,134 @@ class RevisedSimplex:
         status[bas] = IN_BASIS
         big_l = np.concatenate([lb, self.slack_lb])
         big_u = np.concatenate([ub, self.slack_ub])
-        try:
-            binv = np.linalg.inv(self.w[:, bas])
-        except np.linalg.LinAlgError:
-            return WarmLpResult("fallback", None, None)
+        if basis.inverse is not None and basis.reduced_costs is not None:
+            binv = basis.inverse.copy()
+            d = basis.reduced_costs.copy()
+            since_refactor = basis.since_refactor
+        else:
+            factor = self._factorize(bas)
+            if factor is None:
+                return WarmLpResult("fallback", None, None)
+            binv, d = factor
+            since_refactor = 0
 
         # Repair dual feasibility by bound flips; unfixable columns bail.
-        d = self.c - (self.c[bas] @ binv) @ self.w
-        fixed = big_u - big_l <= _DTOL
-        bad_lo = (status == NB_LOWER) & ~fixed & (d < -_DTOL * 10)
-        flip = bad_lo & np.isfinite(big_u)
-        status[flip] = NB_UPPER
-        if np.any(bad_lo & ~flip):
-            return WarmLpResult("fallback", None, None)
-        bad_up = (status == NB_UPPER) & ~fixed & (d > _DTOL * 10)
-        flip = bad_up & np.isfinite(big_l)
-        status[flip] = NB_LOWER
-        if np.any(bad_up & ~flip):
-            return WarmLpResult("fallback", None, None)
-        if np.any((status == NB_FREE) & (np.abs(d) > _DTOL * 10)):
-            return WarmLpResult("fallback", None, None)
+        # ``at_lower``/``at_upper`` say which nonbasic columns may enter the
+        # basis (fixed columns never do); they track ``status`` pivot by
+        # pivot.
+        movable = big_u - big_l > _DTOL
+        at_lower = (status == NB_LOWER) & movable
+        at_upper = (status == NB_UPPER) & movable
+        to_upper = at_lower & (d < -_DTOL * 10)
+        to_lower = at_upper & (d > _DTOL * 10)
+        if to_upper.any() or to_lower.any():
+            if not (np.isfinite(big_u[to_upper]).all() and np.isfinite(big_l[to_lower]).all()):
+                return WarmLpResult("fallback", None, None)
+            status[to_upper] = NB_UPPER
+            status[to_lower] = NB_LOWER
+            at_lower, at_upper = (at_lower & ~to_upper) | to_lower, (at_upper & ~to_lower) | to_upper
+        free = status == NB_FREE
+        any_free = bool(free.any())
+        if any_free:
+            if (np.abs(d[free]) > _DTOL * 10).any():
+                return WarmLpResult("fallback", None, None)
+            free &= movable
 
         nb_value = np.where(status == NB_LOWER, big_l, np.where(status == NB_UPPER, big_u, 0.0))
-        nb_value[bas] = 0.0
-        if not np.all(np.isfinite(nb_value)):
+        if not np.isfinite(nb_value).all():
             return WarmLpResult("fallback", None, None)
+        xb = binv @ (self.b - self.w @ nb_value)
+        l_bas = big_l[bas]
+        u_bas = big_u[bas]
+        c_bas = self.c[bas]
 
         iterations = 0
-        since_refactor = 0
         while iterations < self.max_iter:
-            z = nb_value.copy()
-            z[bas] = 0.0
-            xb = binv @ (self.b - self.w @ z)
-            z[bas] = xb
-            objective = float(self.c @ z) + self.c0
+            objective = float(c_bas @ xb + self.c @ nb_value) + self.c0
             if cutoff is not None and objective > cutoff + 1e-9:
                 return WarmLpResult("cutoff", None, objective, iterations)
 
-            below = big_l[bas] - xb
-            above = xb - big_u[bas]
+            below = l_bas - xb
+            above = xb - u_bas
             viol = np.maximum(below, above)
-            r = int(np.argmax(viol))
+            r = int(viol.argmax())
             if viol[r] <= _PTOL * (1.0 + abs(xb[r])):
-                d = self.c - (self.c[bas] @ binv) @ self.w
+                x = nb_value[:n].copy()
+                structural = bas < n
+                x[bas[structural]] = xb[structural]
                 return WarmLpResult(
                     "optimal",
-                    z[:n].copy(),
+                    x,
                     objective,
                     iterations,
                     reduced_costs=d[:n].copy(),
-                    basis=Basis(basic=bas, status=status, generation=self.generation),
+                    basis=Basis(
+                        basic=bas,
+                        status=status,
+                        generation=self.generation,
+                        inverse=binv,
+                        reduced_costs=d,
+                        since_refactor=since_refactor,
+                    ),
                 )
 
-            leaving_low = below[r] >= above[r]
-            sigma = 1.0 if leaving_low else -1.0
+            # Dual ratio test over row r of B^-1 W. Leaving below its lower
+            # bound (sigma = +1), a column at its lower bound may enter on a
+            # negative entry and one at its upper bound on a positive entry;
+            # leaving above its upper bound mirrors both signs.
+            leaving_low = bool(below[r] >= above[r])
             alpha = binv[r] @ self.w
-            atil = sigma * alpha
-            d = self.c - (self.c[bas] @ binv) @ self.w
-            eligible = (
-                ~fixed
-                & (
-                    ((status == NB_LOWER) & (atil < -_DTOL))
-                    | ((status == NB_UPPER) & (atil > _DTOL))
-                    | ((status == NB_FREE) & (np.abs(atil) > _DTOL))
-                )
-            )
-            eligible[bas] = False
-            if not eligible.any():
+            neg = alpha < -_DTOL
+            pos = alpha > _DTOL
+            if leaving_low:
+                eligible = (at_lower & neg) | (at_upper & pos)
+            else:
+                eligible = (at_lower & pos) | (at_upper & neg)
+            if any_free:
+                eligible |= free & (neg | pos)
+            cand = eligible.nonzero()[0]
+            if cand.size == 0:
                 return WarmLpResult("infeasible", None, None, iterations)
-            cand = np.flatnonzero(eligible)
-            ratios = np.abs(d[cand]) / np.abs(atil[cand])
-            q = int(cand[int(np.argmin(ratios))])
+            ratios = np.abs(d[cand]) / np.abs(alpha[cand])
+            q = int(cand[ratios.argmin()])
             pivot = alpha[q]
             if abs(pivot) < 1e-11:
                 return WarmLpResult("fallback", None, None, iterations)
 
+            # Rank-one updates: reduced costs along row r, basic values
+            # along column q (the leaving column lands on its violated
+            # bound), and the inverse by one product-form pivot.
             leaving = int(bas[r])
+            bound = big_l[leaving] if leaving_low else big_u[leaving]
+            d -= (d[q] / pivot) * alpha
+            d[q] = 0.0
+            col = binv @ self.w[:, q]
+            step = (xb[r] - bound) / pivot
+            xb -= step * col
+            xb[r] = nb_value[q] + step
+            row = binv[r] / pivot
+            binv -= col[:, None] * row
+            binv[r] = row
+
             status[leaving] = NB_LOWER if leaving_low else NB_UPPER
-            nb_value[leaving] = big_l[leaving] if leaving_low else big_u[leaving]
+            nb_value[leaving] = bound
+            if movable[leaving]:
+                (at_lower if leaving_low else at_upper)[leaving] = True
             status[q] = IN_BASIS
             nb_value[q] = 0.0
+            at_lower[q] = at_upper[q] = free[q] = False
             bas[r] = q
-            col = binv @ self.w[:, q]
-            binv[r] /= pivot
-            rows = np.arange(m) != r
-            binv[rows] -= np.outer(col[rows], binv[r])
+            l_bas[r] = big_l[q]
+            u_bas[r] = big_u[q]
+            c_bas[r] = self.c[q]
             iterations += 1
             since_refactor += 1
             if since_refactor >= self.refactor_every:
-                try:
-                    binv = np.linalg.inv(self.w[:, bas])
-                except np.linalg.LinAlgError:
+                factor = self._factorize(bas)
+                if factor is None:
                     return WarmLpResult("fallback", None, None, iterations)
+                binv, d = factor
+                xb = binv @ (self.b - self.w @ nb_value)
                 since_refactor = 0
         return WarmLpResult("fallback", None, None, iterations)
 

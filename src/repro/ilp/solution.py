@@ -56,6 +56,16 @@ class SolveStats:
     (including proven ``cutoff`` prunes), and ``warm_lp_fallbacks`` bailed
     to the cold engine on numerical trouble. :meth:`presolve_summary`
     bundles all of them.
+
+    ``best_bound`` is the bound on the optimal objective that the search
+    proved, in the model's sense: no feasible solution is better than it
+    (it is a lower bound when minimizing, an upper bound when maximizing).
+    An exhausted search proves that nothing beats the incumbent by more
+    than the solver's ``gap_tol``, so its bound sits ``gap_tol`` past the
+    incumbent; a budget-capped search proves the best open node's bound.
+    ``None`` means nothing was proven (infeasible, or the backend reports
+    no bound). ``gap`` is :func:`relative_gap` between the returned
+    objective and ``best_bound``, set whenever both exist.
     """
 
     nodes: int = 0
@@ -109,6 +119,12 @@ class SolveStats:
             "warm_lp_solves": self.warm_lp_solves,
             "warm_lp_fallbacks": self.warm_lp_fallbacks,
         }
+
+
+def relative_gap(incumbent: float, bound: float) -> float:
+    """``|incumbent − bound| / |incumbent|``; the divisor is at least 1, so
+    a zero objective does not divide by zero."""
+    return abs(incumbent - bound) / max(abs(incumbent), 1.0)
 
 
 @dataclass

@@ -64,8 +64,11 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 #: new persisted cut counters (cut_rounds/clique_cuts/cover_cuts/
 #: cuts_dropped) and cut-dependent tie-broken assignments. v4: root
 # presolve + warm-started node LPs — new persisted presolve/warm counters
-# and reduction-dependent tie-broken assignments.
-_FORMAT_VERSION = 4
+# and reduction-dependent tie-broken assignments. v5: node LPs carry their
+# parent's factorization (different tie-broken assignments), and
+# ``best_bound``/``gap`` mean the proven bound and the relative gap on every
+# exit.
+_FORMAT_VERSION = 5
 
 #: SolveStats fields persisted with a record (work counters of the original
 #: solve, kept so a cached solution still reports its provenance).

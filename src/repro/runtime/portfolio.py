@@ -199,7 +199,7 @@ def run_portfolio(
     unchanged — heuristics do not expand B&B nodes.
     """
     from repro.core.designer import design
-    from repro.ilp.solution import SolveStats, Status
+    from repro.ilp.solution import SolveStats, Status, relative_gap
     from repro.layout.routing import tam_wirelength
     from repro.tam.assignment import Assignment
 
@@ -282,10 +282,9 @@ def run_portfolio(
         else:
             winner = "bnb"
         gap = stats.gap
-        if combined.status is Status.OPTIMAL:
-            gap = 0.0
-        elif gap is None and stats.best_bound is not None and combined.makespan:
-            gap = max(0.0, (combined.makespan - stats.best_bound) / combined.makespan)
+        if gap is None and stats.best_bound is not None:
+            # A heuristic rung answered after B&B found no incumbent.
+            gap = relative_gap(combined.makespan, stats.best_bound)
         combined.portfolio = PortfolioReport(
             winner=winner,
             gap=gap,
@@ -313,7 +312,7 @@ def run_portfolio(
     if problem.floorplan is not None:
         wirelength = tam_wirelength(problem.floorplan, assignment, method=wirelength_method)
     bound = _certified_lower_bound(problem)
-    gap = max(0.0, (makespan - bound) / makespan) if makespan else 0.0
+    gap = relative_gap(makespan, bound)
     total_wall = now() - start
     report = FallbackReport(source=best_name, reason="heuristic-only portfolio")
     for record in records:

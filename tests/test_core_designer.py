@@ -219,3 +219,64 @@ class TestRandomizedOracle:
         )
         assert result.makespan == pytest.approx(oracle.makespan)
         assert problem.validate(result.assignment) == []
+
+
+class TestBoundAndGap:
+    """``best_bound`` is what the search proved and ``gap`` is relative to
+    the returned makespan, on the exact exit and the budget exits alike."""
+
+    def _s3(self):
+        from repro.soc import build_s3
+
+        return DesignProblem(
+            soc=build_s3(), arch=TamArchitecture([32, 14, 6]), timing="serial"
+        )
+
+    def test_exact_design_gap_is_under_one_cycle(self):
+        result = design(self._s3(), cache=False)
+        assert result.status is Status.OPTIMAL
+        assert result.stats.best_bound <= result.makespan
+        assert 0.0 <= result.stats.gap
+        assert result.stats.gap * result.makespan < 1.0
+        # The search proved everything within gap_tol (just under a cycle).
+        assert result.makespan - result.stats.best_bound < 1.0
+
+    @pytest.mark.parametrize("budget", [1, 5, 20])
+    def test_node_budget_design_reports_relative_gap(self, budget):
+        result = design(self._s3(), cache=False, policy=SolvePolicy(node_budget=budget))
+        assert result.status is Status.FEASIBLE
+        stats = result.stats
+        assert stats.best_bound is not None and stats.gap is not None
+        assert stats.best_bound <= result.makespan
+        assert 0.0 <= stats.gap < 1.0
+        assert stats.gap == pytest.approx(
+            (result.makespan - stats.best_bound) / result.makespan
+        )
+
+    def test_scipy_backend_reports_bound_and_gap_the_same_way(self):
+        result = design(self._s3(), backend="scipy", cache=False)
+        stats = result.stats
+        assert result.status is Status.OPTIMAL
+        assert stats.best_bound is not None and stats.best_bound <= result.makespan + 1e-6
+        # HiGHS stops at its default relative MIP gap of 1e-4.
+        assert 0.0 <= stats.gap <= 1e-4
+        assert stats.gap == pytest.approx(
+            (result.makespan - stats.best_bound) / result.makespan, abs=1e-12
+        )
+
+    def test_maximization_bound_is_an_upper_bound(self):
+        from repro.ilp import Model, quicksum
+
+        weights = [12, 7, 11, 8, 9, 14, 6, 10]
+        profits = [24, 13, 23, 15, 16, 30, 11, 19]
+        m = Model("knapsack")
+        xs = [m.add_binary(f"k{i}") for i in range(len(weights))]
+        m.add_constr(quicksum(w * x for w, x in zip(weights, xs)) <= 40)
+        m.maximize(quicksum(p * x for p, x in zip(profits, xs)))
+        for budget in (1, None):
+            policy = SolvePolicy(node_budget=budget) if budget else None
+            sol = m.solve(cache=False, policy=policy)
+            assert sol.stats.best_bound >= sol.objective - 1e-9
+            assert sol.stats.gap == pytest.approx(
+                (sol.stats.best_bound - sol.objective) / abs(sol.objective)
+            )

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ilp import INTEGER, BranchAndBoundSolver, Model, Status, quicksum
+from repro.ilp import CONTINUOUS, INTEGER, BranchAndBoundSolver, Model, Status, quicksum
 from repro.ilp.lp import LpWorkspace, solve_matrix_lp
 from repro.ilp.presolve import (
     LB_TIGHTENED,
@@ -25,6 +25,79 @@ from repro.ilp.presolve import (
 )
 
 _INT_TOL = 1e-6
+_BIG = 1e15
+
+
+def dense_propagate_bounds(
+    form, lb, ub, integer_mask, cutoff=None, max_rounds=4, tol=1e-6
+):
+    """Reference propagation: the dense rows x columns arithmetic that
+    :func:`propagate_bounds` replaced. Same contract — tightens ``lb``/``ub``
+    in place and returns ``(feasible, tightenings)``."""
+    n = form.num_vars
+    blocks, rhs_blocks = [], []
+    if form.a_ub.size:
+        blocks.append(form.a_ub)
+        rhs_blocks.append(form.b_ub)
+    if form.a_eq.size:
+        blocks += [form.a_eq, -form.a_eq]
+        rhs_blocks += [form.b_eq, -form.b_eq]
+    if np.any(form.c):
+        blocks.append(form.c.reshape(1, n))
+        rhs_blocks.append(np.array([math.inf if cutoff is None else cutoff - form.c0]))
+    if not blocks:
+        return True, []
+    rows = np.vstack(blocks)
+    rhs = np.concatenate(rhs_blocks)
+    pos, neg = np.maximum(rows, 0.0), np.minimum(rows, 0.0)
+    pos_mask, neg_mask = rows > 0.0, rows < 0.0
+    with np.errstate(divide="ignore"):
+        inv = np.where(rows != 0.0, 1.0 / np.where(rows != 0.0, rows, 1.0), 0.0)
+    changes = []
+    clb = np.clip(lb, -_BIG, _BIG)
+    cub = np.clip(ub, -_BIG, _BIG)
+    for _ in range(max_rounds):
+        min_activity = pos @ clb + neg @ cub
+        slack = rhs - min_activity
+        if np.any(slack < -tol * (1.0 + np.abs(rhs))):
+            return False, changes
+        with np.errstate(invalid="ignore"):
+            ratio = slack[:, None] * inv
+            ub_cand = np.where(pos_mask, clb[None, :] + ratio, math.inf)
+            lb_cand = np.where(neg_mask, cub[None, :] + ratio, -math.inf)
+        new_ub = np.min(ub_cand, axis=0) if ub_cand.size else cub
+        new_lb = np.max(lb_cand, axis=0) if lb_cand.size else clb
+        new_ub = np.where(integer_mask, np.floor(new_ub + tol), new_ub)
+        new_lb = np.where(integer_mask, np.ceil(new_lb - tol), new_lb)
+        improved_ub = np.flatnonzero(new_ub < cub - tol)
+        improved_lb = np.flatnonzero(new_lb > clb + tol)
+        if improved_ub.size == 0 and improved_lb.size == 0:
+            break
+        for j in improved_ub:
+            value = float(new_ub[j])
+            cub[j] = value
+            ub[j] = value
+            changes.append((int(j), UB_TIGHTENED, value))
+        for j in improved_lb:
+            value = float(new_lb[j])
+            clb[j] = value
+            lb[j] = value
+            changes.append((int(j), LB_TIGHTENED, value))
+        if np.any(clb > cub + tol):
+            return False, changes
+    return True, changes
+
+
+def assert_matches_dense(form, lb, ub, cutoff=None, **kwargs):
+    """Sparse and dense propagation agree exactly from the same bounds."""
+    tables = PropagationTables(form)
+    lb_s, ub_s = lb.copy(), ub.copy()
+    lb_d, ub_d = lb.copy(), ub.copy()
+    ours = propagate_bounds(tables, lb_s, ub_s, form.integer_mask, cutoff=cutoff, **kwargs)
+    ref = dense_propagate_bounds(form, lb_d, ub_d, form.integer_mask, cutoff=cutoff, **kwargs)
+    assert ours == ref
+    assert np.array_equal(lb_s, lb_d) and np.array_equal(ub_s, ub_d)
+    return ours
 
 
 def knapsack_model(weights, profits, capacity):
@@ -134,6 +207,143 @@ class TestPropagation:
                 if weights @ point <= cap:
                     assert np.all(point >= lb[: n] - 1e-9)
                     assert np.all(point <= ub[: n] + 1e-9)
+
+
+def _random_form(rng, fractional):
+    """Integer-coefficient rows with an objective row, and a node box.
+
+    Without ``fractional`` every column but one is integer with a small
+    finite box, and that one (like the TAM makespan ``T``) has unit
+    coefficients, a finite lower bound and maybe no upper bound: with
+    integer cutoffs every bound propagation computes stays integral and
+    below 2**53, so all of its arithmetic is exact. With ``fractional``,
+    continuous columns take any coefficient and the cutoff any value, so
+    tightened bounds become fractions and rounding enters the row sums.
+    """
+    n = int(rng.integers(1, 9))
+    m = Model("prop")
+    xs, unit = [], []
+    for j in range(n):
+        lb, ub = float(rng.integers(-3, 2)), float(rng.integers(2, 9))
+        if fractional:
+            continuous = rng.random() < 0.5
+        else:
+            continuous = not any(unit) and rng.random() < 0.3
+            if continuous and rng.random() < 0.5:
+                ub = math.inf
+        unit.append(continuous and not fractional)
+        vartype = CONTINUOUS if continuous else INTEGER
+        xs.append(m.add_var(f"x{j}", lb=lb, ub=ub, vartype=vartype))
+
+    def coefficients(low, high):
+        coefs = rng.integers(low, high, size=n) * (rng.random(n) < 0.6)
+        return np.where(unit, np.sign(coefs), coefs)
+
+    for _ in range(int(rng.integers(0, 6))):
+        expr = quicksum(int(a) * x for a, x in zip(coefficients(-6, 7), xs))
+        rhs = float(rng.integers(-5, 25))
+        kind = rng.random()
+        if kind < 0.6:
+            m.add_constr(expr <= rhs)
+        elif kind < 0.8:
+            m.add_constr(expr >= rhs)
+        else:
+            m.add_constr(expr == rhs)
+    objective = coefficients(-4, 9)
+    m.minimize(quicksum(int(p) * x for p, x in zip(objective, xs)) + int(rng.integers(-3, 4)))
+    form = m.to_matrix_form()
+    lb, ub = form.lb.copy(), form.ub.copy()
+    # A branch-like start: a few finite bounds pulled inward.
+    for j in rng.choice(form.num_vars, size=min(2, form.num_vars), replace=False):
+        if np.isfinite(ub[j]) and lb[j] < ub[j]:
+            if rng.random() < 0.5:
+                lb[j] = min(lb[j] + 1.0, ub[j])
+            else:
+                ub[j] = max(ub[j] - 1.0, lb[j])
+    cutoff = None if rng.random() < 0.3 else float(rng.integers(-10, 30))
+    if fractional and cutoff is not None:
+        cutoff -= float(rng.random())
+    return form, lb, ub, cutoff
+
+
+class TestSparseMatchesDense:
+    """The O(nonzeros) propagation against the dense reference: identical
+    results wherever the arithmetic is exact (integer data, as in every TAM
+    formulation), the same tightenings up to rounding elsewhere."""
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=150, deadline=None)
+    def test_generated_integer_forms(self, seed):
+        form, lb, ub, cutoff = _random_form(np.random.default_rng(seed), fractional=False)
+        assert_matches_dense(form, lb, ub, cutoff=cutoff)
+        assert_matches_dense(form, lb, ub, cutoff=cutoff, max_rounds=2, tol=1e-9)
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=150, deadline=None)
+    def test_generated_fractional_forms(self, seed):
+        # Row sums now add in nonzero order where the dense matmul added in
+        # BLAS order, so fractional bounds may differ in the last bits.
+        form, lb, ub, cutoff = _random_form(np.random.default_rng(seed), fractional=True)
+        tables = PropagationTables(form)
+        lb_s, ub_s = lb.copy(), ub.copy()
+        feasible, changes = propagate_bounds(tables, lb_s, ub_s, form.integer_mask, cutoff=cutoff)
+        lb_d, ub_d = lb.copy(), ub.copy()
+        ref_feasible, ref_changes = dense_propagate_bounds(
+            form, lb_d, ub_d, form.integer_mask, cutoff=cutoff
+        )
+        assert feasible == ref_feasible
+        assert [c[:2] for c in changes] == [c[:2] for c in ref_changes]
+        close = dict(rtol=1e-9, atol=1e-9)
+        assert np.allclose([c[2] for c in changes], [c[2] for c in ref_changes], **close)
+        assert np.allclose(lb_s, lb_d, **close) and np.allclose(ub_s, ub_d, **close)
+
+    @pytest.mark.parametrize("name", ["S1", "S2", "S3"])
+    @pytest.mark.parametrize("variant", ["serial", "power", "layout"])
+    def test_tam_formulations(self, name, variant):
+        from repro.core import DesignProblem, build_assignment_ilp
+        from repro.layout import grid_place
+        from repro.soc import build_s1, build_s2, build_s3
+        from repro.tam import TamArchitecture
+
+        soc = {"S1": build_s1, "S2": build_s2, "S3": build_s3}[name]()
+        extra = {}
+        if variant == "power":
+            powers = sorted(core.test_power for core in soc.cores)
+            extra["power_budget"] = powers[-1] + powers[-2] - 0.05
+        elif variant == "layout":
+            floorplan = grid_place(soc)
+            distances = sorted(
+                floorplan.distance(a, b)
+                for a in range(len(soc))
+                for b in range(a + 1, len(soc))
+            )
+            extra["floorplan"] = floorplan
+            extra["max_pair_distance"] = distances[int(0.8 * (len(distances) - 1))]
+        problem = DesignProblem(
+            soc=soc, arch=TamArchitecture([32, 16, 8]), timing="serial", **extra
+        )
+        form = build_assignment_ilp(problem).model.to_matrix_form()
+        # Cutoffs around the optimum: the perfectly balanced load, give or take.
+        times = problem.times
+        balanced = float(np.where(np.isfinite(times), times, np.inf).min(axis=1).sum())
+        balanced /= problem.arch.num_buses
+        cutoffs = [None, 1.5 * balanced, balanced, 0.7 * balanced]
+        rng = np.random.default_rng(len(name) + len(variant))
+        binaries = np.flatnonzero(form.integer_mask)
+        outcomes = set()
+        for trial in range(40):
+            lb, ub = form.lb.copy(), form.ub.copy()
+            for j in rng.choice(binaries, size=trial % 6, replace=False):
+                if rng.random() < 0.5:
+                    lb[j] = 1.0
+                else:
+                    ub[j] = 0.0
+            for cutoff in cutoffs:
+                feasible, changes = assert_matches_dense(form, lb, ub, cutoff=cutoff)
+                outcomes.add((feasible, bool(changes)))
+        # The sample reaches tightenings and prunes, not just no-op rounds.
+        assert (True, True) in outcomes
+        assert any(not feasible for feasible, _ in outcomes)
 
 
 class TestReducedCostFixing:

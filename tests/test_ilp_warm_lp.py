@@ -13,8 +13,10 @@ from scipy.optimize import linprog
 
 from repro.core import DesignProblem, design, width_sweep
 from repro.ilp import INTEGER, Model, Status, quicksum
+from repro.ilp import branch_and_bound
 from repro.ilp.simplex import Basis, RevisedSimplex
 from repro.obs import PresolvePolicy, SolvePolicy, SolverOptions
+from repro.tam import TamArchitecture
 
 _RNG_CASES = 40
 
@@ -42,6 +44,19 @@ def _random_form(rng):
     obj = rng.integers(-5, 6, size=n)
     model.minimize(quicksum(int(p) * x for p, x in zip(obj, xs)))
     return model.to_matrix_form()
+
+
+def _knapsack():
+    rng = np.random.default_rng(5)
+    weights = rng.integers(5, 40, size=14).tolist()
+    profits = rng.integers(5, 40, size=14).tolist()
+    m = Model("knapsack")
+    xs = [m.add_binary(f"k{i}") for i in range(len(weights))]
+    m.add_constr(
+        quicksum(w * x for w, x in zip(weights, xs)) <= int(sum(weights) * 0.4)
+    )
+    m.maximize(quicksum(p * x for p, x in zip(profits, xs)))
+    return m
 
 
 def _scipy_solve(form, lb, ub):
@@ -156,6 +171,139 @@ class TestRevisedSimplexVsScipy:
         assert res.objective == pytest.approx(root.objective, abs=1e-9)
 
 
+class TestCarriedFactorization:
+    """A warm solve starts from the factorization its parent returned and
+    updates it pivot by pivot; chains longer than ``refactor_every`` pivots
+    must keep every answer and every inverse exact."""
+
+    @staticmethod
+    def _inverse_error(engine, basis):
+        product = basis.inverse @ engine.w[:, basis.basic]
+        return float(np.max(np.abs(product - np.eye(engine.m))))
+
+    @staticmethod
+    def _packing_form(rng):
+        """Multi-row packing LP whose optima have many basic structurals,
+        so each branch-like bound change costs dual pivots."""
+        n = int(rng.integers(10, 15))
+        model = Model("packing")
+        xs = [model.add_var(f"x{j}", lb=0, ub=float(rng.integers(1, 4))) for j in range(n)]
+        for _ in range(int(rng.integers(6, 10))):
+            coefs = rng.integers(0, 10, size=n)
+            model.add_constr(
+                quicksum(int(a) * x for a, x in zip(coefs, xs)) <= float(coefs.sum() // 3)
+            )
+        coefs = rng.integers(0, 2, size=n)
+        model.add_constr(quicksum(int(a) * x for a, x in zip(coefs, xs)) == 2)
+        profits = rng.integers(1, 10, size=n)
+        model.maximize(quicksum(int(p) * x for p, x in zip(profits, xs)))
+        return model.to_matrix_form()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_chained_warm_resolves_match_scipy(self, seed):
+        rng = np.random.default_rng(seed)
+        form = self._packing_form(rng)
+        while RevisedSimplex(form).solve(form.lb, form.ub).status != "optimal":
+            form = self._packing_form(rng)
+        engine = RevisedSimplex(form)
+        current = engine.solve(form.lb, form.ub)
+        lb, ub = form.lb.copy(), form.ub.copy()
+        pivots = 0
+        solves = 0
+        refactored = False
+        while solves < 3 * engine.refactor_every or not refactored:
+            assert solves < 40 * engine.refactor_every
+            # Branch-like change: move one column's bound past its value,
+            # a fractional column when there is one.
+            frac = np.flatnonzero(np.abs(current.x - np.round(current.x)) > 1e-6)
+            j = int(rng.choice(frac)) if frac.size else int(rng.integers(0, form.num_vars))
+            child_lb, child_ub = lb.copy(), ub.copy()
+            value = current.x[j]
+            if rng.random() < 0.5:
+                child_ub[j] = np.ceil(value - 1e-9) - 1.0
+            else:
+                child_lb[j] = np.floor(value + 1e-9) + 1.0
+            if child_lb[j] > child_ub[j]:
+                continue
+            result = engine.solve(child_lb, child_ub, basis=current.basis)
+            solves += 1
+            pivots += result.iterations
+            ref = _scipy_solve(form, child_lb, child_ub)
+            if ref.status == 0:
+                assert result.status == "optimal"
+                assert result.objective == pytest.approx(ref.fun + form.c0, abs=1e-6)
+                basis = result.basis
+                assert basis.since_refactor < engine.refactor_every
+                assert self._inverse_error(engine, basis) <= 1e-8
+                refactored |= basis.since_refactor < current.basis.since_refactor
+                current = result
+                lb, ub = child_lb, child_ub
+            else:
+                assert ref.status == 2 and result.status == "infeasible"
+            if rng.random() < 0.1 or np.all(ub - lb < 1.0):
+                # Back to the root box: a loosening keeps the basis usable
+                # and lets the chain run on.
+                lb, ub = form.lb.copy(), form.ub.copy()
+        assert pivots >= engine.refactor_every
+
+    def test_basis_without_factorization_gives_same_answer(self):
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            form = _random_form(rng)
+            engine = RevisedSimplex(form)
+            root = engine.solve(form.lb, form.ub)
+            if root.status != "optimal":
+                continue
+            j = int(rng.integers(0, form.num_vars))
+            ub = form.ub.copy()
+            ub[j] = np.ceil(root.x[j] - 1e-9) - 1.0
+            if ub[j] < form.lb[j]:
+                continue
+            carried = engine.solve(form.lb, ub, basis=root.basis)
+            bare = engine.solve(form.lb, ub, basis=root.basis.without_factorization())
+            assert root.basis.without_factorization().factor_bytes == 0
+            assert carried.status == bare.status
+            if carried.status == "optimal":
+                assert carried.objective == pytest.approx(bare.objective, abs=1e-9)
+                assert bare.basis.since_refactor == bare.iterations
+
+    @staticmethod
+    def _count_bare_starts(monkeypatch):
+        """Spy on warm solves: one entry per call, True when the start basis
+        came without a factorization."""
+        bare = []
+        original = RevisedSimplex.solve
+
+        def spying(self, lb, ub, basis=None, cutoff=None):
+            if basis is not None:
+                bare.append(basis.inverse is None)
+            return original(self, lb, ub, basis=basis, cutoff=cutoff)
+
+        monkeypatch.setattr(RevisedSimplex, "solve", spying)
+        return bare
+
+    def test_zero_byte_cap_refactorizes_every_child(self, monkeypatch, s1):
+        problem = DesignProblem(
+            soc=s1, arch=TamArchitecture([16, 12, 4]), timing="serial"
+        )
+        bare = self._count_bare_starts(monkeypatch)
+        knapsack = _knapsack().solve(cache=False)
+        s1_design = design(problem, cache=False)
+        assert bare and not any(bare)
+
+        monkeypatch.setattr(branch_and_bound, "_FACTOR_BYTES_CAP", 0)
+        bare.clear()
+        knapsack_capped = _knapsack().solve(cache=False)
+        s1_capped = design(problem, cache=False)
+
+        assert knapsack_capped.objective == pytest.approx(knapsack.objective)
+        assert s1_capped.makespan == pytest.approx(s1_design.makespan)
+        # Every node solved off the heap (all but the root LP) started from
+        # a bare basis and refactorized.
+        heap_nodes = knapsack_capped.stats.nodes + s1_capped.stats.nodes - 2
+        assert sum(bare) == heap_nodes > 0
+
+
 def _warm_and_cold(model_factory, **solve_kwargs):
     warm = model_factory().solve(cache=False, **solve_kwargs)
     cold = model_factory().solve(
@@ -167,27 +315,15 @@ def _warm_and_cold(model_factory, **solve_kwargs):
 
 
 class TestWarmStartedBranchAndBound:
-    def _knapsack(self):
-        rng = np.random.default_rng(5)
-        weights = rng.integers(5, 40, size=14).tolist()
-        profits = rng.integers(5, 40, size=14).tolist()
-        m = Model("knapsack")
-        xs = [m.add_binary(f"k{i}") for i in range(len(weights))]
-        m.add_constr(
-            quicksum(w * x for w, x in zip(weights, xs)) <= int(sum(weights) * 0.4)
-        )
-        m.maximize(quicksum(p * x for p, x in zip(profits, xs)))
-        return m
-
     def test_warm_matches_cold_on_knapsack(self):
-        warm, cold = _warm_and_cold(self._knapsack)
+        warm, cold = _warm_and_cold(_knapsack)
         assert warm.status is Status.OPTIMAL
         assert warm.objective == pytest.approx(cold.objective)
         assert warm.stats.warm_lp_solves > 0
         assert cold.stats.warm_lp_solves == 0
 
     def test_warm_composes_with_simplex_fallback_engine(self):
-        warm, cold = _warm_and_cold(self._knapsack, lp_method="simplex")
+        warm, cold = _warm_and_cold(_knapsack, lp_method="simplex")
         assert warm.objective == pytest.approx(cold.objective)
         assert warm.stats.warm_lp_solves > 0
 
