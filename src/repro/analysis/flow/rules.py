@@ -115,17 +115,6 @@ def _references_cache_token(node: ast.AST) -> bool:
     return False
 
 
-def _self_attr_reads(node: ast.AST) -> set[str]:
-    return {
-        child.attr
-        for child in ast.walk(node)
-        if isinstance(child, ast.Attribute)
-        and isinstance(child.value, ast.Name)
-        and child.value.id == "self"
-        and isinstance(child.ctx, ast.Load)
-    }
-
-
 class CacheKeyCompleteness(ProjectRule):
     """D001 — every result-affecting knob must reach the cache key.
 
@@ -140,11 +129,12 @@ class CacheKeyCompleteness(ProjectRule):
        taint roots flowing into *any* other call (the solver dispatch) must
        be a subset of the roots hashed into the key: a new solver kwarg
        that skips the fingerprint turns this red;
-    3. **protocol completeness** — in a class exposing ``cache_token``
-       alongside an options-producing method (``backend_options`` on a
-       policy, ``request_options`` on a request), every field the producer
-       reads must either land in the returned options mapping (hashed
-       generically) or be read by ``cache_token``.
+    3. **derived token** — a class with an options-producing method
+       (``backend_options`` on a policy, ``request_options`` on a request)
+       must not write ``cache_token`` by hand: a hand-written token is a
+       second field list that can drift from the fields the producer
+       forwards, so such classes inherit the field-derived one
+       (:class:`~repro.obs.policy.DerivedFields`).
     """
 
     rule_id = "D001"
@@ -153,7 +143,7 @@ class CacheKeyCompleteness(ProjectRule):
     def check(self, project: Project, graph: CallGraph) -> Iterable[FlowFinding]:
         yield from self._check_token_protocol(project, graph)
         yield from self._check_solve_plumbing(project, graph)
-        yield from self._check_policy_class(project)
+        yield from self._check_derived_token(project)
 
     # ------------------------------------------------------- 1: token protocol
     def _check_token_protocol(self, project: Project, graph: CallGraph) -> Iterator[FlowFinding]:
@@ -249,63 +239,31 @@ class CacheKeyCompleteness(ProjectRule):
                         "before the fingerprint is computed)",
                     )
 
-    # ------------------------------------------------- 3: protocol completeness
-    #: Methods whose self-attribute reads shape a solve and therefore must
-    #: be covered by the class's ``cache_token`` (or land in the returned,
-    #: generically hashed options mapping). ``backend_options`` is the
-    #: policy shape, ``request_options`` the unified-request shape.
+    # ------------------------------------------------------ 3: derived token
+    #: Methods whose presence marks a class as producing solver options.
     OPTION_PRODUCERS = ("backend_options", "request_options")
 
-    def _check_policy_class(self, project: Project) -> Iterator[FlowFinding]:
+    def _check_derived_token(self, project: Project) -> Iterator[FlowFinding]:
         for module in project:
             for node in ast.walk(module.tree):
                 if not isinstance(node, ast.ClassDef):
                     continue
                 methods = {
-                    stmt.name: stmt
+                    stmt.name
                     for stmt in node.body
                     if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
                 }
-                cache_token = methods.get("cache_token")
-                if cache_token is None:
-                    continue
-                token_reads = _self_attr_reads(cache_token)
-                for producer_name in self.OPTION_PRODUCERS:
-                    producer = methods.get(producer_name)
-                    if producer is None:
-                        continue
-                    covered = self._dict_covered_fields(producer)
-                    for attr in sorted(_self_attr_reads(producer)):
-                        if attr in token_reads or attr in covered:
-                            continue
-                        yield FlowFinding(
-                            module,
-                            producer,
-                            f"{node.name}.{attr} shapes the solve in "
-                            f"{producer_name}() but reaches neither the returned "
-                            "options mapping nor cache_token()",
-                            "store it into the returned options dict (hashed "
-                            "generically) or add it to cache_token()",
-                        )
-
-    def _dict_covered_fields(self, method: ast.AST) -> set[str]:
-        """Fields stored into a dict that the method returns."""
-        returned = {
-            stmt.value.id
-            for stmt in ast.walk(method)
-            if isinstance(stmt, ast.Return) and isinstance(stmt.value, ast.Name)
-        }
-        covered: set[str] = set()
-        for stmt in ast.walk(method):
-            if (
-                isinstance(stmt, ast.Assign)
-                and len(stmt.targets) == 1
-                and isinstance(stmt.targets[0], ast.Subscript)
-                and isinstance(stmt.targets[0].value, ast.Name)
-                and stmt.targets[0].value.id in returned
-            ):
-                covered |= _self_attr_reads(stmt.value)
-        return covered
+                producer = next((m for m in self.OPTION_PRODUCERS if m in methods), None)
+                if producer is not None and "cache_token" in methods:
+                    yield FlowFinding(
+                        module,
+                        node,
+                        f"{node.name} produces solver options in {producer}() but "
+                        "writes cache_token() by hand",
+                        "inherit the field-derived token (repro.obs.policy."
+                        "DerivedFields) and keep a field out of the key with "
+                        'metadata={"cache": False}',
+                    )
 
 
 class ProcessPoolPurity(ProjectRule):

@@ -15,7 +15,6 @@ much of the design space a tight budget kills.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -102,8 +101,6 @@ def design(
     warm_start_heuristic: bool = False,
     cache: "object | bool | None" = None,
     policy: SolvePolicy | None = None,
-    presolve: bool | None = None,
-    branching: str | None = None,
     incumbent: Assignment | None = None,
     **solver_options,
 ) -> TamDesign:
@@ -121,10 +118,9 @@ def design(
     Root presolve and warm-started node LPs are likewise on by default
     inside the solver itself (see DESIGN.md §13); disable them per request
     with ``SolverOptions(root_presolve=PresolvePolicy.disabled(),
-    warm_start=False)``.
-    The flat ``presolve=`` / ``branching=`` / ``checkpoint_interval=``
-    kwargs still work for one release behind a
-    :class:`DeprecationWarning`.
+    warm_start=False)``. Any other keyword (``gap_tol``, ``presolve``, …)
+    is forwarded to the backend as an ad-hoc option and hashed into the
+    cache key.
 
     Without a ``policy`` the solve is exact: :class:`InfeasibleError` when
     the constraints admit no assignment, :class:`SolverError` if the backend
@@ -154,32 +150,6 @@ def design(
     :class:`~repro.runtime.cache.SolutionCache` memoizes this solve, ``None``
     defers to the active context cache, ``False`` bypasses caching.
     """
-    if presolve is not None or branching is not None:
-        warnings.warn(
-            "the flat presolve=/branching= kwargs of design() are deprecated "
-            "and will be removed next release; pass "
-            "policy=SolvePolicy(solver=SolverOptions(presolve=..., branching=...)) "
-            "instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if backend != "bnb":
-            raise ValueError(
-                "presolve/branching are branch-and-bound knobs; "
-                f"backend {backend!r} does not accept them"
-            )
-        if presolve is not None:
-            solver_options.setdefault("presolve", presolve)
-        if branching is not None:
-            solver_options.setdefault("branching", branching)
-    if "checkpoint_interval" in solver_options:
-        warnings.warn(
-            "passing checkpoint_interval= to design() directly is deprecated "
-            "and will be removed next release; pass policy=SolvePolicy("
-            "solver=SolverOptions(checkpoint_interval=...)) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
     portfolio = (
         policy.solver.portfolio
         if policy is not None and policy.solver is not None
@@ -224,7 +194,6 @@ def design(
     if (
         backend == "bnb"
         and "cut_policy" not in solver_options
-        and "root_cuts" not in solver_options
         and (policy is None or policy.solver is None or policy.solver.cuts is None)
     ):
         # Branch-and-cut by default: separation only ever strengthens the

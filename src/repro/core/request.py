@@ -30,7 +30,7 @@ in ``jobs`` dedupe onto one result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from typing import Any, Mapping
 
 from repro.core.designer import TamDesign, design, design_best_architecture
@@ -38,7 +38,8 @@ from repro.core.dual import explore_bus_counts, minimize_width
 from repro.core.problem import DesignProblem
 from repro.layout.placers import grid_place
 from repro.obs import SolvePolicy
-from repro.runtime.fingerprint import cache_token_of, token_digest
+from repro.obs.policy import DerivedFields, field_default
+from repro.runtime.fingerprint import token_digest
 from repro.soc.builders import build_s1, build_s2, build_s3
 from repro.soc.catalog import corpus_names, corpus_soc
 from repro.soc.generator import generate_synthetic_soc
@@ -92,7 +93,7 @@ def resolve_soc(spec: str) -> Soc:
 
 
 @dataclass(frozen=True)
-class SolveRequest:
+class SolveRequest(DerivedFields):
     """One validated, fingerprintable description of a solve job.
 
     ``soc`` is a spec string (see :func:`resolve_soc`), not a live object:
@@ -106,7 +107,13 @@ class SolveRequest:
     belong on ``policy.solver`` (:class:`~repro.obs.SolverOptions`), which
     serializes with the policy and reaches the fingerprint through its
     cache token.
+
+    The token, the wire form and overrides derive from the fields
+    (:class:`~repro.obs.policy.DerivedFields`): ``jobs`` opts out of the
+    token, and ``options`` travels as a JSON object.
     """
+
+    _error = ValidationError
 
     kind: str
     soc: str
@@ -115,13 +122,15 @@ class SolveRequest:
     num_buses: int | None = None
     time_budget: float | None = None
     max_buses: int | None = None
-    timing: str = "serial"
     power_budget: float | None = None
     max_pair_distance: float | None = None
+    timing: str = "serial"
     backend: str = "bnb"
+    jobs: int = field(default=1, metadata={"cache": False})
+    options: tuple[tuple[str, Any], ...] = field(
+        default_factory=tuple, metadata={"wire": dict}
+    )
     policy: SolvePolicy | None = None
-    jobs: int = 1
-    options: tuple[tuple[str, Any], ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
         if self.kind not in REQUEST_KINDS:
@@ -136,10 +145,9 @@ class SolveRequest:
             )
         if self.widths is not None:
             object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
-        if isinstance(self.options, Mapping):
-            object.__setattr__(self, "options", tuple(sorted(self.options.items())))
-        else:
-            object.__setattr__(self, "options", tuple(sorted(tuple(self.options))))
+        options = self.options or ()
+        pairs = options.items() if isinstance(options, Mapping) else options
+        object.__setattr__(self, "options", tuple(sorted(tuple(pairs))))
         if self.policy is not None and not isinstance(self.policy, SolvePolicy):
             raise ValidationError(
                 f"policy must be a SolvePolicy or None, got {type(self.policy).__name__}"
@@ -163,29 +171,6 @@ class SolveRequest:
             raise ValidationError(f"widths must be positive, got {self.widths}")
 
     # ------------------------------------------------------------ fingerprint
-    def cache_token(self) -> str:
-        """Canonical text of every result-affecting field (the protocol).
-
-        ``jobs`` is excluded: fan-out affects wall time, never the answer.
-        """
-        fields = (
-            ("kind", self.kind),
-            ("soc", self.soc),
-            ("widths", self.widths),
-            ("total_width", self.total_width),
-            ("num_buses", self.num_buses),
-            ("time_budget", self.time_budget),
-            ("max_buses", self.max_buses),
-            ("timing", self.timing),
-            ("power_budget", self.power_budget),
-            ("max_pair_distance", self.max_pair_distance),
-            ("options", dict(self.options)),
-            ("backend", self.backend),
-            ("policy", self.policy),
-        )
-        body = ",".join(f"{name}={cache_token_of(value)}" for name, value in fields)
-        return f"request({body})"
-
     def fingerprint(self) -> str:
         """Content hash identifying this request for dedupe and caching."""
         return token_digest("repro-request-v1", self.cache_token())
@@ -194,9 +179,8 @@ class SolveRequest:
     def request_options(self) -> dict[str, Any]:
         """The solve-shaping knobs :meth:`run` forwards to the design flow.
 
-        Everything in this mapping is covered by :meth:`cache_token` —
-        flow rule D001 audits that a new knob added here cannot silently
-        skip the fingerprint.
+        Everything in this mapping is covered by :meth:`cache_token`, which
+        derives from the fields — flow rule D001 rejects a hand-written one.
         """
         options: dict[str, Any] = dict(self.options)
         options["backend"] = self.backend
@@ -352,74 +336,20 @@ class SolveRequest:
         return payload
 
     # ------------------------------------------------------------- transport
-    def with_overrides(self, **changes) -> "SolveRequest":
-        """A copy with the given fields replaced (re-validated)."""
-        return replace(self, **changes)
-
     def as_payload(self) -> dict[str, Any]:
-        """JSON-ready wire form (see :meth:`from_payload`)."""
-        payload: dict[str, Any] = {"kind": self.kind, "soc": self.soc}
-        for name in (
-            "widths",
-            "total_width",
-            "num_buses",
-            "time_budget",
-            "max_buses",
-            "power_budget",
-            "max_pair_distance",
-        ):
-            value = getattr(self, name)
-            if value is not None:
-                payload[name] = list(value) if isinstance(value, tuple) else value
-        if self.timing != "serial":
-            payload["timing"] = self.timing
-        if self.backend != "bnb":
-            payload["backend"] = self.backend
-        if self.jobs != 1:
-            payload["jobs"] = self.jobs
-        if self.options:
-            payload["options"] = dict(self.options)
-        if self.policy is not None:
-            payload["policy"] = self.policy.as_dict()
-        return payload
+        """JSON-ready wire form (see :meth:`from_payload`): the fields of
+        :meth:`as_dict` that differ from their defaults."""
+        full = self.as_dict()
+        return {
+            spec.name: full[spec.name]
+            for spec in fields(self)
+            if getattr(self, spec.name) != field_default(spec)
+        }
 
     @classmethod
     def from_payload(cls, payload: Mapping[str, Any]) -> "SolveRequest":
         """Parse the wire form, rejecting unknown keys loudly."""
-        if not isinstance(payload, Mapping):
-            raise ValidationError(
-                f"request payload must be a JSON object, got {type(payload).__name__}"
-            )
-        data = dict(payload)
-        known = {
-            "kind",
-            "soc",
-            "widths",
-            "total_width",
-            "num_buses",
-            "time_budget",
-            "max_buses",
-            "timing",
-            "power_budget",
-            "max_pair_distance",
-            "backend",
-            "policy",
-            "jobs",
-            "options",
-        }
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValidationError(f"unknown request field(s): {', '.join(unknown)}")
-        if "kind" not in data or "soc" not in data:
-            raise ValidationError("request payload requires 'kind' and 'soc'")
-        policy = data.get("policy")
-        if isinstance(policy, Mapping):
-            data["policy"] = SolvePolicy.from_dict(policy)
-        options = data.get("options")
+        options = payload.get("options") if isinstance(payload, Mapping) else None
         if options is not None and not isinstance(options, Mapping):
             raise ValidationError("options must be a JSON object of solver kwargs")
-        if "widths" in data and data["widths"] is not None:
-            data["widths"] = tuple(data["widths"])
-        if options is None:
-            data.pop("options", None)
-        return cls(**data)
+        return cls.from_dict(payload)

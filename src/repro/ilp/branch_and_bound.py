@@ -44,7 +44,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import warnings
 
 import numpy as np
 
@@ -114,10 +113,6 @@ class BranchAndBoundSolver:
         and aged out through a shared :class:`~repro.ilp.cuts.CutPool`.
         Every cut is valid for the integer hull, so the active cut rows
         stay in the LP for every node.
-    root_cuts:
-        Deprecated spelling of ``cut_policy`` (``root_cuts=N`` maps to
-        ``CutPolicy.legacy_root_cuts(N)``: N cover-only root rounds).
-        Accepted for one release behind a :class:`DeprecationWarning`.
     presolve:
         Node presolve (default on): integer bound propagation per node and
         reduced-cost fixing from the root LP duals. ``presolve=False``
@@ -164,7 +159,6 @@ class BranchAndBoundSolver:
         branching: str = "pseudocost",
         dive: bool = True,
         cut_policy: CutPolicy | None = None,
-        root_cuts: int | None = None,
         presolve: bool = True,
         root_presolve: PresolvePolicy | None = None,
         lp_warm_start: bool | None = None,
@@ -174,19 +168,6 @@ class BranchAndBoundSolver:
     ):
         if branching not in ("pseudocost", "most_fractional", "first"):
             raise ValueError(f"unknown branching rule {branching!r}")
-        if root_cuts is not None:
-            warnings.warn(
-                "root_cuts is deprecated and will be removed next release; "
-                "pass cut_policy=CutPolicy(...) instead (root_cuts=N maps to "
-                "CutPolicy.legacy_root_cuts(N))",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if cut_policy is not None:
-                raise ValueError(
-                    "pass either cut_policy or the deprecated root_cuts, not both"
-                )
-            cut_policy = CutPolicy.legacy_root_cuts(int(root_cuts))
         self.model = model
         self.node_limit = node_limit
         self.gap_tol = gap_tol
@@ -309,23 +290,7 @@ class BranchAndBoundSolver:
             self._flush_checkpoint()
             self._settle_bound()
             self._stats.wall_time = now() - start
-            metrics = get_metrics()
-            metrics.counter("solve.nodes").inc(self._stats.nodes)
-            metrics.counter("solve.lp_solves").inc(self._stats.lp_solves)
-            metrics.counter("solve.lp_iterations").inc(self._stats.lp_iterations)
-            metrics.counter("solve.incumbent_updates").inc(self._stats.incumbent_updates)
-            metrics.counter("solve.presolve_fixings").inc(self._stats.presolve_fixings)
-            metrics.counter("solve.presolve_pruned").inc(self._stats.presolve_pruned)
-            metrics.counter("solve.pseudocost_branches").inc(self._stats.pseudocost_branches)
-            metrics.counter("solve.cuts").inc(self._stats.cuts)
-            metrics.counter("solve.cut_rounds").inc(self._stats.cut_rounds)
-            metrics.counter("solve.root_cols_removed").inc(self._stats.root_cols_removed)
-            metrics.counter("solve.root_rows_removed").inc(self._stats.root_rows_removed)
-            metrics.counter("solve.warm_lp_solves").inc(self._stats.warm_lp_solves)
-            metrics.counter("solve.warm_lp_fallbacks").inc(self._stats.warm_lp_fallbacks)
-            metrics.histogram("solve.wall_time").observe(self._stats.wall_time)
-            if self._stats.best_bound is not None:
-                metrics.gauge("solve.best_bound").set(self._stats.best_bound)
+            self._stats.publish(get_metrics())
         return self._wrap(status)
 
     # ------------------------------------------------------------ internals

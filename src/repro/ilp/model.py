@@ -301,9 +301,7 @@ class Model:
         BranchAndBoundSolver`; ``backend="scipy"`` uses HiGHS via
         ``scipy.optimize.milp``; other names resolve through
         :func:`register_backend`. Options are forwarded to the backend
-        (``gap_tol``, ``dive``, ``cut_policy``, ``warm_start`` for bnb; the
-        legacy ``root_cuts=N`` spelling still works one release behind a
-        :class:`DeprecationWarning`).
+        (``gap_tol``, ``dive``, ``cut_policy``, ``warm_start`` for bnb).
 
         ``policy`` is a :class:`~repro.obs.SolvePolicy` bounding the solve:
         its deadline / node budget / gap tolerance map onto the backend's
@@ -329,8 +327,11 @@ class Model:
         ``use_cache``/``set_solve_cache`` (no caching if none is active), and
         ``False`` bypasses caching even when a cache is active. Cached
         solutions are bit-identical to the original solve and carry
-        ``cache_hit=True``. The cache key covers the *effective* policy
-        budgets, so a truncated solve never masquerades as an uncapped one.
+        ``cache_hit=True``. The cache key covers the ad-hoc options and what
+        the policy's cached fields imply (:meth:`~repro.obs.SolvePolicy.
+        cache_view`): the *effective* budgets, so a truncated solve never
+        masquerades as an uncapped one, but not its retry or checkpoint
+        settings, which never change the answer.
         """
         if lint not in ("off", "warn", "error"):
             raise ValueError(f"lint must be 'off', 'warn' or 'error', got {lint!r}")
@@ -361,9 +362,11 @@ class Model:
         store = resolve_cache(cache)
         key = None
         if store is not None:
-            key_options = dict(effective)
-            if policy is not None and policy.is_capped:
-                key_options["_policy"] = policy.cache_token()
+            key_options = dict(options)
+            if policy is not None:
+                key_options.update(policy.cache_view().backend_options(backend))
+                if policy.is_capped:
+                    key_options["_policy"] = policy.cache_token()
             with span("cache_lookup"):
                 key = store.fingerprint(
                     self.to_matrix_form(), backend=backend, options=key_options

@@ -46,14 +46,12 @@ def solve_with_scipy(model: Model, time_limit: float | None = None) -> Solution:
         nodes=int(getattr(res, "mip_node_count", 0) or 0),
         wall_time=now() - start,
     )
-    metrics = get_metrics()
-    metrics.counter("solve.nodes").inc(stats.nodes)
-    metrics.histogram("solve.wall_time").observe(stats.wall_time)
     if res.x is not None:
         dual_bound = getattr(res, "mip_dual_bound", None)
         if dual_bound is not None and np.isfinite(dual_bound):
             stats.best_bound = sign * (float(dual_bound) + form.c0)
             stats.gap = relative_gap(float(res.fun) + form.c0, float(dual_bound) + form.c0)
+    stats.publish(get_metrics())
     if res.status == 0:
         values = {var: float(res.x[var.index]) for var in model.variables}
         objective = sign * (float(res.fun) + form.c0)

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from typing import Any
 
 from repro.ilp.expr import LinExpr, Variable
 
@@ -19,8 +20,61 @@ class Status(enum.Enum):
     FEASIBLE = "feasible"  # incumbent found but optimality not proven
 
 
+def _counter(publish: bool = True) -> Any:
+    """An additive work counter, published as the ``solve.<name>`` counter
+    unless ``publish`` is False."""
+    return field(default=0, metadata={"publish": "counter" if publish else None})
+
+
+def _timing() -> Any:
+    """Additive wall-clock seconds, observed as the ``solve.<name>``
+    histogram (one observation per solve)."""
+    return field(default=0.0, metadata={"publish": "histogram", "timing": True})
+
+
+#: How each published field updates its instrument in a MetricsRegistry.
+_PUBLISH_UPDATE = {"counter": "inc", "histogram": "observe", "gauge": "set"}
+
+
 @dataclass
-class SolveStats:
+class SolveCounters:
+    """The additive work counters of a solve, each declared once here.
+
+    :class:`SolveStats` (one solve) and
+    :class:`~repro.runtime.telemetry.RunTelemetry` (a run's sum) both
+    inherit these fields, and the solve cache persists every one of them,
+    so a new counter is one line below. Field metadata says how it is
+    published: ``"publish"`` names the ``solve.<name>`` instrument kind
+    (``None``: not published), and ``"timing"`` marks wall-clock seconds,
+    which vary run to run.
+    """
+
+    nodes: int = _counter()
+    lp_solves: int = _counter()
+    lp_iterations: int = _counter()
+    wall_time: float = _timing()
+    lp_time: float = _timing()
+    incumbent_updates: int = _counter()
+    cuts: int = _counter()
+    cut_rounds: int = _counter()
+    clique_cuts: int = _counter()
+    cover_cuts: int = _counter()
+    cuts_dropped: int = _counter()
+    # Model.solve counts solve.retries itself, one per re-run.
+    retries: int = _counter(publish=False)
+    presolve_fixings: int = _counter()
+    presolve_pruned: int = _counter()
+    pseudocost_branches: int = _counter()
+    root_presolve_rounds: int = _counter()
+    root_cols_removed: int = _counter()
+    root_rows_removed: int = _counter()
+    root_coeffs_tightened: int = _counter()
+    warm_lp_solves: int = _counter()
+    warm_lp_fallbacks: int = _counter()
+
+
+@dataclass
+class SolveStats(SolveCounters):
     """Work counters reported by the solver backends.
 
     ``nodes`` counts B&B nodes actually processed (LP relaxations solved at a
@@ -44,7 +98,7 @@ class SolveStats:
     of cutting planes admitted to the pool, split into ``clique_cuts``
     and ``cover_cuts`` by family; ``cut_rounds`` counts separation
     rounds that changed the LP, and ``cuts_dropped`` the cuts the pool
-    aged out for staying slack. :meth:`cut_summary` bundles them.
+    aged out for staying slack.
 
     The root-presolve counters describe the model reductions applied once
     before the search (see :class:`~repro.obs.policy.PresolvePolicy`):
@@ -54,8 +108,7 @@ class SolveStats:
     counters split ``lp_solves`` by engine: ``warm_lp_solves`` node LPs
     were answered by the dual simplex reoptimizing from a parent basis
     (including proven ``cutoff`` prunes), and ``warm_lp_fallbacks`` bailed
-    to the cold engine on numerical trouble. :meth:`presolve_summary`
-    bundles all of them.
+    to the cold engine on numerical trouble.
 
     ``best_bound`` is the bound on the optimal objective that the search
     proved, in the model's sense: no feasible solution is better than it
@@ -68,57 +121,24 @@ class SolveStats:
     objective and ``best_bound``, set whenever both exist.
     """
 
-    nodes: int = 0
-    lp_solves: int = 0
-    lp_iterations: int = 0
-    wall_time: float = 0.0
-    lp_time: float = 0.0
-    incumbent_updates: int = 0
-    best_bound: float | None = None
+    best_bound: float | None = field(default=None, metadata={"publish": "gauge"})
     gap: float | None = None
-    cuts: int = 0
-    cut_rounds: int = 0
-    clique_cuts: int = 0
-    cover_cuts: int = 0
-    cuts_dropped: int = 0
     cache_hit: bool = False
-    retries: int = 0
-    presolve_fixings: int = 0
-    presolve_pruned: int = 0
-    pseudocost_branches: int = 0
-    root_presolve_rounds: int = 0
-    root_cols_removed: int = 0
-    root_rows_removed: int = 0
-    root_coeffs_tightened: int = 0
-    warm_lp_solves: int = 0
-    warm_lp_fallbacks: int = 0
 
     def as_dict(self) -> dict:
         """JSON-ready view (used by ``repro design --json`` and telemetry)."""
-        from dataclasses import asdict
-
         return asdict(self)
 
-    def cut_summary(self) -> dict:
-        """The branch-and-cut counters as one mapping (stable key order)."""
-        return {
-            "cuts": self.cuts,
-            "cut_rounds": self.cut_rounds,
-            "clique_cuts": self.clique_cuts,
-            "cover_cuts": self.cover_cuts,
-            "cuts_dropped": self.cuts_dropped,
-        }
-
-    def presolve_summary(self) -> dict:
-        """Root-presolve + warm-start counters as one mapping (stable order)."""
-        return {
-            "root_presolve_rounds": self.root_presolve_rounds,
-            "root_cols_removed": self.root_cols_removed,
-            "root_rows_removed": self.root_rows_removed,
-            "root_coeffs_tightened": self.root_coeffs_tightened,
-            "warm_lp_solves": self.warm_lp_solves,
-            "warm_lp_fallbacks": self.warm_lp_fallbacks,
-        }
+    def publish(self, metrics) -> None:
+        """Emit every published field into ``metrics`` as ``solve.<name>``
+        (an unset ``best_bound`` is skipped)."""
+        for spec in fields(self):
+            kind = spec.metadata.get("publish")
+            value = getattr(self, spec.name)
+            if kind is None or value is None:
+                continue
+            instrument = getattr(metrics, kind)(f"solve.{spec.name}")
+            getattr(instrument, _PUBLISH_UPDATE[kind])(value)
 
 
 def relative_gap(incumbent: float, bound: float) -> float:

@@ -25,18 +25,23 @@ travel to parallel workers, and expose a canonical :meth:`cache_token`
 (the shared protocol of :mod:`repro.runtime.fingerprint`) so the solve
 cache can key on the *effective* budget — a truncated solve must never be
 replayed for an uncapped request.
+
+Every settings class here (and :class:`~repro.core.request.SolveRequest`)
+derives its token, its JSON form and its overrides from its dataclass
+fields through :class:`DerivedFields`, so each field is written once.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import tempfile
-import warnings
+import typing
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, Field, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, ClassVar, TypeVar
 
 #: Escalation rungs the designer knows how to run, in the order tried.
 FALLBACK_RUNGS = ("lpt", "sa")
@@ -49,9 +54,138 @@ DEFAULT_FALLBACK = ("lpt", "sa")
 #: mid-sweep inside a worker process.
 BRANCHING_RULES = ("most_fractional", "pseudocost", "first")
 
+_D = TypeVar("_D", bound="DerivedFields")
+
+
+def field_default(spec: Field) -> Any:
+    """The value a dataclass field takes when omitted (``MISSING`` if none)."""
+    if spec.default_factory is not MISSING:
+        return spec.default_factory()
+    return spec.default
+
+
+def _plain(value: Any) -> Any:
+    """JSON-ready form of one field value: blocks as dicts, tuples as lists."""
+    if isinstance(value, DerivedFields):
+        return value.as_dict()
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    return value
+
+
+@functools.lru_cache(maxsize=None)
+def _nested_blocks(cls: type["DerivedFields"]) -> dict[str, type["DerivedFields"]]:
+    """Fields of ``cls`` typed as another :class:`DerivedFields` (or None)."""
+    hints = typing.get_type_hints(cls)
+    blocks: dict[str, type[DerivedFields]] = {}
+    for spec in fields(cls):
+        hint = hints[spec.name]
+        for candidate in (hint, *typing.get_args(hint)):
+            # get_origin skips aliases such as tuple[int, ...], which some
+            # Python versions report as instances of ``type``.
+            if (
+                typing.get_origin(candidate) is None
+                and isinstance(candidate, type)
+                and issubclass(candidate, DerivedFields)
+            ):
+                blocks[spec.name] = candidate
+    return blocks
+
+
+class DerivedFields:
+    """Base of the frozen settings dataclasses: one field list, derived once.
+
+    :meth:`cache_token`, :meth:`as_dict`, :meth:`from_dict` and
+    :meth:`with_overrides` all read :func:`dataclasses.fields`, so a new
+    field reaches the cache key, the JSON wire form and overrides where it
+    is declared, with no second list to update. A field that changes how a
+    solve runs but never what it returns (retries, worker fan-out,
+    checkpoint I/O) opts out of the cache key next to its definition with
+    ``metadata={"cache": False}``; :meth:`cache_view` resets exactly those
+    fields, nested blocks included. A field stored in one shape and sent in
+    another names its wire converter with ``metadata={"wire": dict}``.
+    Flow rule D001 rejects a hand-written ``cache_token`` on any class that
+    produces solver options.
+    """
+
+    __dataclass_fields__: ClassVar[dict[str, Any]]
+
+    #: Exception raised for a malformed :meth:`from_dict` payload.
+    _error: ClassVar[type[Exception]] = ValueError
+
+    def cache_token(self) -> str:
+        """Canonical text of every field that shapes the result."""
+        from repro.runtime.fingerprint import cache_token_of
+
+        body = ",".join(
+            f"{spec.name}={cache_token_of(getattr(self, spec.name))}"
+            for spec in fields(self)
+            if spec.metadata.get("cache", True)
+        )
+        return f"{type(self).__name__}({body})"
+
+    def cache_view(self: _D) -> _D:
+        """A copy with every field outside the cache key at its default.
+
+        What this copy implies (its ``backend_options``) is what a solve
+        key may depend on.
+        """
+        changes: dict[str, Any] = {}
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if not spec.metadata.get("cache", True):
+                changes[spec.name] = field_default(spec)
+            elif isinstance(value, DerivedFields):
+                changes[spec.name] = value.cache_view()
+        return replace(self, **changes)
+
+    def with_overrides(self: _D, **changes) -> _D:
+        """A copy with the given fields replaced (re-validated)."""
+        return replace(self, **changes)
+
+    def as_dict(self) -> dict[str, Any]:
+        """JSON-ready view of every field (inverse of :meth:`from_dict`)."""
+        return {
+            spec.name: spec.metadata.get("wire", _plain)(getattr(self, spec.name))
+            for spec in fields(self)
+        }
+
+    @classmethod
+    def from_dict(cls: type[_D], payload: Mapping[str, Any]) -> _D:
+        """Build from :meth:`as_dict` output (e.g. a request/service payload).
+
+        Unknown keys are rejected so a typo'd field cannot silently fall
+        back to its default (an uncapped solve, say). Nested blocks are
+        built from their own mappings, and JSON lists become tuples.
+        """
+        if not isinstance(payload, Mapping):
+            raise cls._error(
+                f"{cls.__name__} payload must be a JSON object, got {type(payload).__name__}"
+            )
+        declared = {spec.name: spec for spec in fields(cls)}
+        unknown = sorted(set(payload) - set(declared))
+        if unknown:
+            raise cls._error(f"unknown {cls.__name__} field(s): {', '.join(unknown)}")
+        missing = [
+            repr(name)
+            for name, spec in declared.items()
+            if name not in payload and field_default(spec) is MISSING
+        ]
+        if missing:
+            raise cls._error(f"{cls.__name__} payload requires {', '.join(missing)}")
+        blocks = _nested_blocks(cls)
+        data: dict[str, Any] = {}
+        for name, value in payload.items():
+            if name in blocks and isinstance(value, Mapping):
+                value = blocks[name].from_dict(value)
+            elif isinstance(value, list):
+                value = tuple(value)
+            data[name] = value
+        return cls(**data)
+
 
 @dataclass(frozen=True)
-class CutPolicy:
+class CutPolicy(DerivedFields):
     """How (and whether) the B&B solver separates cutting planes.
 
     The solver derives a conflict graph from the pairwise-exclusion
@@ -65,7 +199,7 @@ class CutPolicy:
     Cut settings change what a solve returns (node counts, provenance,
     possibly which optimal vertex is reported), so every field
     contributes to :meth:`cache_token` and therefore to the solve-cache
-    fingerprint (flow rule D001 audits this).
+    fingerprint.
     """
 
     rounds: int = 3
@@ -107,61 +241,9 @@ class CutPolicy:
         the designer apply its default)."""
         return cls(rounds=0, max_depth=0)
 
-    @classmethod
-    def legacy_root_cuts(cls, rounds: int) -> "CutPolicy":
-        """The policy equivalent of the retired ``root_cuts=N`` kwarg:
-        N cover-only rounds at the root, 20 cuts per round."""
-        if rounds <= 0:
-            return cls.disabled()
-        return cls(
-            rounds=rounds, max_cuts_per_round=20, clique=False, cover=True, max_depth=0
-        )
-
     def backend_options(self) -> dict[str, Any]:
         """The solver kwargs this cut policy implies (bnb only)."""
         return {"cut_policy": self}
-
-    def cache_token(self) -> str:
-        """Canonical text of every field — all of them shape the result."""
-        return (
-            f"cuts(rounds={self.rounds!r},max_cuts_per_round={self.max_cuts_per_round!r},"
-            f"clique={self.clique!r},cover={self.cover!r},max_depth={self.max_depth!r},"
-            f"min_violation={self.min_violation!r},max_pool={self.max_pool!r},"
-            f"max_age={self.max_age!r})"
-        )
-
-    def with_overrides(self, **changes) -> "CutPolicy":
-        """A copy with the given fields replaced."""
-        return replace(self, **changes)
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "rounds": self.rounds,
-            "max_cuts_per_round": self.max_cuts_per_round,
-            "clique": self.clique,
-            "cover": self.cover,
-            "max_depth": self.max_depth,
-            "min_violation": self.min_violation,
-            "max_pool": self.max_pool,
-            "max_age": self.max_age,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: "Mapping[str, Any]") -> "CutPolicy":
-        known = {
-            "rounds",
-            "max_cuts_per_round",
-            "clique",
-            "cover",
-            "max_depth",
-            "min_violation",
-            "max_pool",
-            "max_age",
-        }
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ValueError(f"unknown CutPolicy field(s): {', '.join(unknown)}")
-        return cls(**dict(payload))
 
 
 #: The cut policy ``design()`` applies when nothing chose one explicitly.
@@ -169,7 +251,7 @@ DEFAULT_CUT_POLICY = CutPolicy()
 
 
 @dataclass(frozen=True)
-class PresolvePolicy:
+class PresolvePolicy(DerivedFields):
     """How (and whether) the root presolve engine reduces a model.
 
     Before the branch-and-bound search starts, the root presolve engine
@@ -184,8 +266,7 @@ class PresolvePolicy:
 
     Presolve settings change what a solve returns (which optimal vertex,
     node counts, stats), so every field contributes to
-    :meth:`cache_token` and therefore to the solve-cache fingerprint
-    (flow rule D001 audits this).
+    :meth:`cache_token` and therefore to the solve-cache fingerprint.
     """
 
     rounds: int = 4
@@ -221,43 +302,6 @@ class PresolvePolicy:
         """The solver kwargs this presolve policy implies (bnb only)."""
         return {"root_presolve": self}
 
-    def cache_token(self) -> str:
-        """Canonical text of every field — all of them shape the result."""
-        return (
-            f"presolve(rounds={self.rounds!r},bound_tighten={self.bound_tighten!r},"
-            f"dual_fix={self.dual_fix!r},singleton_cols={self.singleton_cols!r},"
-            f"coeff_tighten={self.coeff_tighten!r},row_cleanup={self.row_cleanup!r})"
-        )
-
-    def with_overrides(self, **changes) -> "PresolvePolicy":
-        """A copy with the given fields replaced."""
-        return replace(self, **changes)
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "rounds": self.rounds,
-            "bound_tighten": self.bound_tighten,
-            "dual_fix": self.dual_fix,
-            "singleton_cols": self.singleton_cols,
-            "coeff_tighten": self.coeff_tighten,
-            "row_cleanup": self.row_cleanup,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: "Mapping[str, Any]") -> "PresolvePolicy":
-        known = {
-            "rounds",
-            "bound_tighten",
-            "dual_fix",
-            "singleton_cols",
-            "coeff_tighten",
-            "row_cleanup",
-        }
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ValueError(f"unknown PresolvePolicy field(s): {', '.join(unknown)}")
-        return cls(**dict(payload))
-
 
 #: The root presolve policy the B&B solver applies when nothing chose one.
 DEFAULT_PRESOLVE_POLICY = PresolvePolicy()
@@ -270,7 +314,7 @@ PORTFOLIO_ENTRANTS = ("lpt", "sa", "bnb")
 
 
 @dataclass(frozen=True)
-class PortfolioPolicy:
+class PortfolioPolicy(DerivedFields):
     """How (and whether) the racing portfolio runs a design solve.
 
     The portfolio (:func:`repro.runtime.portfolio.run_portfolio`) races the
@@ -293,7 +337,7 @@ class PortfolioPolicy:
     entrants: tuple[str, ...] = PORTFOLIO_ENTRANTS
     seed: int = 0
     sa_iterations: int = 5000
-    jobs: int = 1
+    jobs: int = field(default=1, metadata={"cache": False})
 
     def __post_init__(self) -> None:
         ladder = tuple(self.entrants or ())
@@ -331,50 +375,19 @@ class PortfolioPolicy:
         """An explicit portfolio-off policy (distinct from *unset*)."""
         return cls(entrants=())
 
-    def cache_token(self) -> str:
-        """Canonical text of the result-shaping fields (``jobs`` excluded:
-        fan-out changes wall time, never the combined answer)."""
-        return (
-            f"portfolio(entrants={list(self.entrants)!r},seed={self.seed!r},"
-            f"sa_iterations={self.sa_iterations!r})"
-        )
-
-    def with_overrides(self, **changes) -> "PortfolioPolicy":
-        """A copy with the given fields replaced."""
-        return replace(self, **changes)
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "entrants": list(self.entrants),
-            "seed": self.seed,
-            "sa_iterations": self.sa_iterations,
-            "jobs": self.jobs,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: "Mapping[str, Any]") -> "PortfolioPolicy":
-        known = {"entrants", "seed", "sa_iterations", "jobs"}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ValueError(f"unknown PortfolioPolicy field(s): {', '.join(unknown)}")
-        data = dict(payload)
-        if "entrants" in data and data["entrants"] is not None:
-            data["entrants"] = tuple(data["entrants"])
-        return cls(**data)
-
 
 #: The portfolio the racer runs when asked for one without details.
 DEFAULT_PORTFOLIO_POLICY = PortfolioPolicy()
 
 
 @dataclass(frozen=True)
-class SolverOptions:
+class SolverOptions(DerivedFields):
     """Structured B&B solver knobs, riding on :class:`SolvePolicy`.
 
-    Collapses the formerly scattered flat kwargs (``presolve``,
-    ``branching``, ``root_cuts``, ``checkpoint_interval``) into one
-    frozen, picklable, fingerprintable block. ``None`` means "solver
-    default" for every field.
+    Collapses the formerly scattered flat solver kwargs into one frozen,
+    picklable, fingerprintable block. ``None`` means "solver default" for
+    every field. ``checkpoint_interval`` only debounces
+    checkpoint writes, so it stays out of the cache key.
     """
 
     presolve: bool | None = None
@@ -382,7 +395,7 @@ class SolverOptions:
     cuts: CutPolicy | None = None
     root_presolve: PresolvePolicy | None = None
     warm_start: bool | None = None
-    checkpoint_interval: float | None = None
+    checkpoint_interval: float | None = field(default=None, metadata={"cache": False})
     portfolio: PortfolioPolicy | None = None
 
     def __post_init__(self) -> None:
@@ -430,108 +443,39 @@ class SolverOptions:
         if self.checkpoint_interval is not None:
             options["checkpoint_interval"] = self.checkpoint_interval
         if self.cuts is not None:
-            # Forwarded as a block: the cut kwargs name their own cache
-            # token, so `cuts` must be read by cache_token() below — flow
-            # rule D001 audits exactly that pairing.
-            for key, value in self.cuts.backend_options().items():
-                options[key] = value
+            options.update(self.cuts.backend_options())
         if self.root_presolve is not None:
-            # Forwarded as a block like cuts: the kwarg names its own cache
-            # token, so `root_presolve` must be read by cache_token() below
-            # under the same D001 pairing.
-            for key, value in self.root_presolve.backend_options().items():
-                options[key] = value
+            options.update(self.root_presolve.backend_options())
         if self.warm_start is not None:
             # The solver's own `warm_start` kwarg carries an incumbent
             # *value* hint; the LP-basis toggle travels as lp_warm_start.
-            # Request-level fingerprints see only cache_token(), never these
-            # kwargs, so the toggle must be read there too — routing the
-            # rename through a local lets flow rule D001 enforce exactly
-            # that pairing.
-            lp_warm_start = self.warm_start
-            options["lp_warm_start"] = lp_warm_start
+            options["lp_warm_start"] = self.warm_start
         # `portfolio` is deliberately NOT a backend kwarg: the racer is a
         # designer-level dispatch (repro.runtime.portfolio), not a solver
         # knob — the B&B backend never sees it. It still shapes the result,
-        # so cache_token() below reads it.
+        # so it stays in the cache token.
         return options
-
-    def cache_token(self) -> str:
-        """Canonical text of every field — all of them shape the result."""
-        cuts = "-" if self.cuts is None else self.cuts.cache_token()
-        root_presolve = (
-            "-" if self.root_presolve is None else self.root_presolve.cache_token()
-        )
-        portfolio = "-" if self.portfolio is None else self.portfolio.cache_token()
-        return (
-            f"solver(presolve={self.presolve!r},branching={self.branching!r},"
-            f"cuts={cuts},root_presolve={root_presolve},"
-            f"warm_start={self.warm_start!r},"
-            f"checkpoint_interval={self.checkpoint_interval!r},"
-            f"portfolio={portfolio})"
-        )
-
-    def with_overrides(self, **changes) -> "SolverOptions":
-        """A copy with the given fields replaced."""
-        return replace(self, **changes)
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "presolve": self.presolve,
-            "branching": self.branching,
-            "cuts": None if self.cuts is None else self.cuts.as_dict(),
-            "root_presolve": (
-                None if self.root_presolve is None else self.root_presolve.as_dict()
-            ),
-            "warm_start": self.warm_start,
-            "checkpoint_interval": self.checkpoint_interval,
-            "portfolio": None if self.portfolio is None else self.portfolio.as_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: "Mapping[str, Any]") -> "SolverOptions":
-        known = {
-            "presolve",
-            "branching",
-            "cuts",
-            "root_presolve",
-            "warm_start",
-            "checkpoint_interval",
-            "portfolio",
-        }
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ValueError(f"unknown SolverOptions field(s): {', '.join(unknown)}")
-        data = dict(payload)
-        cuts = data.get("cuts")
-        if isinstance(cuts, Mapping):
-            data["cuts"] = CutPolicy.from_dict(cuts)
-        root_presolve = data.get("root_presolve")
-        if isinstance(root_presolve, Mapping):
-            data["root_presolve"] = PresolvePolicy.from_dict(root_presolve)
-        portfolio = data.get("portfolio")
-        if isinstance(portfolio, Mapping):
-            data["portfolio"] = PortfolioPolicy.from_dict(portfolio)
-        return cls(**data)
-
-
-#: Flat ``SolvePolicy.from_dict`` spellings still accepted, one release,
-#: behind a DeprecationWarning; they fold into the nested ``solver`` block.
-_FLAT_SOLVER_KEYS = ("presolve", "branching", "root_cuts", "checkpoint_interval")
 
 
 @dataclass(frozen=True)
-class SolvePolicy:
-    """Effort budget + resilience behavior for one (or many) solves."""
+class SolvePolicy(DerivedFields):
+    """Effort budget + resilience behavior for one (or many) solves.
+
+    The effort budget and the solver block shape what a solve returns and
+    form the cache token. Retries and the fallback ladder re-run or replace
+    a solve but never alter what a completed solve would have produced, and
+    the checkpoint directory only persists incumbents, so those fields stay
+    out of it.
+    """
 
     deadline: float | None = None
     node_budget: int | None = None
     gap_tol: float | None = None
-    max_retries: int = 0
-    retry_backoff: float = 0.25
-    fallback: tuple[str, ...] = DEFAULT_FALLBACK
-    fallback_seed: int = 0
-    checkpoint_dir: str | None = None
+    max_retries: int = field(default=0, metadata={"cache": False})
+    retry_backoff: float = field(default=0.25, metadata={"cache": False})
+    fallback: tuple[str, ...] = field(default=DEFAULT_FALLBACK, metadata={"cache": False})
+    fallback_seed: int = field(default=0, metadata={"cache": False})
+    checkpoint_dir: str | None = field(default=None, metadata={"cache": False})
     solver: SolverOptions | None = None
 
     def __post_init__(self) -> None:
@@ -584,100 +528,8 @@ class SolvePolicy:
             if self.checkpoint_dir is not None:
                 options["checkpoint_dir"] = self.checkpoint_dir
         if self.solver is not None:
-            # Forwarded as a block: the nested kwargs carry their own cache
-            # tokens, so `solver` must be read by cache_token() — flow rule
-            # D001 audits exactly that pairing.
-            for key, value in self.solver.backend_options(backend).items():
-                options[key] = value
+            options.update(self.solver.backend_options(backend))
         return options
-
-    def cache_token(self) -> str:
-        """Canonical text of the fields that change what a solve returns.
-
-        The effort budget and the solver block matter for the cache key:
-        retries and the fallback ladder re-run or replace a solve but
-        never alter what a completed solve would have produced.
-        """
-        solver = "-" if self.solver is None else self.solver.cache_token()
-        return (
-            f"policy(deadline={self.deadline!r},node_budget={self.node_budget!r},"
-            f"gap_tol={self.gap_tol!r},solver={solver})"
-        )
-
-    def with_overrides(self, **changes) -> "SolvePolicy":
-        """A copy with the given fields replaced."""
-        return replace(self, **changes)
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "deadline": self.deadline,
-            "node_budget": self.node_budget,
-            "gap_tol": self.gap_tol,
-            "max_retries": self.max_retries,
-            "retry_backoff": self.retry_backoff,
-            "fallback": list(self.fallback),
-            "fallback_seed": self.fallback_seed,
-            "checkpoint_dir": self.checkpoint_dir,
-            "solver": None if self.solver is None else self.solver.as_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: "Mapping[str, Any]") -> "SolvePolicy":
-        """Inverse of :meth:`as_dict` (used by request/service payloads).
-
-        Unknown keys are rejected so a typo'd budget field cannot silently
-        produce an uncapped solve. The retired flat solver spellings
-        (``presolve``, ``branching``, ``root_cuts``,
-        ``checkpoint_interval``) are still accepted for one release —
-        behind a :class:`DeprecationWarning` — and fold into the nested
-        ``solver`` block.
-        """
-        known = {
-            "deadline",
-            "node_budget",
-            "gap_tol",
-            "max_retries",
-            "retry_backoff",
-            "fallback",
-            "fallback_seed",
-            "checkpoint_dir",
-            "solver",
-        } | set(_FLAT_SOLVER_KEYS)
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ValueError(f"unknown SolvePolicy field(s): {', '.join(unknown)}")
-        data = dict(payload)
-        flat = {key: data.pop(key) for key in _FLAT_SOLVER_KEYS if key in data}
-        if flat:
-            warnings.warn(
-                f"flat solver key(s) {sorted(flat)} in SolvePolicy.from_dict are "
-                "deprecated and will be rejected next release; nest them under "
-                "'solver', e.g. {'solver': {'presolve': ..., 'branching': ..., "
-                "'cuts': {'rounds': ...}}} (SolverOptions / CutPolicy)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            nested = data.get("solver")
-            if isinstance(nested, Mapping):
-                nested = SolverOptions.from_dict(nested)
-            nested_dict = {} if nested is None else dict(nested.as_dict())
-            for key, value in flat.items():
-                target = "cuts" if key == "root_cuts" else key
-                if nested_dict.get(target) is not None:
-                    raise ValueError(
-                        f"SolvePolicy.from_dict got both flat {key!r} and "
-                        f"solver.{target}; use the nested spelling only"
-                    )
-                if key == "root_cuts":
-                    nested_dict["cuts"] = CutPolicy.legacy_root_cuts(int(value)).as_dict()
-                else:
-                    nested_dict[target] = value
-            data["solver"] = SolverOptions.from_dict(nested_dict)
-        elif isinstance(data.get("solver"), Mapping):
-            data["solver"] = SolverOptions.from_dict(data["solver"])
-        if "fallback" in data and data["fallback"] is not None:
-            data["fallback"] = tuple(data["fallback"])
-        return cls(**data)
 
 
 @dataclass

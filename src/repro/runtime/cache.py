@@ -20,11 +20,13 @@ Why the key is sound (see DESIGN.md §7):
   with their right-hand sides before hashing, so two models that state the
   same constraints in a different order collide onto one key (row order
   never changes the feasible set);
-- backend and solver options (``gap_tol``, policy effort budgets, warm
-  starts …) are part of the key, canonicalized through the shared
-  ``cache_token()`` protocol (:mod:`repro.runtime.fingerprint`): a
-  different search configuration may legitimately return a different
-  (equally optimal) vertex, so it must never alias.
+- the backend, the ad-hoc solver options (``gap_tol``, warm starts …) and
+  what the policy's cached fields imply are part of the key, canonicalized
+  through the shared ``cache_token()`` protocol
+  (:mod:`repro.runtime.fingerprint`): a different search configuration may
+  legitimately return a different (equally optimal) vertex, so it must
+  never alias. Policy fields marked ``metadata={"cache": False}``
+  (retries, checkpoint directory and interval) never enter the key.
 
 Storage is a two-level hierarchy: an in-memory LRU (per process) in front
 of an optional on-disk JSON store under ``directory`` (conventionally
@@ -67,36 +69,9 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 # and reduction-dependent tie-broken assignments. v5: node LPs carry their
 # parent's factorization (different tie-broken assignments), and
 # ``best_bound``/``gap`` mean the proven bound and the relative gap on every
-# exit.
-_FORMAT_VERSION = 5
-
-#: SolveStats fields persisted with a record (work counters of the original
-#: solve, kept so a cached solution still reports its provenance).
-_STATS_FIELDS = (
-    "nodes",
-    "lp_solves",
-    "lp_iterations",
-    "wall_time",
-    "lp_time",
-    "incumbent_updates",
-    "best_bound",
-    "gap",
-    "cuts",
-    "cut_rounds",
-    "clique_cuts",
-    "cover_cuts",
-    "cuts_dropped",
-    "retries",
-    "presolve_fixings",
-    "presolve_pruned",
-    "pseudocost_branches",
-    "root_presolve_rounds",
-    "root_cols_removed",
-    "root_rows_removed",
-    "root_coeffs_tightened",
-    "warm_lp_solves",
-    "warm_lp_fallbacks",
-)
+# exit. v6: a solve key carries only the policy's cached fields (checkpoint
+# settings no longer split it), and a record keeps every SolveStats field.
+_FORMAT_VERSION = 6
 
 
 def _hash_array(h: "hashlib._Hash", label: str, array: np.ndarray) -> None:
@@ -186,7 +161,7 @@ class CacheRecord:
             for var, val in solution.values.items():
                 dense[var.index] = float(val)
             values = tuple(dense)
-        stats = {name: getattr(solution.stats, name) for name in _STATS_FIELDS}
+        stats = solution.stats.as_dict()
         return cls(
             status=solution.status.value,
             objective=solution.objective,
@@ -205,8 +180,7 @@ class CacheRecord:
                     f"has {model.num_vars} variables"
                 )
             values = {var: self.values[var.index] for var in model.variables}
-        stats = SolveStats(**{k: v for k, v in self.stats.items() if k in _STATS_FIELDS})
-        stats.cache_hit = True
+        stats = SolveStats(**{**self.stats, "cache_hit": True})
         return Solution(
             status,
             objective=self.objective,
@@ -349,7 +323,7 @@ class SolutionCache:
             return None
         try:
             return record.to_solution(model)
-        except ValueError:
+        except (TypeError, ValueError):
             # Structurally incompatible record (should be unreachable given
             # the content hash); treat as a miss rather than corrupt a run.
             self.hits -= 1

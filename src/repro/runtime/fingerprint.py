@@ -24,13 +24,20 @@ wherever fingerprints are computed.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Mapping
+from collections.abc import Mapping
+from typing import Any
 
 __all__ = ["cache_token_of", "token_digest"]
+
+#: Builtin scalar types: ``repr`` is their canonical text, and they cannot
+#: carry the protocol, so they skip the probes below.
+_SCALARS = frozenset({type(None), bool, int, float, str})
 
 
 def cache_token_of(value: Any) -> str:
     """Deterministic canonical text of one piece of cache-key material."""
+    if type(value) in _SCALARS:
+        return repr(value)
     token = getattr(value, "cache_token", None)
     if callable(token):
         # The protocol: the object names its own result-affecting fields

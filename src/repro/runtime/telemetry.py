@@ -10,38 +10,28 @@ instance, rendered as a one-line footer and exported through the CLI's
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
 
-from repro.ilp.solution import SolveStats
+from repro.ilp.solution import SolveCounters, SolveStats
 
 
 @dataclass
-class RunTelemetry:
+class RunTelemetry(SolveCounters):
     """Run-level roll-up of solver work.
 
-    ``nodes`` / ``lp_solves`` / ``lp_iterations`` / ``incumbent_updates`` /
-    ``wall_time`` count only *fresh* solves — a cache hit re-reports the
-    original solve's counters on its own :class:`SolveStats`, but folding
-    them in again would double-count work that never re-ran.
+    Every :class:`~repro.ilp.solution.SolveCounters` field (nodes, LP
+    solves, cuts, wall time, …) is inherited and counts only *fresh*
+    solves — a cache hit re-reports the original solve's counters on its
+    own :class:`SolveStats`, but folding them in again would double-count
+    work that never re-ran. The run's own fields below count solves, cache
+    traffic, degradations and portfolio races; ``jobs`` records the
+    worker count and is never summed.
     """
 
     solves: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
-    nodes: int = 0
-    lp_solves: int = 0
-    lp_iterations: int = 0
-    incumbent_updates: int = 0
-    presolve_fixings: int = 0
-    presolve_pruned: int = 0
-    cuts: int = 0
-    root_cols_removed: int = 0
-    root_rows_removed: int = 0
-    warm_lp_solves: int = 0
-    warm_lp_fallbacks: int = 0
-    wall_time: float = 0.0
-    jobs: int = 1
-    retries: int = 0
+    jobs: int = field(default=1, metadata={"sum": False})
     fallbacks: int = 0
     portfolio_runs: int = 0
     portfolio_heuristic_wins: int = 0
@@ -54,19 +44,8 @@ class RunTelemetry:
             self.cache_hits += 1
             return
         self.cache_misses += 1
-        self.nodes += stats.nodes
-        self.lp_solves += stats.lp_solves
-        self.lp_iterations += stats.lp_iterations
-        self.incumbent_updates += stats.incumbent_updates
-        self.presolve_fixings += stats.presolve_fixings
-        self.presolve_pruned += stats.presolve_pruned
-        self.cuts += stats.cuts
-        self.root_cols_removed += stats.root_cols_removed
-        self.root_rows_removed += stats.root_rows_removed
-        self.warm_lp_solves += stats.warm_lp_solves
-        self.warm_lp_fallbacks += stats.warm_lp_fallbacks
-        self.wall_time += stats.wall_time
-        self.retries += stats.retries
+        for spec in fields(SolveCounters):
+            setattr(self, spec.name, getattr(self, spec.name) + getattr(stats, spec.name))
 
     def record_fallback(self, report) -> None:
         """Count one degraded design (see :class:`repro.obs.FallbackReport`).
@@ -94,26 +73,9 @@ class RunTelemetry:
         """Fold another run's counters into this one (``jobs`` keeps ours)."""
         if other is None:
             return
-        self.solves += other.solves
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
-        self.nodes += other.nodes
-        self.lp_solves += other.lp_solves
-        self.lp_iterations += other.lp_iterations
-        self.incumbent_updates += other.incumbent_updates
-        self.presolve_fixings += other.presolve_fixings
-        self.presolve_pruned += other.presolve_pruned
-        self.cuts += other.cuts
-        self.root_cols_removed += other.root_cols_removed
-        self.root_rows_removed += other.root_rows_removed
-        self.warm_lp_solves += other.warm_lp_solves
-        self.warm_lp_fallbacks += other.warm_lp_fallbacks
-        self.wall_time += other.wall_time
-        self.retries += other.retries
-        self.fallbacks += other.fallbacks
-        self.portfolio_runs += other.portfolio_runs
-        self.portfolio_heuristic_wins += other.portfolio_heuristic_wins
-        self.portfolio_cross_fed += other.portfolio_cross_fed
+        for spec in fields(self):
+            if spec.metadata.get("sum", True):
+                setattr(self, spec.name, getattr(self, spec.name) + getattr(other, spec.name))
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -121,13 +83,14 @@ class RunTelemetry:
     def counts(self) -> dict:
         """The deterministic, worker-count-invariant counters only.
 
-        ``wall_time`` is excluded on purpose: it is the one field that
-        varies run to run, so parallel-equivalence checks compare this view.
+        Timing fields (metadata ``timing``) vary run to run and ``jobs`` is
+        the worker count, so parallel-equivalence checks compare this view.
         """
-        payload = asdict(self)
-        payload.pop("wall_time")
-        payload.pop("jobs")
-        return payload
+        return {
+            spec.name: getattr(self, spec.name)
+            for spec in fields(self)
+            if spec.metadata.get("sum", True) and not spec.metadata.get("timing")
+        }
 
     def render(self) -> str:
         """One-line summary for report footers."""

@@ -3,12 +3,13 @@
 The load-bearing tests here are the *seeded mutation* ones: they copy the
 real ``src/repro`` tree, re-introduce a specific cache-soundness bug
 (deleting the ``cache_token`` canonicalization; forwarding a solver knob
-around the fingerprint), and assert rule D001 turns red — proving the rule
-checks structure, not a hard-coded pass list. The complementary property
-test asserts the real tree is D-clean with zero waivers.
+around the fingerprint; writing a policy token by hand), and assert rule
+D001 turns red — proving the rule checks structure, not a hard-coded pass
+list. The complementary property test asserts the real tree is D-clean
+with zero waivers. That the derived tokens themselves cover every cached
+field is pinned by the property tests in ``test_obs_fields.py``.
 """
 
-import re
 import shutil
 import textwrap
 from pathlib import Path
@@ -227,61 +228,45 @@ class TestD001SeededMutations:
         assert offenders, "new result-affecting kwarg skipped the fingerprint"
         assert any("branching_hint" in d.message for d in offenders)
 
-    def test_deleting_solver_block_token_contribution_fires(self, mutable_tree):
-        # PR-8 regression guard: SolvePolicy.cache_token must keep reading
-        # the nested solver block; dropping it would alias cuts-on and
-        # cuts-off solves to one cache entry.
+    def test_hand_written_token_on_an_options_class_fires(self, mutable_tree):
+        # A hand-written token is a second field list that can drift from
+        # the fields backend_options() forwards; only the derived one passes.
         policy = mutable_tree / "obs" / "policy.py"
         text = policy.read_text()
-        needle = 'solver = "-" if self.solver is None else self.solver.cache_token()'
-        assert needle in text, "expected the solver-block token read to delete"
-        policy.write_text(text.replace(needle, 'solver = "-"'))
-        report = self.run_rules(mutable_tree)
-        offenders = [d for d in report.diagnostics if d.rule == "D001"]
-        assert offenders, "solver block dropped from the policy token undetected"
-        assert any("solver" in d.message for d in offenders)
-
-    def test_deleting_cut_policy_token_contribution_fires(self, mutable_tree):
-        # Same guard one level down: SolverOptions.cache_token must keep
-        # reading the CutPolicy field it forwards to the backend.
-        policy = mutable_tree / "obs" / "policy.py"
-        text = policy.read_text()
-        needle = 'cuts = "-" if self.cuts is None else self.cuts.cache_token()'
-        assert needle in text, "expected the cuts token read to delete"
-        policy.write_text(text.replace(needle, 'cuts = "-"'))
-        report = self.run_rules(mutable_tree)
-        offenders = [d for d in report.diagnostics if d.rule == "D001"]
-        assert offenders, "cut policy dropped from the solver token undetected"
-        assert any("cuts" in d.message for d in offenders)
-
-    def test_deleting_root_presolve_token_contribution_fires(self, mutable_tree):
-        # PR-9 regression guard: SolverOptions.cache_token must keep reading
-        # the PresolvePolicy field; dropping it would alias presolve-on and
-        # presolve-off solves (different vertices, stats) to one cache entry.
-        policy = mutable_tree / "obs" / "policy.py"
-        text = policy.read_text()
-        needle = (
-            '"-" if self.root_presolve is None else self.root_presolve.cache_token()'
+        anchor = (
+            "    def backend_options(self) -> dict[str, Any]:\n"
+            '        """The solver kwargs this cut policy implies (bnb only)."""'
         )
-        assert needle in text, "expected the root_presolve token read to delete"
-        policy.write_text(text.replace(needle, '"-"'))
+        assert anchor in text, "expected CutPolicy.backend_options to anchor on"
+        hand_written = (
+            "    def cache_token(self) -> str:\n"
+            '        return f"cuts(rounds={self.rounds!r})"\n\n'
+        )
+        policy.write_text(text.replace(anchor, hand_written + anchor))
         report = self.run_rules(mutable_tree)
         offenders = [d for d in report.diagnostics if d.rule == "D001"]
-        assert offenders, "presolve policy dropped from the solver token undetected"
-        assert any("root_presolve" in d.message for d in offenders)
+        assert offenders, "hand-written CutPolicy.cache_token went undetected"
+        assert any("CutPolicy" in d.message and "by hand" in d.message for d in offenders)
 
-    def test_deleting_warm_start_token_contribution_fires(self, mutable_tree):
-        # Same guard for the node-LP warm-start toggle: warm and cold solves
-        # may return different optimal vertices and always differ in stats.
-        policy = mutable_tree / "obs" / "policy.py"
-        text = policy.read_text()
-        needle = "warm_start={self.warm_start!r},"
-        assert needle in text, "expected the warm_start token read to delete"
-        policy.write_text(text.replace(needle, ""))
-        report = self.run_rules(mutable_tree)
-        offenders = [d for d in report.diagnostics if d.rule == "D001"]
-        assert offenders, "warm_start dropped from the solver token undetected"
-        assert any("warm_start" in d.message for d in offenders)
+    def test_inherited_token_is_clean(self, tmp_path):
+        project = project_from(
+            tmp_path,
+            {
+                "base.py": """\
+                    class Derived:
+                        def cache_token(self):
+                            return repr(self)
+                    """,
+                "pol.py": """\
+                    from base import Derived
+
+                    class Policy(Derived):
+                        def backend_options(self, backend):
+                            return {"time_limit": self.deadline}
+                    """,
+            },
+        )
+        assert d_rules(run_project_rules(project)) == []
 
     def test_policy_field_outside_token_and_options_fires(self, tmp_path):
         project = project_from(
@@ -303,7 +288,8 @@ class TestD001SeededMutations:
         )
         report = run_project_rules(project)
         assert d_rules(report) == ["D001"]
-        assert "lp_method" in report.diagnostics[0].message
+        message = report.diagnostics[0].message
+        assert "Policy" in message and "by hand" in message
 
     def test_request_field_outside_token_and_options_fires(self, tmp_path):
         project = project_from(
@@ -325,8 +311,9 @@ class TestD001SeededMutations:
         )
         report = run_project_rules(project)
         assert d_rules(report) == ["D001"]
-        assert "shortcut" in report.diagnostics[0].message
-        assert "request_options" in report.diagnostics[0].message
+        message = report.diagnostics[0].message
+        assert "Request" in message and "by hand" in message
+        assert "request_options" in message
 
 
 class TestD002PoolPurity:

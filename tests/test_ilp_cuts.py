@@ -108,7 +108,9 @@ class TestCutsInBnb:
         assert with_cuts.status is Status.OPTIMAL
         assert with_cuts.objective == pytest.approx(plain.objective)
         assert with_cuts.stats.cuts > 0
-        assert with_cuts.stats.cut_summary()["cuts"] == with_cuts.stats.cuts
+        assert with_cuts.stats.cuts == (
+            with_cuts.stats.clique_cuts + with_cuts.stats.cover_cuts
+        )
 
     def test_cuts_close_this_instance_at_root(self):
         # The 4-item equal-weight knapsack is closed by one cover cut round.
@@ -116,13 +118,16 @@ class TestCutsInBnb:
         sol = m.solve(cut_policy=CutPolicy(rounds=3, max_depth=0), dive=False)
         assert sol.stats.nodes <= m.solve(dive=False).stats.nodes
 
-    def test_root_cuts_kwarg_warns_and_still_works(self):
+    def test_root_cuts_kwarg_is_rejected(self):
+        # The retired root_cuts=N spelling is an unknown solver kwarg now;
+        # cover-only root rounds are a CutPolicy like any other.
         m, _ = fractional_knapsack_model()
-        plain = m.solve()
-        with pytest.warns(DeprecationWarning, match="root_cuts"):
-            shimmed = m.solve(root_cuts=3)
-        assert shimmed.objective == pytest.approx(plain.objective)
-        assert shimmed.stats.cuts > 0
+        with pytest.raises(TypeError, match="root_cuts"):
+            m.solve(root_cuts=3, cache=False)
+        policy = CutPolicy(rounds=3, max_cuts_per_round=20, clique=False, max_depth=0)
+        cover_only = m.solve(cut_policy=policy, cache=False)
+        assert cover_only.objective == pytest.approx(m.solve(cache=False).objective)
+        assert cover_only.stats.cover_cuts > 0 and cover_only.stats.clique_cuts == 0
 
     @given(st.integers(0, 200))
     @settings(max_examples=25)

@@ -28,6 +28,7 @@ from repro.obs import (
     use_metrics,
 )
 from repro.runtime import RunTelemetry, SolutionCache
+from repro.tam import TamArchitecture
 from repro.util.errors import SolverError, TransientSolverError
 
 
@@ -112,12 +113,13 @@ class TestCutPolicyObject:
         assert not CutPolicy(clique=False, cover=False).enabled
         assert CutPolicy(rounds=0, max_depth=2).enabled  # in-tree only
 
-    def test_legacy_root_cuts_mapping(self):
-        legacy = CutPolicy.legacy_root_cuts(4)
-        assert legacy.rounds == 4
-        assert legacy.cover and not legacy.clique
-        assert legacy.max_depth == 0  # old root_cuts never cut in-tree
-        assert not CutPolicy.legacy_root_cuts(0).enabled
+    def test_root_cuts_is_not_a_cut_field(self):
+        # The retired root_cuts=N spelling has no policy mapping any more:
+        # it is an unknown field wherever a payload names it.
+        with pytest.raises(ValueError, match="root_cuts"):
+            CutPolicy.from_dict({"root_cuts": 2})
+        with pytest.raises(ValueError, match="root_cuts"):
+            SolverOptions.from_dict({"cuts": {"root_cuts": 2}})
 
     def test_dict_round_trip_and_unknown_keys(self):
         policy = CutPolicy(rounds=5, clique=False, max_depth=1)
@@ -262,20 +264,17 @@ class TestSolverOptionsBlock:
         )
         assert SolvePolicy.from_dict(policy.as_dict()) == policy
 
-    def test_flat_keys_warn_and_fold(self):
-        with pytest.warns(DeprecationWarning, match="presolve"):
-            policy = SolvePolicy.from_dict({"node_budget": 3, "presolve": False})
-        assert policy.node_budget == 3
-        assert policy.solver == SolverOptions(presolve=False)
-        with pytest.warns(DeprecationWarning, match="root_cuts"):
-            policy = SolvePolicy.from_dict({"root_cuts": 2})
-        assert policy.solver.cuts == CutPolicy.legacy_root_cuts(2)
+    def test_flat_keys_are_unknown_fields(self):
+        for key in ("presolve", "branching", "root_cuts", "checkpoint_interval"):
+            with pytest.raises(ValueError, match=f"unknown SolvePolicy field.*{key}"):
+                SolvePolicy.from_dict({"node_budget": 3, key: 1})
 
-    def test_flat_and_nested_conflict_rejected(self):
+    def test_flat_key_beside_nested_block_rejected(self):
         payload = {"presolve": False, "solver": {"presolve": True}}
-        with pytest.raises(ValueError, match="both"):
-            with pytest.warns(DeprecationWarning):
-                SolvePolicy.from_dict(payload)
+        with pytest.raises(ValueError, match="unknown SolvePolicy field.*presolve"):
+            SolvePolicy.from_dict(payload)
+        nested = SolvePolicy.from_dict({"solver": {"presolve": True}})
+        assert nested.solver == SolverOptions(presolve=True)
 
     def test_block_is_picklable(self):
         import pickle
@@ -461,6 +460,49 @@ class TestCacheKeying:
             problem, policy=SolvePolicy(max_retries=2), cache=cache
         )
         assert replay.stats.cache_hit
+
+
+class TestCacheKeyLeavesOutUncachedFields:
+    """Checkpoint settings only persist incumbents: they never split a key."""
+
+    @pytest.fixture
+    def problem(self, s1):
+        return DesignProblem(soc=s1, arch=TamArchitecture([16, 8]), timing="serial")
+
+    def test_checkpoint_dir_shares_the_key(self, problem, tmp_path):
+        cache = SolutionCache()
+        design(
+            problem,
+            policy=SolvePolicy(deadline=30, checkpoint_dir=str(tmp_path / "a")),
+            cache=cache,
+        )
+        replay = design(
+            problem,
+            policy=SolvePolicy(deadline=30, checkpoint_dir=str(tmp_path / "b")),
+            cache=cache,
+        )
+        assert replay.stats.cache_hit
+        assert (cache.hits, cache.misses) == (1, 1)
+
+    def test_checkpoint_interval_shares_the_key(self, problem):
+        cache = SolutionCache()
+        for interval in (1.0, 2.0):
+            result = design(
+                problem,
+                policy=SolvePolicy(solver=SolverOptions(checkpoint_interval=interval)),
+                cache=cache,
+            )
+        assert result.stats.cache_hit
+        assert (cache.hits, cache.misses) == (1, 1)
+
+    def test_flat_design_kwarg_is_an_ad_hoc_option_in_the_key(self, problem):
+        # design(..., presolve=False) reaches the backend like gap_tol does,
+        # and is hashed into the key like any ad-hoc option.
+        cache = SolutionCache()
+        flat = design(problem, presolve=False, cache=cache)
+        assert not flat.stats.cache_hit
+        assert not design(problem, cache=cache).stats.cache_hit
+        assert design(problem, presolve=False, cache=cache).stats.cache_hit
 
 
 class TestCheckpointing:

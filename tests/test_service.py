@@ -371,6 +371,24 @@ class TestTenantCaches:
         stats = client.metrics()
         assert set(stats["caches"]) >= {"acme", "globex"}
 
+    def test_repeated_policy_job_hits_the_tenant_cache(self, service):
+        # Every policy job gets a private checkpoint directory; that must
+        # not split the solve key, so the second identical job is a hit.
+        client = ServiceClient(service)
+        payload = {
+            "kind": "design",
+            "soc": "S1",
+            "widths": [16, 8],
+            "policy": {"deadline": 30},
+        }
+        first = client.run(payload, tenant="policy-repeat", timeout=60)
+        second = client.run(payload, tenant="policy-repeat", timeout=60)
+        assert first["stats"]["cache_hit"] is False
+        assert second["stats"]["cache_hit"] is True
+        assert second["makespan"] == first["makespan"]
+        cache = client.metrics()["caches"]["policy-repeat"]
+        assert (cache["hits"], cache["misses"]) == (1, 1)
+
     def test_join_rate_metric_reported(self, service):
         stats = ServiceClient(service).metrics()
         dedupe = stats["dedupe"]
