@@ -115,6 +115,41 @@ def _references_cache_token(node: ast.AST) -> bool:
     return False
 
 
+def _self_attr_reads(node: ast.AST) -> set[str]:
+    return {
+        child.attr
+        for child in ast.walk(node)
+        if isinstance(child, ast.Attribute)
+        and isinstance(child.value, ast.Name)
+        and child.value.id == "self"
+        and isinstance(child.ctx, ast.Load)
+    }
+
+
+def _opted_out_fields(cls: ast.ClassDef) -> set[str]:
+    """Fields ``cls`` declares with ``metadata={"cache": False}``."""
+    names: set[str] = set()
+    for stmt in cls.body:
+        if not (
+            isinstance(stmt, ast.AnnAssign)
+            and isinstance(stmt.target, ast.Name)
+            and isinstance(stmt.value, ast.Call)
+        ):
+            continue
+        for keyword in stmt.value.keywords:
+            if keyword.arg != "metadata" or not isinstance(keyword.value, ast.Dict):
+                continue
+            for key, value in zip(keyword.value.keys, keyword.value.values):
+                if (
+                    isinstance(key, ast.Constant)
+                    and key.value == "cache"
+                    and isinstance(value, ast.Constant)
+                    and value.value is False
+                ):
+                    names.add(stmt.target.id)
+    return names
+
+
 class CacheKeyCompleteness(ProjectRule):
     """D001 — every result-affecting knob must reach the cache key.
 
@@ -134,7 +169,10 @@ class CacheKeyCompleteness(ProjectRule):
        must not write ``cache_token`` by hand: a hand-written token is a
        second field list that can drift from the fields the producer
        forwards, so such classes inherit the field-derived one
-       (:class:`~repro.obs.policy.DerivedFields`).
+       (:class:`~repro.obs.policy.DerivedFields`). The producer may not
+       read a field declared with ``metadata={"cache": False}`` either:
+       what it forwards shapes the solve, so opting such a field out of
+       the derived token would alias different solves to one key.
     """
 
     rule_id = "D001"
@@ -249,12 +287,14 @@ class CacheKeyCompleteness(ProjectRule):
                 if not isinstance(node, ast.ClassDef):
                     continue
                 methods = {
-                    stmt.name
+                    stmt.name: stmt
                     for stmt in node.body
                     if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
                 }
                 producer = next((m for m in self.OPTION_PRODUCERS if m in methods), None)
-                if producer is not None and "cache_token" in methods:
+                if producer is None:
+                    continue
+                if "cache_token" in methods:
                     yield FlowFinding(
                         module,
                         node,
@@ -263,6 +303,17 @@ class CacheKeyCompleteness(ProjectRule):
                         "inherit the field-derived token (repro.obs.policy."
                         "DerivedFields) and keep a field out of the key with "
                         'metadata={"cache": False}',
+                    )
+                opted_out = _opted_out_fields(node)
+                for attr in sorted(_self_attr_reads(methods[producer]) & opted_out):
+                    yield FlowFinding(
+                        module,
+                        methods[producer],
+                        f"{node.name}.{attr} shapes the solve in {producer}() but is "
+                        'declared outside the cache key (metadata={"cache": False})',
+                        "keep the field in the key, or, if it never changes what a "
+                        "solve returns, forward it outside the options producer "
+                        "(as SolvePolicy.checkpoint_options does)",
                     )
 
 

@@ -356,6 +356,7 @@ class Model:
             # Policy budgets win over ad-hoc options: the policy is the one
             # authoritative statement of how hard this solve may try.
             effective.update(policy.backend_options(backend))
+            effective.update(policy.checkpoint_options(backend))
 
         from repro.runtime.cache import resolve_cache
 

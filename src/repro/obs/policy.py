@@ -105,7 +105,8 @@ class DerivedFields:
     fields, nested blocks included. A field stored in one shape and sent in
     another names its wire converter with ``metadata={"wire": dict}``.
     Flow rule D001 rejects a hand-written ``cache_token`` on any class that
-    produces solver options.
+    produces solver options, and an options producer that reads a field
+    opted out of the key.
     """
 
     __dataclass_fields__: ClassVar[dict[str, Any]]
@@ -387,7 +388,9 @@ class SolverOptions(DerivedFields):
     Collapses the formerly scattered flat solver kwargs into one frozen,
     picklable, fingerprintable block. ``None`` means "solver default" for
     every field. ``checkpoint_interval`` only debounces
-    checkpoint writes, so it stays out of the cache key.
+    checkpoint writes, so it stays out of the cache key and travels
+    through :meth:`SolvePolicy.checkpoint_options`, not
+    :meth:`backend_options`.
     """
 
     presolve: bool | None = None
@@ -440,8 +443,6 @@ class SolverOptions(DerivedFields):
             options["presolve"] = self.presolve
         if self.branching is not None:
             options["branching"] = self.branching
-        if self.checkpoint_interval is not None:
-            options["checkpoint_interval"] = self.checkpoint_interval
         if self.cuts is not None:
             options.update(self.cuts.backend_options())
         if self.root_presolve is not None:
@@ -525,10 +526,23 @@ class SolvePolicy(DerivedFields):
                 options["time_limit"] = self.deadline
             if self.gap_tol is not None:
                 options["gap_tol"] = self.gap_tol
-            if self.checkpoint_dir is not None:
-                options["checkpoint_dir"] = self.checkpoint_dir
         if self.solver is not None:
             options.update(self.solver.backend_options(backend))
+        return options
+
+    def checkpoint_options(self, backend: str = "bnb") -> dict[str, Any]:
+        """The checkpoint I/O kwargs this policy implies for ``backend``.
+
+        They persist incumbents but never change what a solve returns, so
+        they come from fields outside the cache key and stay out of
+        :meth:`backend_options`, the mapping a solve key is built from.
+        """
+        options: dict[str, Any] = {}
+        if backend != "scipy" and self.checkpoint_dir is not None:
+            options["checkpoint_dir"] = self.checkpoint_dir
+        interval = None if self.solver is None else self.solver.checkpoint_interval
+        if backend == "bnb" and interval is not None:
+            options["checkpoint_interval"] = interval
         return options
 
 

@@ -3,10 +3,10 @@
 The load-bearing tests here are the *seeded mutation* ones: they copy the
 real ``src/repro`` tree, re-introduce a specific cache-soundness bug
 (deleting the ``cache_token`` canonicalization; forwarding a solver knob
-around the fingerprint; writing a policy token by hand), and assert rule
-D001 turns red — proving the rule checks structure, not a hard-coded pass
-list. The complementary property test asserts the real tree is D-clean
-with zero waivers. That the derived tokens themselves cover every cached
+around the fingerprint; opting a forwarded field out of the derived token;
+writing a policy token by hand), and assert rule D001 turns red — proving
+the rule checks structure, not a hard-coded pass list. The complementary
+property test asserts the real tree is D-clean with zero waivers. That the derived tokens themselves cover every cached
 field is pinned by the property tests in ``test_obs_fields.py``.
 """
 
@@ -227,6 +227,53 @@ class TestD001SeededMutations:
         offenders = [d for d in report.diagnostics if d.rule == "D001"]
         assert offenders, "new result-affecting kwarg skipped the fingerprint"
         assert any("branching_hint" in d.message for d in offenders)
+
+    def opt_out_field(self, tree, name, annotation):
+        """Take a forwarded field out of the derived token, as a misplaced
+        ``metadata={"cache": False}`` would, and return the D001 findings."""
+        policy = tree / "obs" / "policy.py"
+        text = policy.read_text()
+        declaration = f"    {name}: {annotation} = None\n"
+        assert text.count(declaration) == 1, f"expected the {name} field to opt out"
+        opted_out = (
+            f"    {name}: {annotation} = "
+            'field(default=None, metadata={"cache": False})\n'
+        )
+        policy.write_text(text.replace(declaration, opted_out))
+        report = self.run_rules(tree)
+        return [d for d in report.diagnostics if d.rule == "D001"]
+
+    def test_deleting_solver_block_token_contribution_fires(self, mutable_tree):
+        # PR-8 regression guard: SolvePolicy's token must keep the nested
+        # solver block; dropping it would alias cuts-on and cuts-off solves
+        # to one cache entry.
+        offenders = self.opt_out_field(mutable_tree, "solver", "SolverOptions | None")
+        assert offenders, "solver block dropped from the policy token undetected"
+        assert any("SolvePolicy.solver" in d.message for d in offenders)
+
+    def test_deleting_cut_policy_token_contribution_fires(self, mutable_tree):
+        # Same guard one level down: SolverOptions' token must keep the
+        # CutPolicy field it forwards to the backend.
+        offenders = self.opt_out_field(mutable_tree, "cuts", "CutPolicy | None")
+        assert offenders, "cut policy dropped from the solver token undetected"
+        assert any("SolverOptions.cuts" in d.message for d in offenders)
+
+    def test_deleting_root_presolve_token_contribution_fires(self, mutable_tree):
+        # PR-9 regression guard: SolverOptions' token must keep the
+        # PresolvePolicy field; dropping it would alias presolve-on and
+        # presolve-off solves (different vertices, stats) to one cache entry.
+        offenders = self.opt_out_field(
+            mutable_tree, "root_presolve", "PresolvePolicy | None"
+        )
+        assert offenders, "presolve policy dropped from the solver token undetected"
+        assert any("SolverOptions.root_presolve" in d.message for d in offenders)
+
+    def test_deleting_warm_start_token_contribution_fires(self, mutable_tree):
+        # Same guard for the node-LP warm-start toggle: warm and cold solves
+        # may return different optimal vertices and always differ in stats.
+        offenders = self.opt_out_field(mutable_tree, "warm_start", "bool | None")
+        assert offenders, "warm_start dropped from the solver token undetected"
+        assert any("SolverOptions.warm_start" in d.message for d in offenders)
 
     def test_hand_written_token_on_an_options_class_fires(self, mutable_tree):
         # A hand-written token is a second field list that can drift from

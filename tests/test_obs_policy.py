@@ -74,6 +74,20 @@ class TestPolicyObject:
         # scipy understands only a time limit.
         assert policy.backend_options("scipy") == {"time_limit": 2.0}
 
+    def test_checkpoint_settings_travel_outside_backend_options(self):
+        policy = SolvePolicy(
+            node_budget=7,
+            checkpoint_dir="ckpt",
+            solver=SolverOptions(checkpoint_interval=2.0),
+        )
+        assert policy.backend_options("bnb") == {"node_limit": 7}
+        assert policy.checkpoint_options("bnb") == {
+            "checkpoint_dir": "ckpt",
+            "checkpoint_interval": 2.0,
+        }
+        assert policy.checkpoint_options("scipy") == {}
+        assert SolvePolicy().checkpoint_options("bnb") == {}
+
     def test_cache_token_covers_only_effort_fields(self):
         a = SolvePolicy(node_budget=5, max_retries=3, fallback=())
         b = SolvePolicy(node_budget=5)
