@@ -5,10 +5,10 @@ Run with::
     python examples/solver_playground.py
 
 The ILP layer underneath the TAM designer is a general (small-scale) MILP
-toolkit: an expression API, our own two-phase simplex, exact branch & bound,
-and a scipy/HiGHS cross-check backend. This example uses it directly on two
-classic problems, then shows what the TAM formulation itself looks like as
-a model object.
+toolkit: an expression API, our own warm-started dual simplex, exact
+branch & bound, and a scipy/HiGHS cross-check backend. This example uses
+it directly on two classic problems, then shows what the TAM formulation
+itself looks like as a model object.
 """
 
 from repro.api import (
@@ -68,11 +68,6 @@ def tam_formulation() -> None:
           f"({exact.stats.nodes} nodes, {exact.stats.lp_solves} LPs)")
     assignment = formulation.decode(exact)
     print(f"  decoded assignment:  {assignment.groups()}")
-
-    # The relaxation can also be solved with our own tableau simplex:
-    tableau = formulation.model.solve_relaxation(method="simplex")
-    print(f"  simplex (from scratch) agrees with HiGHS: "
-          f"{abs(tableau.objective - relaxation.objective) < 1e-6}")
 
 
 def traced_solve() -> None:

@@ -8,10 +8,11 @@ our from-scratch replacement:
   built with Python operators (``2 * x + y <= 3``);
 - :mod:`repro.ilp.model` — the :class:`Model` container with validation and
   standard-form export;
-- :mod:`repro.ilp.simplex` — two LP engines: a dense two-phase tableau
-  simplex for cold solves (Bland's rule, bounded variables) and a revised
-  dual simplex (:class:`~repro.ilp.simplex.RevisedSimplex`) that
-  reoptimizes node LPs warm from a parent :class:`~repro.ilp.simplex.Basis`;
+- :mod:`repro.ilp.lp` — cold LP relaxations through HiGHS
+  (``scipy.optimize.linprog``);
+- :mod:`repro.ilp.simplex` — a revised dual simplex
+  (:class:`~repro.ilp.simplex.RevisedSimplex`) that reoptimizes node LPs
+  warm from a parent :class:`~repro.ilp.simplex.Basis`;
 - :mod:`repro.ilp.presolve_root` — root model presolve (dual fixing,
   singleton substitution, coefficient tightening, row cleanup) with exact
   postsolve back to the original variable space;
@@ -49,13 +50,7 @@ from repro.ilp.expr import (
 from repro.ilp.model import Model
 from repro.ilp.solution import Solution, SolveStats, Status
 from repro.ilp.presolve_root import Postsolve, PresolveResult, presolve_root
-from repro.ilp.simplex import (
-    Basis,
-    RevisedSimplex,
-    SimplexResult,
-    WarmLpResult,
-    solve_lp_simplex,
-)
+from repro.ilp.simplex import Basis, RevisedSimplex, WarmLpResult
 from repro.ilp.branch_and_bound import BranchAndBoundSolver
 from repro.ilp.scipy_backend import solve_with_scipy
 
@@ -75,8 +70,6 @@ __all__ = [
     "Solution",
     "SolveStats",
     "Status",
-    "SimplexResult",
-    "solve_lp_simplex",
     "Basis",
     "RevisedSimplex",
     "WarmLpResult",

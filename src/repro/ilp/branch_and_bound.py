@@ -24,7 +24,7 @@ node:
   its parent's simplex :class:`~repro.ilp.simplex.Basis`; a child differs
   from its parent by bound tightenings only, which keep that basis dual
   feasible, so the bounded revised dual simplex reoptimizes in a few
-  pivots instead of a cold ``lp_method`` solve — and its monotone dual
+  pivots instead of a cold HiGHS solve — and its monotone dual
   bound prunes the node early once it crosses the incumbent cutoff. The
   basis carries its factorization while the open nodes' factorizations
   fit under ``_FACTOR_BYTES_CAP``, so a child does not re-invert it.
@@ -95,8 +95,6 @@ class BranchAndBoundSolver:
         to the incumbent.
     time_limit:
         Wall-clock budget in seconds (None = unlimited).
-    lp_method:
-        ``"scipy"`` (HiGHS, default) or ``"simplex"`` (our tableau engine).
     branching:
         ``"pseudocost"`` (default): learned degradation scores with a
         most-fractional fallback until history exists;
@@ -126,10 +124,10 @@ class BranchAndBoundSolver:
         original variable space before they are stored anywhere.
     lp_warm_start:
         Warm-started node LPs (None = on): re-solve each child node with
-        the bounded revised dual simplex starting from the parent basis,
-        falling back to the cold ``lp_method`` engine on any numerical
-        doubt. ``lp_method`` only selects the *cold* engine — warm
-        re-solves always run our own :class:`~repro.ilp.simplex.RevisedSimplex`.
+        the bounded revised dual simplex
+        (:class:`~repro.ilp.simplex.RevisedSimplex`) starting from the
+        parent basis, falling back to a cold HiGHS solve on any numerical
+        doubt.
     warm_start:
         Optional feasible assignment ``{Variable: value}`` used as the
         initial incumbent (e.g. a greedy heuristic's solution). Validated
@@ -155,7 +153,6 @@ class BranchAndBoundSolver:
         node_limit: int = 200_000,
         gap_tol: float = 1e-9,
         time_limit: float | None = None,
-        lp_method: str = "scipy",
         branching: str = "pseudocost",
         dive: bool = True,
         cut_policy: CutPolicy | None = None,
@@ -172,7 +169,6 @@ class BranchAndBoundSolver:
         self.node_limit = node_limit
         self.gap_tol = gap_tol
         self.time_limit = time_limit
-        self.lp_method = lp_method
         self.branching = branching
         self.dive = dive
         self.cut_policy = cut_policy
@@ -324,7 +320,7 @@ class BranchAndBoundSolver:
         residual check of the claimed point), ``infeasible``, and
         ``cutoff`` (the monotone dual bound crossed ``cutoff``; the caller
         prunes). Anything else — or a failed residual check — re-solves
-        cold with ``lp_method``.
+        cold with HiGHS.
         """
         self._stats.lp_solves += 1
         lp_start = now()
@@ -352,7 +348,6 @@ class BranchAndBoundSolver:
             self._form,
             lb=lb,
             ub=ub,
-            method=self.lp_method,
             workspace=self._workspace,
             want_reduced_costs=want_reduced_costs,
         )

@@ -1,22 +1,13 @@
 """LP relaxation solving, shared by the model front-end and branch & bound.
 
-Two interchangeable *cold-start* engines solve the relaxation of a
-:class:`~repro.ilp.model.MatrixForm` through :func:`solve_matrix_lp`:
-
-- ``"scipy"`` — ``scipy.optimize.linprog`` with the HiGHS dual simplex;
-- ``"simplex"`` — our own two-phase tableau simplex from
-  :mod:`repro.ilp.simplex`, fully self-contained and inspectable.
-
-Inside branch and bound, ``lp_method`` selects which of these handles the
-*cold* solves: the root LP when warm starts are off, and any node whose
-warm re-solve bailed out. Healthy warm re-solves never come through this
-module — they run on :class:`repro.ilp.simplex.RevisedSimplex`, which
-reoptimizes dual-simplex-style from the parent node's basis and returns
-an :class:`LpResult` carrying that basis for the children. So
-``lp_method="simplex"`` composes with warm starts: it only changes the
-fallback engine, not the warm path (see DESIGN.md §13).
-
-All engines are exercised against each other by the property-based tests.
+:func:`solve_matrix_lp` solves the relaxation of a
+:class:`~repro.ilp.model.MatrixForm` *cold* with ``scipy.optimize.linprog``
+(the HiGHS dual simplex). Inside branch and bound it handles the root LP
+when warm starts are off, and any node whose warm re-solve bailed out.
+Healthy warm re-solves never come through this module — they run on
+:class:`repro.ilp.simplex.RevisedSimplex`, which reoptimizes
+dual-simplex-style from the parent node's basis and returns an
+:class:`LpResult` carrying that basis for the children (see DESIGN.md §13).
 """
 
 from __future__ import annotations
@@ -28,7 +19,6 @@ from scipy.optimize import linprog
 
 from repro.ilp.model import MatrixForm, Model
 from repro.ilp.presolve import PropagationTables
-from repro.ilp.simplex import solve_lp_simplex
 from repro.ilp.solution import Solution, SolveStats, Status
 
 
@@ -85,7 +75,6 @@ def solve_matrix_lp(
     form: MatrixForm,
     lb: np.ndarray | None = None,
     ub: np.ndarray | None = None,
-    method: str = "scipy",
     workspace: LpWorkspace | None = None,
     want_reduced_costs: bool = False,
 ) -> LpResult:
@@ -94,20 +83,12 @@ def solve_matrix_lp(
     Branch and bound passes tightened ``lb``/``ub`` arrays per node; when
     omitted, the model's own bounds are used. Passing a :class:`LpWorkspace`
     built on the same form skips re-deriving the constraint handles on every
-    call; ``want_reduced_costs`` additionally returns the column duals
-    (scipy engine only — the tableau simplex does not expose them).
+    call; ``want_reduced_costs`` additionally returns the column duals.
     """
     lb = form.lb if lb is None else lb
     ub = form.ub if ub is None else ub
     if np.any(lb > ub):
         return LpResult("infeasible", None, None)
-
-    if method == "simplex":
-        res = solve_lp_simplex(form.c, form.a_ub, form.b_ub, form.a_eq, form.b_eq, lb, ub)
-        obj = None if res.objective is None else res.objective + form.c0
-        return LpResult(res.status, res.x, obj, res.iterations)
-    if method != "scipy":
-        raise ValueError(f"unknown LP method {method!r}; expected 'scipy' or 'simplex'")
 
     if workspace is not None:
         a_ub, b_ub, a_eq, b_eq = workspace.a_ub, workspace.b_ub, workspace.a_eq, workspace.b_eq
@@ -152,18 +133,17 @@ _STATUS_MAP = {
     "optimal": Status.OPTIMAL,
     "infeasible": Status.INFEASIBLE,
     "unbounded": Status.UNBOUNDED,
-    "iteration_limit": Status.ITERATION_LIMIT,
     "error": Status.ITERATION_LIMIT,
 }
 
 
-def solve_relaxation(model: Model, method: str = "scipy") -> Solution:
+def solve_relaxation(model: Model) -> Solution:
     """Solve ``model`` with integrality dropped and wrap as a Solution."""
     form = model.to_matrix_form()
-    result = solve_matrix_lp(form, method=method)
+    result = solve_matrix_lp(form)
     status = _STATUS_MAP[result.status]
     if status is not Status.OPTIMAL:
-        return Solution(status, backend=f"lp-{method}")
+        return Solution(status, backend="lp-scipy")
     sign = 1.0 if model.sense == "min" else -1.0
     values = {var: float(result.x[var.index]) for var in model.variables}
     return Solution(
@@ -171,5 +151,5 @@ def solve_relaxation(model: Model, method: str = "scipy") -> Solution:
         objective=sign * result.objective,
         values=values,
         stats=SolveStats(lp_solves=1, lp_iterations=result.iterations),
-        backend=f"lp-{method}",
+        backend="lp-scipy",
     )

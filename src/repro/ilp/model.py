@@ -413,15 +413,11 @@ class Model:
             solution.stats.retries = attempt
             return solution
 
-    def solve_relaxation(self, method: str = "scipy") -> Solution:
-        """Solve the LP relaxation (integrality dropped).
-
-        ``method="scipy"`` uses HiGHS; ``method="simplex"`` uses our own
-        two-phase simplex (slower, used for validation).
-        """
+    def solve_relaxation(self) -> Solution:
+        """Solve the LP relaxation (integrality dropped) with HiGHS."""
         from repro.ilp.lp import solve_relaxation
 
-        return solve_relaxation(self, method=method)
+        return solve_relaxation(self)
 
     def check_solution(self, values: dict[Variable, float], tol: float = 1e-6) -> list[str]:
         """Return a list of violation descriptions (empty = feasible).

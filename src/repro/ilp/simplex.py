@@ -1,26 +1,17 @@
-"""From-scratch LP engines: a tableau simplex and a revised dual simplex.
+"""From-scratch LP engine: a bounded-variable revised dual simplex.
 
-Two engines live here, promised in DESIGN.md so the whole reproduction can
-run with zero reliance on external solver behaviour:
+:class:`RevisedSimplex` exposes and accepts a :class:`Basis`. Branch and
+bound re-solves a child node's LP warm from the parent basis: a child
+differs from its parent by bound tightenings only, which leave the parent's
+reduced costs (and therefore dual feasibility) intact, so reoptimization
+typically takes a handful of dual pivots instead of a cold solve. An
+objective ``cutoff`` turns the monotone dual bound into an early node
+prune. Anything numerically doubtful — singular basis, dual infeasibility
+that status flips cannot repair, tiny pivots, iteration cap — returns a
+``fallback`` result and the caller re-solves cold with HiGHS (see
+DESIGN.md §13).
 
-- :func:`solve_lp_simplex` — a dense two-phase *tableau* simplex with
-  Bland's anti-cycling rule. Cold-start only; it reduces the bounded form
-  to standard form (shift/split variables, explicit slack rows) and is the
-  fully inspectable reference engine, cross-checked against
-  ``scipy.optimize.linprog`` on randomized instances.
-
-- :class:`RevisedSimplex` — a bounded-variable *revised dual* simplex that
-  exposes and accepts a :class:`Basis`. Branch and bound re-solves a child
-  node's LP warm from the parent basis: a child differs from its parent by
-  bound tightenings only, which leave the parent's reduced costs (and
-  therefore dual feasibility) intact, so reoptimization typically takes a
-  handful of dual pivots instead of a cold solve. An objective ``cutoff``
-  turns the monotone dual bound into an early node prune. Anything
-  numerically doubtful — singular basis, dual infeasibility that status
-  flips cannot repair, tiny pivots, iteration cap — returns a ``fallback``
-  result and the caller re-solves cold (see DESIGN.md §13).
-
-Both engines accept the general bounded form
+The engine accepts the general bounded form
 
     min c'x   s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  lb <= x <= ub
 """
@@ -33,264 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.ilp.model import MatrixForm
-
-_TOL = 1e-9
-
-
-@dataclass
-class SimplexResult:
-    """Outcome of a simplex solve."""
-
-    status: str  # "optimal" | "infeasible" | "unbounded" | "iteration_limit"
-    x: np.ndarray | None
-    objective: float | None
-    iterations: int
-
-
-def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    """Pivot the tableau on (row, col), updating the basis in place."""
-    tableau[row] /= tableau[row, col]
-    for r in range(tableau.shape[0]):
-        if r != row and abs(tableau[r, col]) > _TOL:
-            tableau[r] -= tableau[r, col] * tableau[row]
-    basis[row] = col
-
-
-def _run_phase(
-    tableau: np.ndarray,
-    basis: np.ndarray,
-    cost: np.ndarray,
-    num_cols: int,
-    max_iter: int,
-) -> tuple[str, int]:
-    """Run simplex iterations on ``tableau`` for the given cost vector.
-
-    The last tableau row is rebuilt as the reduced-cost row for ``cost``.
-    Returns (status, iterations). Bland's rule (smallest entering index,
-    smallest-basis-index ratio ties) guarantees termination on degenerate
-    instances, which our assignment ILPs produce in abundance.
-    """
-    m = tableau.shape[0] - 1
-    # Rebuild the objective row: z_j - c_j for the current basis.
-    tableau[-1, :] = 0.0
-    tableau[-1, :num_cols] = cost[:num_cols]
-    for r in range(m):
-        coef = cost[basis[r]]
-        if coef != 0.0:
-            tableau[-1, :] -= coef * tableau[r, :]
-
-    iterations = 0
-    while iterations < max_iter:
-        reduced = tableau[-1, :num_cols]
-        entering = -1
-        for j in range(num_cols):
-            if reduced[j] > _TOL:  # row stores c_B B^-1 A - c; positive => improving
-                entering = j
-                break
-        if entering < 0:
-            return "optimal", iterations
-
-        column = tableau[:m, entering]
-        best_ratio = np.inf
-        leaving = -1
-        for r in range(m):
-            if column[r] > _TOL:
-                ratio = tableau[r, -1] / column[r]
-                if ratio < best_ratio - _TOL or (
-                    abs(ratio - best_ratio) <= _TOL
-                    and (leaving < 0 or basis[r] < basis[leaving])
-                ):
-                    best_ratio = ratio
-                    leaving = r
-        if leaving < 0:
-            return "unbounded", iterations
-
-        _pivot(tableau, basis, leaving, entering)
-        iterations += 1
-    return "iteration_limit", iterations
-
-
-def _solve_standard(
-    a: np.ndarray, b: np.ndarray, c: np.ndarray, max_iter: int
-) -> SimplexResult:
-    """Solve min c'x s.t. a x = b, x >= 0 via the two-phase method."""
-    m, n = a.shape
-    a = a.copy()
-    b = b.copy()
-    # Normalize to b >= 0 so the artificial basis is feasible.
-    for r in range(m):
-        if b[r] < 0:
-            a[r] *= -1.0
-            b[r] *= -1.0
-
-    total_cols = n + m  # original + artificial
-    tableau = np.zeros((m + 1, total_cols + 1))
-    tableau[:m, :n] = a
-    tableau[:m, n:total_cols] = np.eye(m)
-    tableau[:m, -1] = b
-    basis = np.arange(n, total_cols)
-
-    # Phase 1: minimize the sum of artificials. We store the negated reduced
-    # costs (z_j - c_j), so "improving" entries are positive.
-    phase1_cost = np.zeros(total_cols)
-    phase1_cost[n:] = -1.0
-    status, it1 = _run_phase(tableau, basis, phase1_cost, total_cols, max_iter)
-    if status == "iteration_limit":
-        return SimplexResult("iteration_limit", None, None, it1)
-    phase1_obj = tableau[-1, -1]
-    if phase1_obj > 1e-7:
-        return SimplexResult("infeasible", None, None, it1)
-
-    # Drive any artificial still in the basis out (or drop its row if the
-    # row is entirely zero over the original columns — a redundant row).
-    for r in range(m):
-        if basis[r] >= n:
-            pivot_col = -1
-            for j in range(n):
-                if abs(tableau[r, j]) > _TOL:
-                    pivot_col = j
-                    break
-            if pivot_col >= 0:
-                _pivot(tableau, basis, r, pivot_col)
-            # else: redundant row, the artificial stays basic at value 0.
-
-    # Phase 2: original objective over original columns only. Artificial
-    # columns are excluded from pricing by passing num_cols=n; basic
-    # artificials (redundant rows) stay pinned at zero.
-    phase2_cost = np.zeros(total_cols)
-    phase2_cost[:n] = -c  # negate: row convention stores z_j - c_j
-    status, it2 = _run_phase(tableau, basis, phase2_cost, n, max_iter - it1)
-    iterations = it1 + it2
-    if status == "iteration_limit":
-        return SimplexResult("iteration_limit", None, None, iterations)
-    if status == "unbounded":
-        return SimplexResult("unbounded", None, None, iterations)
-
-    x = np.zeros(n)
-    for r in range(m):
-        if basis[r] < n:
-            x[basis[r]] = tableau[r, -1]
-    return SimplexResult("optimal", x, float(c @ x), iterations)
-
-
-def solve_lp_simplex(
-    c: np.ndarray,
-    a_ub: np.ndarray,
-    b_ub: np.ndarray,
-    a_eq: np.ndarray,
-    b_eq: np.ndarray,
-    lb: np.ndarray,
-    ub: np.ndarray,
-    max_iter: int = 20000,
-) -> SimplexResult:
-    """Solve a bounded-form LP with the two-phase tableau simplex.
-
-    Bound handling: finite lower bounds are shifted to zero; free variables
-    (``lb = -inf``) are split into positive and negative parts; finite upper
-    bounds become explicit slack rows. The returned ``x`` is in the original
-    variable space.
-    """
-    c = np.asarray(c, dtype=float)
-    n = c.shape[0]
-    lb = np.asarray(lb, dtype=float)
-    ub = np.asarray(ub, dtype=float)
-    a_ub = np.asarray(a_ub, dtype=float).reshape(-1, n) if np.size(a_ub) else np.zeros((0, n))
-    a_eq = np.asarray(a_eq, dtype=float).reshape(-1, n) if np.size(a_eq) else np.zeros((0, n))
-    b_ub = np.asarray(b_ub, dtype=float).reshape(-1)
-    b_eq = np.asarray(b_eq, dtype=float).reshape(-1)
-
-    for j in range(n):
-        if lb[j] > ub[j]:
-            return SimplexResult("infeasible", None, None, 0)
-
-    # Column construction: each original variable maps to one or two standard
-    # columns. mapping[j] = (kind, col, shift) with kind in {"shift", "split"}.
-    col_of: list[tuple[str, int, float]] = []
-    num_std = 0
-    for j in range(n):
-        if np.isfinite(lb[j]):
-            col_of.append(("shift", num_std, lb[j]))
-            num_std += 1
-        else:
-            col_of.append(("split", num_std, 0.0))  # x = pos - neg
-            num_std += 2
-
-    def expand_row(row: np.ndarray) -> np.ndarray:
-        out = np.zeros(num_std)
-        for j in range(n):
-            kind, col, _shift = col_of[j]
-            out[col] = row[j]
-            if kind == "split":
-                out[col + 1] = -row[j]
-        return out
-
-    def shift_offset(row: np.ndarray) -> float:
-        total = 0.0
-        for j in range(n):
-            kind, _col, shift = col_of[j]
-            if kind == "shift":
-                total += row[j] * shift
-        return total
-
-    rows, rhs, senses = [], [], []
-    for r in range(a_ub.shape[0]):
-        rows.append(expand_row(a_ub[r]))
-        rhs.append(b_ub[r] - shift_offset(a_ub[r]))
-        senses.append("<=")
-    for r in range(a_eq.shape[0]):
-        rows.append(expand_row(a_eq[r]))
-        rhs.append(b_eq[r] - shift_offset(a_eq[r]))
-        senses.append("==")
-    # Finite upper bounds become rows x_shifted <= ub - lb.
-    for j in range(n):
-        kind, col, shift = col_of[j]
-        if np.isfinite(ub[j]):
-            row = np.zeros(num_std)
-            row[col] = 1.0
-            if kind == "split":
-                row[col + 1] = -1.0
-            rows.append(row)
-            rhs.append(ub[j] - shift)
-            senses.append("<=")
-
-    num_rows = len(rows)
-    num_slacks = sum(1 for s in senses if s == "<=")
-    a_std = np.zeros((num_rows, num_std + num_slacks))
-    b_std = np.array(rhs, dtype=float)
-    slack = 0
-    for r in range(num_rows):
-        a_std[r, :num_std] = rows[r]
-        if senses[r] == "<=":
-            a_std[r, num_std + slack] = 1.0
-            slack += 1
-
-    c_std = np.zeros(num_std + num_slacks)
-    obj_offset = 0.0
-    for j in range(n):
-        kind, col, shift = col_of[j]
-        c_std[col] = c[j]
-        if kind == "split":
-            c_std[col + 1] = -c[j]
-        else:
-            obj_offset += c[j] * shift
-
-    result = _solve_standard(a_std, b_std, c_std, max_iter)
-    if result.status != "optimal":
-        return result
-
-    x = np.zeros(n)
-    assert result.x is not None
-    for j in range(n):
-        kind, col, shift = col_of[j]
-        if kind == "shift":
-            x[j] = result.x[col] + shift
-        else:
-            x[j] = result.x[col] - result.x[col + 1]
-    return SimplexResult("optimal", x, float(result.objective + obj_offset), result.iterations)
-
-
-# --------------------------------------------------------------------------
-# Revised dual simplex with bound handling and basis warm starts.
 
 #: Nonbasic-at-lower / nonbasic-at-upper / nonbasic-free / basic.
 NB_LOWER, NB_UPPER, NB_FREE, IN_BASIS = 0, 1, 2, 3

@@ -19,8 +19,8 @@ whose ``portfolio`` field carries a :class:`PortfolioReport`: the winner,
 per-entrant wall / nodes / bound, whether an incumbent was cross-fed, and
 the final optimality gap. Heuristic-only portfolios (no ``"bnb"`` entrant)
 still report a *certified* gap against the instance's combinatorial lower
-bound — ``max(max_i min_j t_ij, sum_i min_j t_ij / NB)`` — so the scaling
-trajectory (``benchmarks/bench_scale.py``) can compare legs honestly.
+bound — ``max(max_i min_j t_ij, sum_i min_j t_ij / NB)`` — so their legs
+compare honestly with the exact ones.
 
 Pool purity (lint rule D002): the worker submitted to the process pool,
 :func:`_run_heuristic_entrant`, is a pure top-level function of its payload.

@@ -16,8 +16,8 @@ dedupe, tenancy, and failure semantics.
   (:mod:`repro.service.http`);
 - :class:`ServiceClient` — stdlib client with submit/poll/stream/cancel
   (:mod:`repro.service.client`);
-- :func:`run_load` — the load generator behind the service benchmark and
-  the CI smoke (:mod:`repro.service.loadgen`).
+- :func:`run_load` — the load generator behind the CI smoke
+  (:mod:`repro.service.loadgen`).
 """
 
 from repro.service.client import ServiceClient, ServiceError

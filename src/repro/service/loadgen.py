@@ -2,9 +2,8 @@
 
 Drives N client threads, each submitting a round-robin slice of a request
 mix and polling to completion, and reports client-observed latency
-percentiles, throughput, and the server's dedupe-join rate. Used by the
-service benchmark (``benchmarks/bench_service.py``) and as the CI smoke
-(``python -m repro.service.loadgen --base-url ... --assert-dedupe``).
+percentiles, throughput, and the server's dedupe-join rate. Used as the
+CI smoke (``python -m repro.service.loadgen --base-url ... --assert-dedupe``).
 """
 
 from __future__ import annotations

@@ -112,8 +112,8 @@ def catalog_core(name: str, rename: str | None = None) -> Core:
 # --------------------------------------------------------------------------
 # Stress-corpus registry
 #
-# The scale experiments (benchmarks/bench_scale.py, ROADMAP item 2) need
-# named, reproducible systems well beyond the ten-core academic SOCs.
+# The scale experiments need named, reproducible systems well beyond the
+# ten-core academic SOCs.
 # Builders register themselves here — :mod:`repro.soc.itc02` contributes
 # the ITC'02-class analogues (d695, p93791, t512505) and
 # :mod:`repro.soc.generator` the seeded synthetic scale points — and

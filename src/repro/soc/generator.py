@@ -12,8 +12,7 @@ count with controlled statistics. Three generation modes:
   calibrated to the ITC'02-class analogues
   (:mod:`repro.soc.itc02`) — mostly sequential cores with explicit
   balanced scan chains, pattern counts spanning two orders of magnitude,
-  and the occasional scan monster — for 200+-core systems the scale
-  trajectory (``benchmarks/bench_scale.py``) climbs.
+  and the occasional scan monster — for 200+-core stress systems.
 
 Generation is a pure function of ``(num_cores, seed, mode)``: the RNG is a
 seeded PCG64 stream and nothing reads ambient state, so the same call is
@@ -158,8 +157,8 @@ def _scale_point(num_cores: int):
     return build
 
 
-#: Canonical generated scale points for the stress corpus / BENCH_scale
-#: trajectory: seed == core count, so every name is fully reproducible.
+#: Canonical generated scale points for the stress corpus: seed == core
+#: count, so every name is fully reproducible.
 SCALE_POINTS = (32, 64, 96, 128, 200, 256)
 
 for _n in SCALE_POINTS:

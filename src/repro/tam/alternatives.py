@@ -31,14 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.soc.core import Core
 from repro.soc.system import Soc
 from repro.util.errors import InfeasibleError, ValidationError
-from repro.wrapper import application_time
-
-
-def _curve(core: Core, max_width: int) -> list[int]:
-    return [application_time(core, w) for w in range(1, max_width + 1)]
+from repro.wrapper import application_time, application_time_curve
 
 
 def multiplexed_time(soc: Soc, total_width: int) -> int:
@@ -89,7 +84,7 @@ def distribution_allocation(soc: Soc, total_width: int) -> DistributionResult:
             reason="width below core count",
         )
     max_slice = total_width - (num_cores - 1)
-    curves = [_curve(core, max_slice) for core in soc]
+    curves = [application_time_curve(core, max_slice) for core in soc]
 
     def wires_needed(target: int) -> list[int] | None:
         """Narrowest per-core widths meeting ``target``, or None."""

@@ -161,10 +161,28 @@ def application_time(core: Core, width: int, chain_length: int = DEFAULT_CHAIN_L
 def application_time_curve(
     core: Core, max_width: int, chain_length: int = DEFAULT_CHAIN_LENGTH
 ) -> list[int]:
-    """Return ``[T(1), T(2), ..., T(max_width)]`` for the core."""
+    """Return ``[T(1), T(2), ..., T(max_width)]`` for the core.
+
+    One pass over chain counts with a running minimum: ``T(w)`` is the best
+    of the packings into 1..w chains, exactly as :func:`design_wrapper`
+    picks it, so the curve costs ``max_width`` packings instead of one full
+    re-pack per width.
+    """
     if max_width <= 0:
         raise ValidationError(f"max_width must be positive, got {max_width}")
-    return [application_time(core, w, chain_length) for w in range(1, max_width + 1)]
+    chains = internal_scan_chains(core, max_length=chain_length)
+    curve: list[int] = []
+    for bins in range(1, max_width + 1):
+        scan_totals = _pack_lpt(chains, bins)
+        candidate = WrapperDesign(
+            core.name,
+            bins,
+            tuple(_spread_cells(scan_totals, core.num_inputs)),
+            tuple(_spread_cells(scan_totals, core.num_outputs)),
+        )
+        time = candidate.application_time(core.num_patterns)
+        curve.append(min(time, curve[-1]) if curve else time)
+    return curve
 
 
 def pareto_widths(core: Core, max_width: int, chain_length: int = DEFAULT_CHAIN_LENGTH) -> list[int]:

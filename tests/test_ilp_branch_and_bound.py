@@ -61,12 +61,6 @@ class TestExactness:
         sol = m.solve()
         assert sol.objective == pytest.approx(2.5)
 
-    def test_simplex_lp_engine_agrees(self):
-        m, _ = knapsack_model([3, 5, 4, 2], [4, 7, 5, 3], 8)
-        fast = m.solve()
-        slow = m.solve(lp_method="simplex")
-        assert fast.objective == pytest.approx(slow.objective)
-
     def test_first_branching_rule(self):
         m, _ = knapsack_model([4, 3, 2], [5, 4, 3], 5)
         sol = m.solve(branching="first")

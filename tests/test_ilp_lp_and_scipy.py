@@ -16,12 +16,11 @@ def _lp_model():
 
 
 class TestRelaxation:
-    def test_scipy_and_simplex_agree(self):
+    def test_scipy_relaxation_objective(self):
         m, _, _ = _lp_model()
-        fast = m.solve_relaxation(method="scipy")
-        slow = m.solve_relaxation(method="simplex")
-        assert fast.objective == pytest.approx(14.0)
-        assert slow.objective == pytest.approx(14.0)
+        sol = m.solve_relaxation()
+        assert sol.objective == pytest.approx(14.0)
+        assert sol.backend == "lp-scipy"
 
     def test_relaxation_of_binary_model_is_fractional(self):
         m = Model()
@@ -50,11 +49,6 @@ class TestRelaxation:
 
         res = solve_matrix_lp(form, lb=np.array([5.0, 0.0]), ub=np.array([4.0, 4.0]))
         assert res.status == "infeasible"
-
-    def test_matrix_lp_rejects_unknown_method(self):
-        m, _, _ = _lp_model()
-        with pytest.raises(ValueError):
-            solve_matrix_lp(m.to_matrix_form(), method="barrier")
 
 
 class TestScipyBackend:

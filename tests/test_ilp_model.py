@@ -141,9 +141,3 @@ class TestSolveDispatch:
         with pytest.raises(ValueError):
             m.solve(backend="gurobi")
 
-    def test_unknown_lp_method_rejected(self):
-        m = Model()
-        m.add_var("x", ub=1)
-        m.minimize(quicksum([]))
-        with pytest.raises(ValueError):
-            m.solve_relaxation(method="interior")

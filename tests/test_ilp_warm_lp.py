@@ -322,11 +322,6 @@ class TestWarmStartedBranchAndBound:
         assert warm.stats.warm_lp_solves > 0
         assert cold.stats.warm_lp_solves == 0
 
-    def test_warm_composes_with_simplex_fallback_engine(self):
-        warm, cold = _warm_and_cold(_knapsack, lp_method="simplex")
-        assert warm.objective == pytest.approx(cold.objective)
-        assert warm.stats.warm_lp_solves > 0
-
     def test_warm_matches_cold_on_integer_bounds(self):
         def factory():
             m = Model()

@@ -7,7 +7,6 @@ import pytest
 import repro.util.combinatorics
 import repro.util.tables
 from repro.cli import main
-from repro.ilp.simplex import solve_lp_simplex
 
 
 class TestDoctests:
@@ -63,33 +62,6 @@ class TestCliMore:
     def test_synthetic_spec_in_design(self, capsys):
         assert main(["design", "SYN4:3", "--widths", "16,16"]) == 0
         assert "SYN4" in capsys.readouterr().out
-
-
-class TestSimplexEdges:
-    def test_iteration_limit_status(self):
-        import numpy as np
-
-        # A nontrivial LP with a 1-iteration budget cannot finish.
-        rng = np.random.default_rng(0)
-        n = 6
-        c = -np.ones(n)
-        a_ub = rng.uniform(0.5, 2.0, size=(4, n))
-        b_ub = np.full(4, 10.0)
-        result = solve_lp_simplex(
-            c, a_ub, b_ub, np.zeros((0, n)), np.zeros(0),
-            np.zeros(n), np.full(n, np.inf), max_iter=1,
-        )
-        assert result.status == "iteration_limit"
-
-    def test_zero_variable_free_problem(self):
-        import numpy as np
-
-        result = solve_lp_simplex(
-            np.zeros(1), np.zeros((0, 1)), np.zeros(0),
-            np.zeros((0, 1)), np.zeros(0), np.zeros(1), np.ones(1),
-        )
-        assert result.status == "optimal"
-        assert result.objective == pytest.approx(0.0)
 
 
 class TestDesignerOptions:

@@ -29,6 +29,21 @@ def make_core(ff=100, inputs=10, outputs=8, patterns=20, width=8, name="w"):
     )
 
 
+def make_scan_core(chains, inputs, outputs, patterns):
+    """A core delivered with explicit (possibly uneven) internal scan chains."""
+    return Core(
+        name="scan",
+        num_inputs=inputs,
+        num_outputs=outputs,
+        num_flipflops=sum(chains),
+        num_gates=1000,
+        num_patterns=patterns,
+        test_width=8,
+        test_power=10.0,
+        scan_chains=tuple(chains),
+    )
+
+
 class TestInternalChains:
     def test_total_preserved_and_balanced(self):
         chains = internal_scan_chains(make_core(ff=103), max_length=50)
@@ -123,6 +138,29 @@ class TestCurves:
         knee = pareto_widths(core, 32)[-1]
         assert knee <= 32
         assert application_time(core, knee) == application_time(core, 32)
+
+    @given(
+        st.one_of(
+            st.builds(
+                make_core,
+                ff=st.just(0),
+                inputs=st.integers(0, 120),
+                outputs=st.integers(0, 120),
+                patterns=st.integers(1, 40),
+            ),
+            st.builds(
+                make_scan_core,
+                chains=st.lists(st.integers(1, 150), min_size=2, max_size=10),
+                inputs=st.integers(0, 120),
+                outputs=st.integers(0, 120),
+                patterns=st.integers(1, 40),
+            ),
+        ),
+        st.integers(1, 48),
+    )
+    def test_curve_matches_per_width_times(self, core, max_width):
+        expected = [application_time(core, w) for w in range(1, max_width + 1)]
+        assert application_time_curve(core, max_width) == expected
 
     @given(st.integers(1, 32))
     def test_time_matches_design(self, width):
