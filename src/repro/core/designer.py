@@ -381,6 +381,12 @@ def design_best_architecture(
     Enumerates integer partitions of ``total_width`` into ``num_buses``
     positive parts (symmetric permutations deduplicated), solves each to
     optimality, and returns the best design along with the full sweep trace.
+    Within one call every formulation input but the time table is fixed, so
+    two distributions with equal tables are one ILP (on S1 with serial
+    timing at W = 16, [12, 4] and [11, 5] are such twins, as are [10, 6] and
+    [9, 7]): the later one is recorded with its twin's makespan (or as
+    infeasible) without a second solve, and only real solves reach
+    ``telemetry``.
 
     With ``clamp_useless_width`` the enumeration caps each bus at the timing
     model's :meth:`~repro.tam.timing.TimingModel.max_useful_bus_width` and
@@ -393,6 +399,8 @@ def design_best_architecture(
 
     start = now()
     result = ArchitectureSweepResult(soc.name, total_width, num_buses, best=None)
+    # Makespan (None: infeasible) per time table solved so far.
+    solved: dict[bytes, float | None] = {}
     max_bus_width = None
     if clamp_useless_width:
         timing_model = make_timing_model(timing) if isinstance(timing, str) else timing
@@ -428,12 +436,21 @@ def design_best_architecture(
                 result.pruned += 1
                 continue
         result.evaluated += 1
+        table = problem.times.tobytes()
+        if table in solved:
+            makespan = solved[table]
+            if makespan is None:
+                result.infeasible += 1
+            result.per_architecture.append((arch, makespan))
+            continue
         try:
             candidate = design(problem, backend=backend, policy=policy, **solver_options)
         except InfeasibleError:
+            solved[table] = None
             result.infeasible += 1
             result.per_architecture.append((arch, None))
             continue
+        solved[table] = candidate.makespan
         result.telemetry.record(candidate.stats)
         result.telemetry.record_fallback(candidate.fallback)
         result.telemetry.record_portfolio(candidate.portfolio)

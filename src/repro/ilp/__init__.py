@@ -50,7 +50,7 @@ from repro.ilp.expr import (
 from repro.ilp.model import Model
 from repro.ilp.solution import Solution, SolveStats, Status
 from repro.ilp.presolve_root import Postsolve, PresolveResult, presolve_root
-from repro.ilp.simplex import Basis, RevisedSimplex, WarmLpResult
+from repro.ilp.simplex import Basis, RevisedSimplex
 from repro.ilp.branch_and_bound import BranchAndBoundSolver
 from repro.ilp.scipy_backend import solve_with_scipy
 
@@ -72,7 +72,6 @@ __all__ = [
     "Status",
     "Basis",
     "RevisedSimplex",
-    "WarmLpResult",
     "Postsolve",
     "PresolveResult",
     "presolve_root",

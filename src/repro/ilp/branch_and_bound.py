@@ -190,13 +190,14 @@ class BranchAndBoundSolver:
                 max_size=cut_policy.max_pool, max_age=cut_policy.max_age
             )
         # The original form anchors everything that outlives this solve:
-        # checkpoint fingerprints, incumbents, the returned values. Root
-        # presolve later rebinds the *search* arrays to a reduced form via
-        # _bind_form; _postsolve maps between the two spaces.
+        # checkpoint fingerprints, incumbents, the returned values. The
+        # *search* arrays are bound by _bind_form once root presolve has
+        # settled the form (reduced or not); _postsolve maps between the
+        # two spaces.
         self._orig_form = model.to_matrix_form()
         self._orig_int_indices = np.flatnonzero(self._orig_form.integer_mask)
+        self._int_indices = self._orig_int_indices  # until _bind_form
         self._postsolve: Postsolve | None = None
-        self._bind_form(self._orig_form)
         self._root_obj: float | None = None
         self._root_rc: np.ndarray | None = None
         self._root_lb: np.ndarray | None = None
@@ -225,9 +226,8 @@ class BranchAndBoundSolver:
         stays at the bound form so separation always derives from uncut
         rows and cut validity survives pool rebuilds.
         """
-        self._form = form
         self._base_form = form
-        self._workspace = LpWorkspace(form)
+        self._set_lp_form(form)
         self._int_indices = np.flatnonzero(form.integer_mask)
         self._int_mask = form.integer_mask
         # Root bounds shared by every node materialization; reduced-cost
@@ -235,14 +235,37 @@ class BranchAndBoundSolver:
         self._base_lb = form.lb.copy()
         self._base_ub = form.ub.copy()
         n = form.num_vars
-        self._pc_dn = np.zeros(n)
-        self._pc_up = np.zeros(n)
-        self._pc_dn_n = np.zeros(n, dtype=np.int64)
-        self._pc_up_n = np.zeros(n, dtype=np.int64)
+        # Pseudocost means and observation counts, down-branch entries then
+        # up-branch ones in one array each: the mean over every initialized
+        # entry is then one masked sum.
+        self._pc = np.zeros(2 * n)
+        self._pc_n = np.zeros(2 * n, dtype=np.int64)
+        self._pc_dn, self._pc_up = self._pc[:n], self._pc[n:]
+        self._pc_dn_n, self._pc_up_n = self._pc_n[:n], self._pc_n[n:]
         self._basis_generation = 0
         self._warm_engine = (
             RevisedSimplex(form, generation=0) if self.lp_warm_start else None
         )
+
+    def _set_lp_form(self, form: MatrixForm) -> None:
+        """Make ``form`` the LP every node solves, with its residual check.
+
+        The residual check reads every row of ``form`` as one ``<=`` row of
+        ``[A_ub; A_eq; -A_eq]`` against ``[b_ub; b_eq; -b_eq]``, built here
+        once per form rather than once per node.
+        """
+        self._form = form
+        self._workspace = LpWorkspace(form)
+        rows: list[np.ndarray] = []
+        rhs: list[np.ndarray] = []
+        if form.a_ub.size:
+            rows.append(form.a_ub)
+            rhs.append(form.b_ub)
+        if form.a_eq.size:
+            rows += [form.a_eq, -form.a_eq]
+            rhs += [form.b_eq, -form.b_eq]
+        self._check_rows = np.vstack(rows) if rows else None
+        self._check_rhs = np.concatenate(rhs) if rhs else None
 
     def _install_warm_start(self, values: dict) -> None:
         from repro.util.errors import ValidationError
@@ -326,23 +349,14 @@ class BranchAndBoundSolver:
         lp_start = now()
         if self._warm_engine is not None:
             warm = self._warm_engine.solve(lb, ub, basis=basis, cutoff=cutoff)
-            if warm.status == "optimal" and self._warm_point_ok(warm.x, lb, ub):
+            trusted = warm.status in ("infeasible", "cutoff") or (
+                warm.status == "optimal" and self._warm_point_ok(warm.x, lb, ub)
+            )
+            if trusted:
                 self._stats.warm_lp_solves += 1
                 self._stats.lp_time += now() - lp_start
                 self._stats.lp_iterations += warm.iterations
-                return LpResult(
-                    "optimal",
-                    warm.x,
-                    warm.objective,
-                    warm.iterations,
-                    reduced_costs=warm.reduced_costs,
-                    basis=warm.basis,
-                )
-            if warm.status in ("infeasible", "cutoff"):
-                self._stats.warm_lp_solves += 1
-                self._stats.lp_time += now() - lp_start
-                self._stats.lp_iterations += warm.iterations
-                return LpResult(warm.status, None, warm.objective, warm.iterations)
+                return warm
             self._stats.warm_lp_fallbacks += 1
         result = solve_matrix_lp(
             self._form,
@@ -356,19 +370,25 @@ class BranchAndBoundSolver:
         return result
 
     def _warm_point_ok(self, x: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> bool:
-        """Cheap residual guard on a warm-claimed optimum before trusting it."""
-        if np.any(x < lb - 1e-6) or np.any(x > ub + 1e-6):
+        """Cheap residual guard on a warm-claimed optimum before trusting it.
+
+        Each bound and each row may be violated by at most 1e-6: two bound
+        maxima, then one product over the stacked rows of
+        :meth:`_set_lp_form` and its maximum.
+        """
+        worst_lb = np.maximum.reduce(lb - x, initial=-math.inf)
+        if worst_lb > 1e-6 or np.maximum.reduce(x - ub, initial=-math.inf) > 1e-6:
             return False
-        form = self._form
-        if form.a_ub.size and np.any(form.a_ub @ x > form.b_ub + 1e-6):
-            return False
-        if form.a_eq.size and np.any(np.abs(form.a_eq @ x - form.b_eq) > 1e-6):
-            return False
-        return True
+        rows = self._check_rows
+        return rows is None or np.maximum.reduce(rows.dot(x) - self._check_rhs) <= 1e-6
 
     def _cutoff(self) -> float:
         """Objective value at/above which a solution cannot matter."""
         return self._incumbent_obj - self.gap_tol
+
+    def _out_of_time(self, start: float) -> bool:
+        """The deadline test shared by the node loop and the root work."""
+        return self.time_limit is not None and now() - start > self.time_limit
 
     def _fractional_index(self, x: np.ndarray) -> int | None:
         """Pick the integer variable to branch on, or None if all integral.
@@ -381,40 +401,41 @@ class BranchAndBoundSolver:
         if self._int_indices.size == 0:
             return None
         xi = x[self._int_indices]
-        frac = np.abs(xi - np.round(xi))
+        frac = np.abs(xi - xi.round())
         mask = frac > _INT_TOL
-        if not mask.any():
+        if not np.count_nonzero(mask):
             return None
         if self.branching == "first":
-            return int(self._int_indices[int(np.argmax(mask))])
+            return int(self._int_indices[mask.argmax()])
         scores = np.where(mask, np.minimum(frac, 1.0 - frac), -1.0)
-        return int(self._int_indices[int(np.argmax(scores))])
+        return int(self._int_indices[scores.argmax()])
 
     def _select_branch(self, x: np.ndarray) -> int | None:
         """Branching decision for a search node (pseudocost-aware)."""
         if self.branching != "pseudocost":
             return self._fractional_index(x)
         xi = x[self._int_indices]
-        dist = np.abs(xi - np.round(xi))
-        mask = dist > _INT_TOL
-        if not mask.any():
+        mask = np.abs(xi - xi.round()) > _INT_TOL
+        if not np.count_nonzero(mask):
             return None
-        cand = self._int_indices[mask]
-        f = (xi - np.floor(xi))[mask]
-        have_dn = self._pc_dn_n[cand] > 0
-        have_up = self._pc_up_n[cand] > 0
-        initialized = np.concatenate(
-            [self._pc_dn[self._pc_dn_n > 0], self._pc_up[self._pc_up_n > 0]]
-        )
+        known = self._pc_n > 0
+        initialized = self._pc[known]
         if initialized.size == 0:
             # No history yet: initialize from most-fractional.
             return self._fractional_index(x)
-        avg = float(initialized.mean())
-        est_dn = np.where(have_dn, self._pc_dn[cand], avg)
-        est_up = np.where(have_up, self._pc_up[cand], avg)
+        # Uninitialized entries borrow the mean of the initialized ones,
+        # summed in ``ndarray.mean``'s order (down entries, then up).
+        avg = float(np.add.reduce(initialized)) / initialized.size
+        cand = self._int_indices[mask]
+        n = self._pc_dn.size
+        estimate = np.where(known, self._pc, avg)
+        est_dn = estimate[:n].take(cand)
+        est_up = estimate[n:].take(cand)
+        xc = xi[mask]
+        f = xc - np.floor(xc)
         score = np.maximum(est_dn * f, _PC_EPS) * np.maximum(est_up * (1.0 - f), _PC_EPS)
         self._stats.pseudocost_branches += 1
-        return int(cand[int(np.argmax(score))])
+        return int(cand[score.argmax()])
 
     def _update_pseudocost(self, branch_info: tuple, child_objective: float) -> None:
         """Fold one observed objective degradation into the running means."""
@@ -505,13 +526,16 @@ class BranchAndBoundSolver:
         if self._checkpoint_dirty:
             self._save_checkpoint(debounce=False)
 
-    def _dive_for_incumbent(self, x: np.ndarray, basis: Basis | None = None) -> None:
+    def _dive_for_incumbent(
+        self, start: float, x: np.ndarray, basis: Basis | None = None
+    ) -> None:
         """Round-and-refix dive from the root relaxation.
 
         Repeatedly fixes the most fractional integer variable to its nearest
-        integer and re-solves; stops on infeasibility or when the relaxation
-        comes back integral. Produces an incumbent often good enough to prune
-        most of the tree on assignment-structured models.
+        integer and re-solves; stops on infeasibility, when the relaxation
+        comes back integral, or at the deadline. Produces an incumbent often
+        good enough to prune most of the tree on assignment-structured
+        models.
         """
         lb = self._base_lb.copy()
         ub = self._base_ub.copy()
@@ -521,6 +545,8 @@ class BranchAndBoundSolver:
             if j is None:
                 obj = float(self._form.c @ current) + self._form.c0
                 self._accept_candidate(current, obj)
+                return
+            if self._out_of_time(start):
                 return
             value = float(round(current[j]))
             value = min(max(value, lb[j]), ub[j])
@@ -550,8 +576,7 @@ class BranchAndBoundSolver:
 
         assert self._cut_pool is not None
         pairs = [cut.as_pair(self._base_form.num_vars) for cut in self._cut_pool.active]
-        self._form = append_cuts(self._base_form, pairs)
-        self._workspace = LpWorkspace(self._form)
+        self._set_lp_form(append_cuts(self._base_form, pairs))
         # The constraint matrix changed shape: bump the basis generation so
         # every basis snapshot taken against the old matrix goes stale, and
         # refit the warm engine to the cut-extended rows.
@@ -561,8 +586,9 @@ class BranchAndBoundSolver:
                 self._form, generation=self._basis_generation
             )
 
-    def _separate_root(self, root: LpResult) -> LpResult:
-        """Separation rounds at the root; returns the final root relaxation."""
+    def _separate_root(self, start: float, root: LpResult) -> LpResult:
+        """Separation rounds at the root, while the deadline allows; returns
+        the final root relaxation."""
         from repro.ilp.conflict import ConflictGraph
         from repro.ilp.cuts import generate_cuts
 
@@ -574,6 +600,8 @@ class BranchAndBoundSolver:
                 graph_span.attrs["edges"] = self._conflicts.num_edges
         with span("cut_separation", rounds=policy.rounds) as sep_span:
             for _ in range(policy.rounds):
+                if self._out_of_time(start):
+                    break
                 dropped = self._cut_pool.age_and_prune(root.x)
                 self._stats.cuts_dropped += len(dropped)
                 fresh = generate_cuts(self._base_form, root.x, policy, self._conflicts)
@@ -641,6 +669,7 @@ class BranchAndBoundSolver:
         return self._solve_node(lb, ub)
 
     def _search(self, start: float) -> Status:
+        form = self._orig_form
         if self.root_presolve.enabled:
             with span("root_model_presolve") as model_span:
                 reduction = presolve_root(self._orig_form, self.root_presolve)
@@ -666,17 +695,16 @@ class BranchAndBoundSolver:
                 self._try_update_incumbent(x, objective)
                 self._stats.best_bound = objective
                 return Status.OPTIMAL
-            # Bind even on an identity column mapping: bound tightening and
-            # row cleanup change the form without touching any column.
-            self._bind_form(reduced)
+            # Search the reduced form even on an identity column mapping:
+            # bound tightening and row cleanup change the form without
+            # touching any column.
+            form = reduced
+        self._bind_form(form)
 
         if self.presolve:
             with span("root_presolve") as presolve_span:
                 feasible, changes = propagate_bounds(
-                    self._workspace.propagation,
-                    self._base_lb,
-                    self._base_ub,
-                    self._int_mask,
+                    self._workspace.propagation, self._base_lb, self._base_ub
                 )
                 self._stats.presolve_fixings += len(changes)
                 presolve_span.attrs["fixings"] = len(changes)
@@ -704,7 +732,7 @@ class BranchAndBoundSolver:
         cut_rounds = self.cut_policy.rounds if self._cuts_enabled else 0
         with span("presolve", cut_rounds=cut_rounds, dive=self.dive):
             if self._cuts_enabled:
-                root = self._separate_root(root)
+                root = self._separate_root(start, root)
                 if root.status == "infeasible":
                     return Status.INFEASIBLE
                 if self._fractional_index(root.x) is None:
@@ -720,7 +748,7 @@ class BranchAndBoundSolver:
             self._root_ub = self._base_ub.copy()
 
             if self.dive:
-                self._dive_for_incumbent(root.x, basis=root.basis)
+                self._dive_for_incumbent(start, root.x, basis=root.basis)
             self._apply_reduced_cost_fixing()
 
         with span("bnb_search") as search_span:
@@ -806,12 +834,12 @@ class BranchAndBoundSolver:
             if self._stats.nodes >= self.node_limit:
                 trace_event("budget_exhausted", kind="nodes", nodes=self._stats.nodes)
                 return Status.FEASIBLE if self._incumbent_x is not None else Status.NODE_LIMIT
-            if self.time_limit is not None and now() - start > self.time_limit:
+            if self._out_of_time(start):
                 trace_event("budget_exhausted", kind="deadline", nodes=self._stats.nodes)
                 return Status.FEASIBLE if self._incumbent_x is not None else Status.NODE_LIMIT
 
             lb, ub = self._materialize(chain)
-            if np.any(lb > ub):
+            if np.count_nonzero(lb > ub):
                 # Global reduced-cost fixing emptied this subtree's box.
                 self._stats.presolve_pruned += 1
                 continue
@@ -821,7 +849,6 @@ class BranchAndBoundSolver:
                     self._workspace.propagation,
                     lb,
                     ub,
-                    self._int_mask,
                     cutoff=cutoff if math.isfinite(cutoff) else None,
                 )
                 if not feasible:

@@ -33,10 +33,11 @@ class LpResult:
     warm engine produced this result — child nodes reoptimize from it.
     A ``"cutoff"`` status means the warm engine proved the LP bound is
     above the caller's objective cutoff without finishing the solve; the
-    node prunes with no ``x``.
+    node prunes with no ``x``. ``"fallback"`` is the warm engine's answer
+    to numerical doubt: the caller re-solves cold.
     """
 
-    status: str  # "optimal" | "infeasible" | "unbounded" | "cutoff" | "error"
+    status: str  # "optimal" | "infeasible" | "unbounded" | "cutoff" | "fallback" | "error"
     x: np.ndarray | None
     objective: float | None
     iterations: int = 0

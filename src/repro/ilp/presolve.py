@@ -64,9 +64,15 @@ class PropagationTables:
     where a lower-bound candidate comes out negated. Nonzeros are grouped
     by the bound they tighten (upper bounds by column, then lower bounds
     by column), so each bound's best candidate is one segment minimum.
+
+    What depends on the form alone is computed here once: the per-segment
+    integer flag under the form's integer mask, and the infeasibility limit
+    ``-tol * (1 + |rhs|)`` of every row but the objective row (whose
+    right-hand side is the per-call cutoff). ``tol`` is the propagation
+    tolerance every call on these tables uses.
     """
 
-    def __init__(self, form: MatrixForm):
+    def __init__(self, form: MatrixForm, tol: float = 1e-6):
         n = form.num_vars
         blocks: list[np.ndarray] = []
         rhs_blocks: list[np.ndarray] = []
@@ -108,6 +114,12 @@ class PropagationTables:
         self.seg_target = np.where(upper, seg_own + n, seg_own - n)
         #: ``(column, tightens ub)`` per segment, for the change records.
         self.seg_records = list(zip(self.seg_col.tolist(), upper.tolist()))
+        #: Per segment, whether its column is integer.
+        self.seg_integer = form.integer_mask[self.seg_col]
+        self.tol = tol
+        #: A row slack below its limit proves the node infeasible. The
+        #: objective row's entry is a placeholder; each call sets its own.
+        self.limit = -tol * (1.0 + np.abs(self.rhs))
 
     @property
     def num_rows(self) -> int:
@@ -118,10 +130,8 @@ def propagate_bounds(
     tables: PropagationTables,
     lb: np.ndarray,
     ub: np.ndarray,
-    integer_mask: np.ndarray,
     cutoff: float | None = None,
     max_rounds: int = 4,
-    tol: float = 1e-6,
 ) -> tuple[bool, list[tuple[int, int, float]]]:
     """Tighten ``lb``/``ub`` in place; returns ``(feasible, tightenings)``.
 
@@ -131,48 +141,51 @@ def propagate_bounds(
     propagated away. Each recorded tightening is ``(column, kind, value)``
     with ``kind`` one of :data:`LB_TIGHTENED` / :data:`UB_TIGHTENED` — the
     exact delta layout the branch-and-bound node chains store. Upper-bound
-    tightenings of a round come first, each kind in column order. A round
-    costs O(nonzeros + columns).
+    tightenings of a round come first, each kind in column order. Integer
+    columns of the tables' form round their bounds, within the tables'
+    ``tol``. A round costs O(nonzeros + columns).
     """
     if tables.num_rows == 0:
         return True, []
-    rhs = tables.rhs
+    rhs, limit, tol = tables.rhs, tables.limit, tables.tol
     if tables.has_objective_row:
+        bound = math.inf if cutoff is None else cutoff - tables.c0
         rhs = rhs.copy()
-        rhs[-1] = math.inf if cutoff is None else cutoff - tables.c0
-    limit = -tol * (1.0 + np.abs(rhs))
+        rhs[-1] = bound
+        limit = limit.copy()
+        limit[-1] = -tol * (1.0 + abs(bound))
     changes: list[tuple[int, int, float]] = []
     n = tables.num_vars
     box = np.concatenate((lb, -ub))
-    box.clip(-_BIG, _BIG, out=box)
+    np.maximum(box, -_BIG, out=box)
+    np.minimum(box, _BIG, out=box)
     clb, neg_cub = box[:n], box[n:]
     row, own, magnitude, inv = tables.row, tables.own, tables.magnitude, tables.inv
     if row.size == 0:
-        return not (rhs < limit).any(), changes
+        return not np.count_nonzero(rhs < limit), changes
     starts, target, records = tables.starts, tables.seg_target, tables.seg_records
-    integer = integer_mask[tables.seg_col]
+    integer = tables.seg_integer
     for _ in range(max_rounds):
         start = box[own]
         slack = rhs - np.bincount(row, magnitude * start, minlength=rhs.shape[0])
-        if (slack < limit).any():
+        if np.count_nonzero(slack < limit):
             return False, changes
         best = np.minimum.reduceat(start + slack[row] * inv, starts)
-        best = np.where(integer, np.floor(best + tol), best)
+        np.floor(best + tol, out=best, where=integer)
         improved = (best < -tol - box[target]).nonzero()[0]
         if improved.size == 0:
             break
-        box[target[improved]] = -best[improved]
-        for s in improved.tolist():
+        values = best[improved]
+        box[target[improved]] = -values
+        for s, value in zip(improved.tolist(), values.tolist()):
             j, upper = records[s]
             if upper:
-                value = float(best[s])
                 ub[j] = value
                 changes.append((j, UB_TIGHTENED, value))
             else:
-                value = -float(best[s])
-                lb[j] = value
-                changes.append((j, LB_TIGHTENED, value))
-        if (clb > tol - neg_cub).any():
+                lb[j] = -value
+                changes.append((j, LB_TIGHTENED, -value))
+        if np.count_nonzero(clb > tol - neg_cub):
             return False, changes
     return True, changes
 

@@ -214,10 +214,8 @@ class _Reducer:
 
     # ------------------------------------------------------------ reductions
     def tighten_bounds(self) -> None:
-        tables = PropagationTables(self.snapshot())
-        feasible, changes = propagate_bounds(
-            tables, self.lb, self.ub, self.integer_mask, max_rounds=2, tol=_TOL
-        )
+        tables = PropagationTables(self.snapshot(), tol=_TOL)
+        feasible, changes = propagate_bounds(tables, self.lb, self.ub, max_rounds=2)
         self.stats["bounds_tightened"] += len(changes)
         if not feasible:
             self.infeasible = True

@@ -23,13 +23,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.ilp.lp import LpResult
 from repro.ilp.model import MatrixForm
 
 #: Nonbasic-at-lower / nonbasic-at-upper / nonbasic-free / basic.
 NB_LOWER, NB_UPPER, NB_FREE, IN_BASIS = 0, 1, 2, 3
 
+#: Entering direction per status: +1 off the lower bound, -1 off the upper
+#: bound, 0 for free and basic columns (free columns are handled apart).
+_DIRECTION = np.array([1.0, -1.0, 0.0, 0.0])
+
 #: Dual-feasibility / pivot-eligibility tolerance.
 _DTOL = 1e-9
+#: Reduced-cost slack before a nonbasic column counts as mispriced.
+_PRICE_TOL = _DTOL * 10
 #: Primal feasibility tolerance for basic values.
 _PTOL = 1e-7
 
@@ -72,23 +79,6 @@ class Basis:
         return Basis(basic=self.basic, status=self.status, generation=self.generation)
 
 
-@dataclass
-class WarmLpResult:
-    """Outcome of a :class:`RevisedSimplex` solve.
-
-    ``status`` is ``"optimal"``, ``"infeasible"``, ``"cutoff"`` (the dual
-    bound crossed the caller's objective cutoff — a proven node prune), or
-    ``"fallback"`` (numerical trouble; re-solve cold).
-    """
-
-    status: str
-    x: np.ndarray | None
-    objective: float | None
-    iterations: int = 0
-    reduced_costs: np.ndarray | None = None
-    basis: Basis | None = None
-
-
 class RevisedSimplex:
     """Bounded-variable revised dual simplex over one constraint matrix.
 
@@ -101,6 +91,12 @@ class RevisedSimplex:
     by rank-one formulas, and every ``refactor_every`` pivots (counted
     across warm solves, see :attr:`Basis.since_refactor`) all three are
     recomputed from scratch so rounding drift stays bounded.
+
+    The models it serves are small (tens of rows, under a hundred columns),
+    so a solve costs what its NumPy calls cost, not the arithmetic inside
+    them; the engine keeps their number down: nonbasic columns carry one
+    entering-direction array, the bounds live in a buffer the engine owns,
+    and column q of ``W`` is read as a contiguous row of ``W^T``.
     """
 
     def __init__(
@@ -124,6 +120,8 @@ class RevisedSimplex:
             rhs.append(form.b_eq)
         a = np.vstack(blocks) if blocks else np.zeros((0, n))
         self.w = np.hstack([a, np.eye(m)]) if m else np.zeros((0, n))
+        #: ``W`` transposed and contiguous: row q is column q of ``W``.
+        self.wt = np.ascontiguousarray(self.w.T)
         self.b = np.concatenate(rhs) if rhs else np.zeros(0)
         self.c = np.concatenate([form.c.astype(float), np.zeros(m)])
         self.c0 = float(form.c0)
@@ -131,6 +129,15 @@ class RevisedSimplex:
         self.m = m
         self.slack_lb = np.zeros(m)
         self.slack_ub = np.concatenate([np.full(m_ub, math.inf), np.zeros(m_eq)])
+        # Bounds of every column, one row per status: the ``NB_LOWER`` and
+        # ``NB_UPPER`` rows hold the lower and upper bounds, the ``NB_FREE``
+        # and ``IN_BASIS`` rows zeros, so ``_bounds[status, column]`` is each
+        # nonbasic column's value. Slack bounds are written once; ``solve``
+        # writes the structural ones, so one engine serves one solve at a time.
+        self._bounds = np.zeros((4, n + m))
+        self._bounds[NB_LOWER, n:] = self.slack_lb
+        self._bounds[NB_UPPER, n:] = self.slack_ub
+        self._columns = np.arange(n + m)
         self.generation = generation
         self.max_iter = max_iter
         self.refactor_every = refactor_every
@@ -188,7 +195,7 @@ class RevisedSimplex:
         ub: np.ndarray,
         basis: Basis | None = None,
         cutoff: float | None = None,
-    ) -> WarmLpResult:
+    ) -> LpResult:
         """Reoptimize under new bounds, warm from ``basis`` when possible.
 
         A stale-generation (or absent) basis falls back to the all-slack
@@ -196,22 +203,25 @@ class RevisedSimplex:
         is an objective value (including the constant offset): the dual
         objective is a monotone lower bound, so the solve stops with
         ``"cutoff"`` as soon as it crosses — the caller prunes the node
-        without finishing the LP.
+        without finishing the LP. ``"fallback"`` means numerical trouble:
+        re-solve cold.
         """
         n, m = self.n, self.m
-        if (lb > ub).any():
-            return WarmLpResult("infeasible", None, None)
+        if np.count_nonzero(lb > ub):
+            return LpResult("infeasible", None, None)
         if m == 0:
             return self._solve_unconstrained(lb, ub)
         if basis is None or basis.generation != self.generation:
             basis = self.initial_basis(lb, ub)
             if basis is None:
-                return WarmLpResult("fallback", None, None)
+                return LpResult("fallback", None, None)
+        bounds = self._bounds
+        bounds[NB_LOWER, :n] = lb
+        bounds[NB_UPPER, :n] = ub
+        big_l, big_u = bounds[NB_LOWER], bounds[NB_UPPER]
         bas = basis.basic.copy()
-        status = basis.status.copy()
+        status = basis.status.astype(np.intp)
         status[bas] = IN_BASIS
-        big_l = np.concatenate([lb, self.slack_lb])
-        big_u = np.concatenate([ub, self.slack_ub])
         if basis.inverse is not None and basis.reduced_costs is not None:
             binv = basis.inverse.copy()
             d = basis.reduced_costs.copy()
@@ -219,55 +229,62 @@ class RevisedSimplex:
         else:
             factor = self._factorize(bas)
             if factor is None:
-                return WarmLpResult("fallback", None, None)
+                return LpResult("fallback", None, None)
             binv, d = factor
             since_refactor = 0
 
-        # Repair dual feasibility by bound flips; unfixable columns bail.
-        # ``at_lower``/``at_upper`` say which nonbasic columns may enter the
-        # basis (fixed columns never do); they track ``status`` pivot by
-        # pivot.
+        # ``dirn`` says which nonbasic columns may enter the basis and in
+        # which direction: +1 off the lower bound, -1 off the upper, 0 for
+        # basic and fixed columns; it tracks ``status`` pivot by pivot. A
+        # column whose reduced cost prices it out of its bound
+        # (``dirn * d < 0``) flips to the other one; unfixable columns bail.
         movable = big_u - big_l > _DTOL
-        at_lower = (status == NB_LOWER) & movable
-        at_upper = (status == NB_UPPER) & movable
-        to_upper = at_lower & (d < -_DTOL * 10)
-        to_lower = at_upper & (d > _DTOL * 10)
-        if to_upper.any() or to_lower.any():
+        dirn = _DIRECTION.take(status)
+        dirn *= movable
+        flip = dirn * d < -_PRICE_TOL
+        if np.count_nonzero(flip):
+            to_upper = flip & (dirn > 0.0)
+            to_lower = flip & (dirn < 0.0)
             if not (np.isfinite(big_u[to_upper]).all() and np.isfinite(big_l[to_lower]).all()):
-                return WarmLpResult("fallback", None, None)
+                return LpResult("fallback", None, None)
             status[to_upper] = NB_UPPER
             status[to_lower] = NB_LOWER
-            at_lower, at_upper = (at_lower & ~to_upper) | to_lower, (at_upper & ~to_lower) | to_upper
+            np.negative(dirn, out=dirn, where=flip)
         free = status == NB_FREE
-        any_free = bool(free.any())
+        any_free = bool(np.count_nonzero(free))
         if any_free:
-            if (np.abs(d[free]) > _DTOL * 10).any():
-                return WarmLpResult("fallback", None, None)
+            if (np.abs(d[free]) > _PRICE_TOL).any():
+                return LpResult("fallback", None, None)
             free &= movable
 
-        nb_value = np.where(status == NB_LOWER, big_l, np.where(status == NB_UPPER, big_u, 0.0))
-        if not np.isfinite(nb_value).all():
-            return WarmLpResult("fallback", None, None)
-        xb = binv @ (self.b - self.w @ nb_value)
+        # One gather: the bound rows for columns at a bound, 0 otherwise.
+        nb_value = bounds[status, self._columns]
+        if np.count_nonzero(np.isfinite(nb_value)) != n + m:
+            return LpResult("fallback", None, None)
+        c, w, wt = self.c, self.w, self.wt
+        xb = binv.dot(self.b - w.dot(nb_value))
         l_bas = big_l[bas]
         u_bas = big_u[bas]
-        c_bas = self.c[bas]
+        c_bas = c[bas]
 
         iterations = 0
         while iterations < self.max_iter:
-            objective = float(c_bas @ xb + self.c @ nb_value) + self.c0
-            if cutoff is not None and objective > cutoff + 1e-9:
-                return WarmLpResult("cutoff", None, objective, iterations)
+            if cutoff is not None:
+                objective = float(c_bas.dot(xb) + c.dot(nb_value)) + self.c0
+                if objective > cutoff + 1e-9:
+                    return LpResult("cutoff", None, objective, iterations)
 
             below = l_bas - xb
             above = xb - u_bas
             viol = np.maximum(below, above)
             r = int(viol.argmax())
             if viol[r] <= _PTOL * (1.0 + abs(xb[r])):
+                if cutoff is None:
+                    objective = float(c_bas.dot(xb) + c.dot(nb_value)) + self.c0
                 x = nb_value[:n].copy()
                 structural = bas < n
                 x[bas[structural]] = xb[structural]
-                return WarmLpResult(
+                return LpResult(
                     "optimal",
                     x,
                     objective,
@@ -275,7 +292,7 @@ class RevisedSimplex:
                     reduced_costs=d[:n].copy(),
                     basis=Basis(
                         basic=bas,
-                        status=status,
+                        status=status.astype(np.int8),
                         generation=self.generation,
                         inverse=binv,
                         reduced_costs=d,
@@ -284,73 +301,71 @@ class RevisedSimplex:
                 )
 
             # Dual ratio test over row r of B^-1 W. Leaving below its lower
-            # bound (sigma = +1), a column at its lower bound may enter on a
-            # negative entry and one at its upper bound on a positive entry;
-            # leaving above its upper bound mirrors both signs.
+            # bound, a column may enter when moving it off its bound lowers
+            # row r (``dirn * alpha < 0``); leaving above its upper bound,
+            # when it raises it. Free columns may enter either way.
             leaving_low = bool(below[r] >= above[r])
-            alpha = binv[r] @ self.w
-            neg = alpha < -_DTOL
-            pos = alpha > _DTOL
-            if leaving_low:
-                eligible = (at_lower & neg) | (at_upper & pos)
-            else:
-                eligible = (at_lower & pos) | (at_upper & neg)
+            alpha = binv[r].dot(w)
+            slope = alpha * dirn
+            eligible = slope < -_DTOL if leaving_low else slope > _DTOL
             if any_free:
-                eligible |= free & (neg | pos)
+                eligible |= free & (np.abs(alpha) > _DTOL)
             cand = eligible.nonzero()[0]
             if cand.size == 0:
-                return WarmLpResult("infeasible", None, None, iterations)
-            ratios = np.abs(d[cand]) / np.abs(alpha[cand])
-            q = int(cand[ratios.argmin()])
+                return LpResult("infeasible", None, None, iterations)
+            q = int(cand[np.abs(d[cand] / alpha[cand]).argmin()])
             pivot = alpha[q]
             if abs(pivot) < 1e-11:
-                return WarmLpResult("fallback", None, None, iterations)
+                return LpResult("fallback", None, None, iterations)
 
             # Rank-one updates: reduced costs along row r, basic values
             # along column q (the leaving column lands on its violated
-            # bound), and the inverse by one product-form pivot.
+            # bound), and the inverse by one product-form pivot, whose
+            # outer product is a k=1 matrix product (same bits, one call).
             leaving = int(bas[r])
             bound = big_l[leaving] if leaving_low else big_u[leaving]
             d -= (d[q] / pivot) * alpha
             d[q] = 0.0
-            col = binv @ self.w[:, q]
+            col = binv.dot(wt[q])
             step = (xb[r] - bound) / pivot
             xb -= step * col
             xb[r] = nb_value[q] + step
             row = binv[r] / pivot
-            binv -= col[:, None] * row
+            binv -= col[:, None].dot(row[None])
             binv[r] = row
 
             status[leaving] = NB_LOWER if leaving_low else NB_UPPER
             nb_value[leaving] = bound
             if movable[leaving]:
-                (at_lower if leaving_low else at_upper)[leaving] = True
+                dirn[leaving] = 1.0 if leaving_low else -1.0
             status[q] = IN_BASIS
             nb_value[q] = 0.0
-            at_lower[q] = at_upper[q] = free[q] = False
+            dirn[q] = 0.0
+            if any_free:
+                free[q] = False
             bas[r] = q
             l_bas[r] = big_l[q]
             u_bas[r] = big_u[q]
-            c_bas[r] = self.c[q]
+            c_bas[r] = c[q]
             iterations += 1
             since_refactor += 1
             if since_refactor >= self.refactor_every:
                 factor = self._factorize(bas)
                 if factor is None:
-                    return WarmLpResult("fallback", None, None, iterations)
+                    return LpResult("fallback", None, None, iterations)
                 binv, d = factor
-                xb = binv @ (self.b - self.w @ nb_value)
+                xb = binv.dot(self.b - w.dot(nb_value))
                 since_refactor = 0
-        return WarmLpResult("fallback", None, None, iterations)
+        return LpResult("fallback", None, None, iterations)
 
-    def _solve_unconstrained(self, lb: np.ndarray, ub: np.ndarray) -> WarmLpResult:
+    def _solve_unconstrained(self, lb: np.ndarray, ub: np.ndarray) -> LpResult:
         """No rows: each column sits at whichever bound its cost prefers."""
         c = self.c[: self.n]
         x = np.where(c > 0.0, lb, np.where(c < 0.0, ub, np.where(np.isfinite(lb), lb, 0.0)))
         if not np.all(np.isfinite(x)):
-            return WarmLpResult("unbounded" if np.any(c != 0.0) else "fallback", None, None)
+            return LpResult("unbounded" if np.any(c != 0.0) else "fallback", None, None)
         status = np.where(x == lb, NB_LOWER, NB_UPPER).astype(np.int8)
-        return WarmLpResult(
+        return LpResult(
             "optimal",
             x.astype(float),
             float(c @ x) + self.c0,

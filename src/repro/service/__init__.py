@@ -15,15 +15,16 @@ dedupe, tenancy, and failure semantics.
 - :class:`DesignServer` / :func:`serve` — the stdlib HTTP/1.1 front-end
   (:mod:`repro.service.http`);
 - :class:`ServiceClient` — stdlib client with submit/poll/stream/cancel
-  (:mod:`repro.service.client`);
-- :func:`run_load` — the load generator behind the CI smoke
-  (:mod:`repro.service.loadgen`).
+  (:mod:`repro.service.client`).
+
+The load generator behind the CI smoke runs as
+``python -m repro.service.loadgen``; the package does not import it, so
+``runpy`` does not find it already loaded and warn.
 """
 
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.http import DesignServer, serve
 from repro.service.jobs import DEFAULT_LANES, JOB_STATUSES, LANES, Job
-from repro.service.loadgen import run_load
 from repro.service.scheduler import JobScheduler
 
 __all__ = [
@@ -35,6 +36,5 @@ __all__ = [
     "LANES",
     "ServiceClient",
     "ServiceError",
-    "run_load",
     "serve",
 ]

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from repro.core import DesignProblem, design, design_best_architecture
 from repro.ilp import Status
 from repro.layout import grid_place
-from repro.obs import SolvePolicy
+from repro.obs import MetricsRegistry, SolvePolicy, use_metrics
+from repro.runtime import use_cache
 from repro.soc import generate_synthetic_soc
 from repro.tam import TamArchitecture, exhaustive_optimal
 from repro.util.errors import InfeasibleError, SolverError
@@ -169,6 +170,36 @@ class TestBestArchitecture:
         assert sweep.best is None
         assert sweep.best_makespan == math.inf
         assert sweep.infeasible == sweep.evaluated
+
+
+class TestSweepTwins:
+    """Distributions with equal time tables are one ILP, solved once."""
+
+    @pytest.mark.parametrize("layout", [False, True])
+    def test_each_distinct_ilp_solved_once(self, s1, layout):
+        # With the tight layout budget most S1 splits are infeasible, so
+        # twins of an infeasible ILP are recorded too.
+        extra = {"floorplan": grid_place(s1), "max_pair_distance": 3.0} if layout else {}
+        registry = MetricsRegistry()
+        with use_cache(None), use_metrics(registry):
+            sweep = design_best_architecture(s1, 16, 2, timing="serial", **extra)
+        solved_tables = []
+        alone = []
+        for arch, _ in sweep.per_architecture:
+            problem = DesignProblem(soc=s1, arch=arch, timing="serial", **extra)
+            solved_tables.append(problem.times.tobytes())
+            try:
+                alone.append((arch, design(problem, cache=False).makespan))
+            except InfeasibleError:
+                alone.append((arch, None))
+        assert len(set(solved_tables)) < len(solved_tables)  # twins exist
+        assert registry.histogram("solve.wall_time").count == len(set(solved_tables))
+        assert sweep.per_architecture == alone
+        assert sweep.evaluated == len(alone)
+        assert sweep.infeasible == sum(m is None for _, m in alone)
+        # Telemetry counts real solves that returned a design.
+        feasible_tables = {t for t, (_, m) in zip(solved_tables, alone) if m is not None}
+        assert sweep.telemetry.solves == len(feasible_tables)
 
 
 class TestRandomizedOracle:

@@ -5,8 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import DesignProblem, build_assignment_ilp
 from repro.ilp import INTEGER, BranchAndBoundSolver, Model, Status, quicksum
-from repro.obs import SolvePolicy
+from repro.layout import grid_place
+from repro.obs import CutPolicy, PresolvePolicy, SolvePolicy
+from repro.soc import build_s1, build_s3
+from repro.tam import TamArchitecture
 
 
 def knapsack_model(weights, profits, capacity):
@@ -61,6 +65,16 @@ class TestExactness:
         sol = m.solve()
         assert sol.objective == pytest.approx(2.5)
 
+    def test_empty_model_without_root_presolve(self):
+        # Root presolve answers a model without columns before any LP; with
+        # it disabled the warm engine solves the root LP on zero columns,
+        # and its residual check then sees empty arrays.
+        model = Model("empty")
+        sol = BranchAndBoundSolver(model, root_presolve=PresolvePolicy.disabled()).solve()
+        assert sol.status is Status.OPTIMAL
+        assert sol.objective == pytest.approx(0.0)
+        assert sol.stats.warm_lp_solves == 1
+
     def test_first_branching_rule(self):
         m, _ = knapsack_model([4, 3, 2], [5, 4, 3], 5)
         sol = m.solve(branching="first")
@@ -110,6 +124,32 @@ class TestStatuses:
         sol = m.solve()
         with pytest.raises(KeyError):
             sol[a]
+
+
+class TestDeadline:
+    @staticmethod
+    def _model(case):
+        soc = build_s3() if case == "S3" else build_s1()
+        widths, extra = (16, 8, 4), {}
+        if case == "S3":
+            widths = (32, 14, 6)
+        elif case == "S1-layout":
+            # Tight enough that two root cut rounds run without a deadline.
+            extra = {"floorplan": grid_place(soc), "max_pair_distance": 3.0}
+        problem = DesignProblem(soc, TamArchitecture(widths), timing="serial", **extra)
+        return build_assignment_ilp(problem).model
+
+    @pytest.mark.parametrize("case", ["S1", "S3", "S1-layout"])
+    def test_expired_deadline_stops_root_work(self, case):
+        # The root LP still runs; the cut rounds and the dive behind it
+        # check the deadline first, as the node loop does.
+        model = self._model(case)
+        unlimited = BranchAndBoundSolver(model, cut_policy=CutPolicy()).solve()
+        assert unlimited.stats.lp_solves > 1
+        solution = BranchAndBoundSolver(model, time_limit=0.0, cut_policy=CutPolicy()).solve()
+        assert solution.stats.lp_solves == 1
+        assert solution.stats.cut_rounds == 0
+        assert solution.status is Status.NODE_LIMIT
 
 
 class TestStats:

@@ -88,13 +88,15 @@ def dense_propagate_bounds(
     return True, changes
 
 
-def assert_matches_dense(form, lb, ub, cutoff=None, **kwargs):
+def assert_matches_dense(form, lb, ub, cutoff=None, max_rounds=4, tol=1e-6):
     """Sparse and dense propagation agree exactly from the same bounds."""
-    tables = PropagationTables(form)
+    tables = PropagationTables(form, tol=tol)
     lb_s, ub_s = lb.copy(), ub.copy()
     lb_d, ub_d = lb.copy(), ub.copy()
-    ours = propagate_bounds(tables, lb_s, ub_s, form.integer_mask, cutoff=cutoff, **kwargs)
-    ref = dense_propagate_bounds(form, lb_d, ub_d, form.integer_mask, cutoff=cutoff, **kwargs)
+    ours = propagate_bounds(tables, lb_s, ub_s, cutoff=cutoff, max_rounds=max_rounds)
+    ref = dense_propagate_bounds(
+        form, lb_d, ub_d, form.integer_mask, cutoff=cutoff, max_rounds=max_rounds, tol=tol
+    )
     assert ours == ref
     assert np.array_equal(lb_s, lb_d) and np.array_equal(ub_s, ub_d)
     return ours
@@ -135,7 +137,7 @@ class TestPropagation:
         m.maximize(x0 + x1)
         form, tables = self._tables(m)
         lb, ub = form.lb.copy(), form.ub.copy()
-        feasible, changes = propagate_bounds(tables, lb, ub, form.integer_mask)
+        feasible, changes = propagate_bounds(tables, lb, ub)
         assert feasible
         assert ub[x0.index] == 0.0
         assert (x0.index, UB_TIGHTENED, 0.0) in changes
@@ -148,7 +150,7 @@ class TestPropagation:
         m.minimize(x)
         form, tables = self._tables(m)
         lb, ub = form.lb.copy(), form.ub.copy()
-        feasible, changes = propagate_bounds(tables, lb, ub, form.integer_mask)
+        feasible, changes = propagate_bounds(tables, lb, ub)
         assert feasible
         assert lb[x.index] == 3.0
         assert any(j == x.index and kind == LB_TIGHTENED for j, kind, _ in changes)
@@ -160,7 +162,7 @@ class TestPropagation:
         m.minimize(a + b)
         form, tables = self._tables(m)
         lb, ub = form.lb.copy(), form.ub.copy()
-        feasible, _ = propagate_bounds(tables, lb, ub, form.integer_mask)
+        feasible, _ = propagate_bounds(tables, lb, ub)
         assert not feasible
 
     def test_objective_cutoff_row_prunes(self):
@@ -171,12 +173,12 @@ class TestPropagation:
         m.minimize(a + b)
         form, tables = self._tables(m)
         lb, ub = form.lb.copy(), form.ub.copy()
-        feasible, _ = propagate_bounds(tables, lb, ub, form.integer_mask, cutoff=0.5)
+        feasible, _ = propagate_bounds(tables, lb, ub, cutoff=0.5)
         assert feasible
         assert ub[a.index] == 0.0 and ub[b.index] == 0.0
         lb, ub = form.lb.copy(), form.ub.copy()
         lb[a.index] = 1.0  # branch a=1: no solution beats a cutoff of 0.5
-        feasible, _ = propagate_bounds(tables, lb, ub, form.integer_mask, cutoff=0.5)
+        feasible, _ = propagate_bounds(tables, lb, ub, cutoff=0.5)
         assert not feasible
 
     def test_no_cutoff_means_objective_row_inert(self):
@@ -185,7 +187,7 @@ class TestPropagation:
         m.minimize(a)
         form, tables = self._tables(m)
         lb, ub = form.lb.copy(), form.ub.copy()
-        feasible, changes = propagate_bounds(tables, lb, ub, form.integer_mask, cutoff=None)
+        feasible, changes = propagate_bounds(tables, lb, ub, cutoff=None)
         assert feasible and changes == []
 
     def test_propagation_never_cuts_integer_points(self):
@@ -200,7 +202,7 @@ class TestPropagation:
             form = m.to_matrix_form()
             tables = PropagationTables(form)
             lb, ub = form.lb.copy(), form.ub.copy()
-            feasible, _ = propagate_bounds(tables, lb, ub, form.integer_mask)
+            feasible, _ = propagate_bounds(tables, lb, ub)
             assert feasible
             for bits in range(2**n):
                 point = np.array([(bits >> i) & 1 for i in range(n)], dtype=float)
@@ -286,7 +288,7 @@ class TestSparseMatchesDense:
         form, lb, ub, cutoff = _random_form(np.random.default_rng(seed), fractional=True)
         tables = PropagationTables(form)
         lb_s, ub_s = lb.copy(), ub.copy()
-        feasible, changes = propagate_bounds(tables, lb_s, ub_s, form.integer_mask, cutoff=cutoff)
+        feasible, changes = propagate_bounds(tables, lb_s, ub_s, cutoff=cutoff)
         lb_d, ub_d = lb.copy(), ub.copy()
         ref_feasible, ref_changes = dense_propagate_bounds(
             form, lb_d, ub_d, form.integer_mask, cutoff=cutoff

@@ -1,10 +1,12 @@
 """Tests for the revised dual simplex and warm-started node LPs.
 
-Two layers: the LP engine itself is pinned against ``scipy.linprog``
+Three layers: the LP engine itself is pinned against ``scipy.linprog``
 (cold and warm-after-bound-change solves must agree on status and
-objective), and the branch-and-bound integration is pinned by solving the
-same models warm and cold — identical optima, with the warm counters
-proving the dual simplex actually answered the node LPs.
+objective) and, pivot for pivot, against :func:`reference_solve`, the
+engine as it stood before its per-call NumPy work was cut; the
+branch-and-bound integration is pinned by solving the same models warm and
+cold — identical optima, with the warm counters proving the dual simplex
+actually answered the node LPs.
 """
 
 import numpy as np
@@ -12,13 +14,175 @@ import pytest
 from scipy.optimize import linprog
 
 from repro.core import DesignProblem, design, width_sweep
-from repro.ilp import INTEGER, Model, Status, quicksum
+from repro.ilp import INTEGER, BranchAndBoundSolver, Model, Status, quicksum
 from repro.ilp import branch_and_bound
-from repro.ilp.simplex import Basis, RevisedSimplex
-from repro.obs import PresolvePolicy, SolvePolicy, SolverOptions
+from repro.ilp.cuts import Cut
+from repro.ilp.lp import LpResult
+from repro.ilp.simplex import IN_BASIS, NB_FREE, NB_LOWER, NB_UPPER, Basis, RevisedSimplex
+from repro.obs import CutPolicy, PresolvePolicy, SolvePolicy, SolverOptions
+from repro.soc import build_s3
 from repro.tam import TamArchitecture
 
 _RNG_CASES = 40
+
+#: The reference engine's tolerances (dual feasibility / pivot eligibility,
+#: primal feasibility).
+_DTOL = 1e-9
+_PTOL = 1e-7
+
+
+def reference_solve(engine, lb, ub, basis=None, cutoff=None):
+    """Reference dual simplex: ``RevisedSimplex.solve`` as it stood
+    before the engine moved to one entering-direction array, engine-owned
+    bound buffers and ``W^T`` rows. Same contract, run on ``engine``, an
+    engine whose matrices, bases and factorizations it only reads. The
+    engine must stay pivot-for-pivot identical to it."""
+    n, m = engine.n, engine.m
+    if (lb > ub).any():
+        return LpResult("infeasible", None, None)
+    if m == 0:
+        return engine._solve_unconstrained(lb, ub)
+    if basis is None or basis.generation != engine.generation:
+        basis = engine.initial_basis(lb, ub)
+        if basis is None:
+            return LpResult("fallback", None, None)
+    bas = basis.basic.copy()
+    status = basis.status.copy()
+    status[bas] = IN_BASIS
+    big_l = np.concatenate([lb, engine.slack_lb])
+    big_u = np.concatenate([ub, engine.slack_ub])
+    if basis.inverse is not None and basis.reduced_costs is not None:
+        binv = basis.inverse.copy()
+        d = basis.reduced_costs.copy()
+        since_refactor = basis.since_refactor
+    else:
+        factor = engine._factorize(bas)
+        if factor is None:
+            return LpResult("fallback", None, None)
+        binv, d = factor
+        since_refactor = 0
+
+    # Repair dual feasibility by bound flips; unfixable columns bail.
+    # ``at_lower``/``at_upper`` say which nonbasic columns may enter the
+    # basis (fixed columns never do); they track ``status`` pivot by
+    # pivot.
+    movable = big_u - big_l > _DTOL
+    at_lower = (status == NB_LOWER) & movable
+    at_upper = (status == NB_UPPER) & movable
+    to_upper = at_lower & (d < -_DTOL * 10)
+    to_lower = at_upper & (d > _DTOL * 10)
+    if to_upper.any() or to_lower.any():
+        if not (np.isfinite(big_u[to_upper]).all() and np.isfinite(big_l[to_lower]).all()):
+            return LpResult("fallback", None, None)
+        status[to_upper] = NB_UPPER
+        status[to_lower] = NB_LOWER
+        at_lower, at_upper = (at_lower & ~to_upper) | to_lower, (at_upper & ~to_lower) | to_upper
+    free = status == NB_FREE
+    any_free = bool(free.any())
+    if any_free:
+        if (np.abs(d[free]) > _DTOL * 10).any():
+            return LpResult("fallback", None, None)
+        free &= movable
+
+    nb_value = np.where(status == NB_LOWER, big_l, np.where(status == NB_UPPER, big_u, 0.0))
+    if not np.isfinite(nb_value).all():
+        return LpResult("fallback", None, None)
+    xb = binv @ (engine.b - engine.w @ nb_value)
+    l_bas = big_l[bas]
+    u_bas = big_u[bas]
+    c_bas = engine.c[bas]
+
+    iterations = 0
+    while iterations < engine.max_iter:
+        objective = float(c_bas @ xb + engine.c @ nb_value) + engine.c0
+        if cutoff is not None and objective > cutoff + 1e-9:
+            return LpResult("cutoff", None, objective, iterations)
+
+        below = l_bas - xb
+        above = xb - u_bas
+        viol = np.maximum(below, above)
+        r = int(viol.argmax())
+        if viol[r] <= _PTOL * (1.0 + abs(xb[r])):
+            x = nb_value[:n].copy()
+            structural = bas < n
+            x[bas[structural]] = xb[structural]
+            return LpResult(
+                "optimal",
+                x,
+                objective,
+                iterations,
+                reduced_costs=d[:n].copy(),
+                basis=Basis(
+                    basic=bas,
+                    status=status,
+                    generation=engine.generation,
+                    inverse=binv,
+                    reduced_costs=d,
+                    since_refactor=since_refactor,
+                ),
+            )
+
+        # Dual ratio test over row r of B^-1 W. Leaving below its lower
+        # bound (sigma = +1), a column at its lower bound may enter on a
+        # negative entry and one at its upper bound on a positive entry;
+        # leaving above its upper bound mirrors both signs.
+        leaving_low = bool(below[r] >= above[r])
+        alpha = binv[r] @ engine.w
+        neg = alpha < -_DTOL
+        pos = alpha > _DTOL
+        if leaving_low:
+            eligible = (at_lower & neg) | (at_upper & pos)
+        else:
+            eligible = (at_lower & pos) | (at_upper & neg)
+        if any_free:
+            eligible |= free & (neg | pos)
+        cand = eligible.nonzero()[0]
+        if cand.size == 0:
+            return LpResult("infeasible", None, None, iterations)
+        ratios = np.abs(d[cand]) / np.abs(alpha[cand])
+        q = int(cand[ratios.argmin()])
+        pivot = alpha[q]
+        if abs(pivot) < 1e-11:
+            return LpResult("fallback", None, None, iterations)
+
+        # Rank-one updates: reduced costs along row r, basic values
+        # along column q (the leaving column lands on its violated
+        # bound), and the inverse by one product-form pivot.
+        leaving = int(bas[r])
+        bound = big_l[leaving] if leaving_low else big_u[leaving]
+        d -= (d[q] / pivot) * alpha
+        d[q] = 0.0
+        col = binv @ engine.w[:, q]
+        step = (xb[r] - bound) / pivot
+        xb -= step * col
+        xb[r] = nb_value[q] + step
+        row = binv[r] / pivot
+        binv -= col[:, None] * row
+        binv[r] = row
+
+        status[leaving] = NB_LOWER if leaving_low else NB_UPPER
+        nb_value[leaving] = bound
+        if movable[leaving]:
+            (at_lower if leaving_low else at_upper)[leaving] = True
+        status[q] = IN_BASIS
+        nb_value[q] = 0.0
+        at_lower[q] = at_upper[q] = free[q] = False
+        bas[r] = q
+        l_bas[r] = big_l[q]
+        u_bas[r] = big_u[q]
+        c_bas[r] = engine.c[q]
+        iterations += 1
+        since_refactor += 1
+        if since_refactor >= engine.refactor_every:
+            factor = engine._factorize(bas)
+            if factor is None:
+                return LpResult("fallback", None, None, iterations)
+            binv, d = factor
+            xb = binv @ (engine.b - engine.w @ nb_value)
+            since_refactor = 0
+    return LpResult("fallback", None, None, iterations)
+
+
 
 
 def _random_form(rng):
@@ -207,6 +371,7 @@ class TestCarriedFactorization:
             form = self._packing_form(rng)
         engine = RevisedSimplex(form)
         current = engine.solve(form.lb, form.ub)
+        _assert_same_solve(current, reference_solve(engine, form.lb, form.ub))
         lb, ub = form.lb.copy(), form.ub.copy()
         pivots = 0
         solves = 0
@@ -226,6 +391,9 @@ class TestCarriedFactorization:
             if child_lb[j] > child_ub[j]:
                 continue
             result = engine.solve(child_lb, child_ub, basis=current.basis)
+            _assert_same_solve(
+                result, reference_solve(engine, child_lb, child_ub, basis=current.basis)
+            )
             solves += 1
             pivots += result.iterations
             ref = _scipy_solve(form, child_lb, child_ub)
@@ -302,6 +470,110 @@ class TestCarriedFactorization:
         # a bare basis and refactorized.
         heap_nodes = knapsack_capped.stats.nodes + s1_capped.stats.nodes - 2
         assert sum(bare) == heap_nodes > 0
+
+
+def _assert_same_solve(ours, ref):
+    """Pivot-for-pivot agreement: status, pivots, objective, point, basis."""
+    assert ours.status == ref.status
+    assert ours.iterations == ref.iterations
+    if ref.objective is None:
+        assert ours.objective is None
+    else:
+        assert ours.objective == pytest.approx(ref.objective, rel=1e-12, abs=1e-12)
+    if ref.x is None:
+        assert ours.x is None
+    else:
+        np.testing.assert_allclose(ours.x, ref.x, rtol=0.0, atol=1e-12)
+    if ref.basis is not None:
+        assert np.array_equal(ours.basis.basic, ref.basis.basic)
+        assert np.array_equal(ours.basis.status, ref.basis.status)
+        # Queued bases store one byte of status per column.
+        assert ours.basis.status.dtype == np.int8
+        assert ours.basis.since_refactor == ref.basis.since_refactor
+
+
+class TestPivotIdentity:
+    """The engine against :func:`reference_solve` on the same inputs (the
+    warm-solve chains of :class:`TestCarriedFactorization` check it too)."""
+
+    def test_s3_node_lps(self, monkeypatch):
+        """Every LP of one S3 design, recorded and replayed on both."""
+        calls = []
+        original = RevisedSimplex.solve
+
+        def recording(self, lb, ub, basis=None, cutoff=None):
+            calls.append((self, lb.copy(), ub.copy(), basis, cutoff))
+            return original(self, lb, ub, basis=basis, cutoff=cutoff)
+
+        monkeypatch.setattr(RevisedSimplex, "solve", recording)
+        problem = DesignProblem(
+            soc=build_s3(), arch=TamArchitecture([24, 11, 6]), timing="serial"
+        )
+        design(problem, cache=False)
+        monkeypatch.undo()
+        assert len(calls) > 100
+        assert sum(basis is not None for _, _, _, basis, _ in calls) > 100
+        pivots = 0
+        statuses = set()
+        for engine, lb, ub, basis, cutoff in calls:
+            ours = engine.solve(lb, ub, basis=basis, cutoff=cutoff)
+            _assert_same_solve(ours, reference_solve(engine, lb, ub, basis=basis, cutoff=cutoff))
+            pivots += ours.iterations
+            statuses.add(ours.status)
+        assert pivots > len(calls)
+        assert statuses >= {"optimal", "cutoff"}
+
+
+class TestResidualCheck:
+    """The warm engine's safety net reads every working row, cuts included.
+
+    Rows: ``x0 + x1 <= 4``, ``x1 + x2 = 3`` and the cut ``x2 - x0 <= 0.5``;
+    each point below breaks exactly one bound or row by ``eps``.
+    """
+
+    POINTS = {
+        "lower bound": lambda eps: (-eps, 2.6, 0.4),
+        "upper bound": lambda eps: (1.6, 1.0 - eps, 2.0 + eps),
+        "<= row": lambda eps: (1.5 + eps, 2.5, 0.5),
+        "= row, above": lambda eps: (1.0, 2.0, 1.0 + eps),
+        "= row, below": lambda eps: (1.0, 2.0, 1.0 - eps),
+        "cut row": lambda eps: (1.0, 1.5 - eps, 1.5 + eps),
+    }
+
+    @staticmethod
+    def _solver(with_cut: bool) -> BranchAndBoundSolver:
+        m = Model("residual")
+        x0 = m.add_var("x0", lb=0, ub=10)
+        x1 = m.add_var("x1", lb=0, ub=10)
+        x2 = m.add_var("x2", lb=0, ub=2)
+        m.add_constr(x0 + x1 <= 4)
+        m.add_constr(x1 + x2 == 3)
+        m.minimize(x0 + x1 + x2)
+        solver = BranchAndBoundSolver(m, cut_policy=CutPolicy())
+        solver._bind_form(solver._orig_form)
+        if with_cut:
+            solver._cut_pool.add(Cut(cols=(0, 2), coefs=(-1.0, 1.0), rhs=0.5, kind="cover"))
+            solver._rebuild_with_cuts()
+        return solver
+
+    def _ok(self, solver, point) -> bool:
+        form = solver._form
+        return solver._warm_point_ok(np.array(point), form.lb, form.ub)
+
+    @pytest.mark.parametrize("where", sorted(POINTS))
+    def test_violation_by_2e6_is_rejected(self, where):
+        solver = self._solver(with_cut=True)
+        assert self._ok(solver, (1.0, 2.0, 1.0))
+        assert not self._ok(solver, self.POINTS[where](2e-6))
+
+    @pytest.mark.parametrize("where", sorted(POINTS))
+    def test_violation_within_1e7_is_accepted(self, where):
+        assert self._ok(self._solver(with_cut=True), self.POINTS[where](1e-7))
+
+    def test_cut_rows_join_after_rebuild(self):
+        cut_point = self.POINTS["cut row"](2e-6)
+        assert self._ok(self._solver(with_cut=False), cut_point)
+        assert not self._ok(self._solver(with_cut=True), cut_point)
 
 
 def _warm_and_cold(model_factory, **solve_kwargs):

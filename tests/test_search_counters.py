@@ -8,10 +8,11 @@ timing lives in ``perfbench/``, which repeats runs and attributes them to
 layers.
 
 Each leg runs with no solve cache active, so every solve searches its own
-tree. A cache installed around the session would answer an earlier test's
-identical solve from memory, and even a fresh cache answers the sweep's
-repeated models within one leg (44 nodes instead of 61 at the recorded
-baseline); either would lower the node counts these gates read.
+tree: a cache installed around the session would answer an earlier test's
+identical solve from memory and lower the node counts these gates read.
+Within one leg the sweep solves each distinct ILP once whether or not a
+cache is active (distributions with equal time tables are twins, see
+``design_best_architecture``), so the baselines count distinct ILPs.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ NODE_TOLERANCE = 0.20
 
 # --- S1 F1 width sweep: NB=2, W in {8, 16, 24}, serial timing, defaults.
 SWEEP_WIDTHS = [8, 16, 24]
-SWEEP_BASELINE_NODES = 59
+SWEEP_BASELINE_NODES = 44
 #: Share of node LPs the warm dual simplex must answer (the rest re-solve cold).
 WARM_MIN_LP_SHARE = 0.90
 
@@ -50,7 +51,7 @@ LAYOUT_WIDTHS = [16, 24]
 #: Tight enough that the pairwise exclusion rows give the clique separator
 #: real conflict structure on the S1 grid floorplan.
 LAYOUT_MAX_PAIR_DISTANCE = 3.0
-CUTS_ON_BASELINE_NODES = 20
+CUTS_ON_BASELINE_NODES = 13
 CUTS_MIN_NODE_REDUCTION = 1.5
 
 # --- Fixed timing and a tight power budget: the root reducer has work.

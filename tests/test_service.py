@@ -16,7 +16,11 @@ The load-bearing guarantees under test:
 from __future__ import annotations
 
 import asyncio
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -394,3 +398,20 @@ class TestTenantCaches:
         dedupe = stats["dedupe"]
         assert 0.0 <= dedupe["join_rate"] <= 1.0
         assert dedupe["submitted"] >= dedupe["joins"]
+
+
+def test_loadgen_module_runs_without_runtime_warning():
+    # ``python -m`` of a module its package already imported makes runpy
+    # warn; the CI smoke runs the load generator with warnings as errors.
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.service.loadgen", "--help"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "usage" in done.stdout
