@@ -1,14 +1,12 @@
 """Ablation: branch-and-bound design choices.
 
-DESIGN.md calls out three solver knobs; this bench quantifies each on a
-fixed instance set (S1/S2 TAM ILPs + a fractional knapsack) while asserting
-that every configuration returns the same optimum:
+This bench quantifies two solver knobs on a fixed instance set (S1/S2 TAM
+ILPs + a fractional knapsack) while asserting that every configuration
+returns the same optimum:
 
 - the root rounding *dive* (early incumbent for pruning);
-- the *branching rule* (most-fractional vs first-index);
-- *branch-and-cut* (lifted cover + clique cuts under the default
-  :class:`~repro.api.CutPolicy` — cover-only strengthening on knapsacks,
-  a no-op on pure TAM rows).
+- *root clique cuts* under the default :class:`~repro.api.CutPolicy`
+  (a no-op where no row yields a pairwise conflict).
 """
 
 import pytest
@@ -43,7 +41,6 @@ def _instances():
 CONFIGS = {
     "baseline": {},
     "no_dive": {"dive": False},
-    "first_branching": {"branching": "first"},
     "cuts": {"cut_policy": CutPolicy()},
 }
 

@@ -26,13 +26,12 @@ fan-out), ``--cache [DIR]`` (memoize solved instances, in memory or on
 disk), and ``--no-cache`` — plus the anytime-solve flags ``--deadline`` /
 ``--node-budget`` / ``--retries`` / ``--no-fallback`` that build a
 :class:`~repro.api.SolvePolicy`, and the bnb solver knobs
-``--no-presolve`` / ``--branching`` / ``--cuts`` / ``--no-cuts`` /
-``--cut-rounds`` / ``--root-presolve`` / ``--no-root-presolve`` /
-``--warm-lps`` / ``--no-warm-lps`` that ride its structured
-:class:`~repro.api.SolverOptions` block (branch-and-cut, root model
-presolve, and warm-started node LPs are all on by default; the
-``--no-*`` forms disable them). ``design --trace [FILE]``
-additionally records a span trace and prints its flame summary.
+``--cuts`` / ``--no-cuts`` / ``--cut-rounds`` / ``--root-presolve`` /
+``--no-root-presolve`` that ride its structured
+:class:`~repro.api.SolverOptions` block (root clique cuts and root model
+presolve are both on by default; the ``--no-*`` forms disable them).
+``design --trace [FILE]`` additionally records a span trace and prints
+its flame summary.
 
 The SOC argument accepts the builtin names ``S1``/``S2``/``S3``,
 ``SYN<n>[:seed]`` for a synthetic system, or a path to a ``.soc`` file.
@@ -88,31 +87,18 @@ def _add_common_constraints(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--branching", default=None,
-                        choices=["pseudocost", "most_fractional", "first"],
-                        help="B&B branching rule (default: pseudocost; bnb backend only)")
-    parser.add_argument("--presolve", action=argparse.BooleanOptionalAction, default=None,
-                        help="node presolve: bound propagation + reduced-cost fixing "
-                             "(default: on; --no-presolve restores the plain search; "
-                             "bnb backend only)")
     parser.add_argument("--cuts", action=argparse.BooleanOptionalAction, default=None,
-                        help="branch-and-cut separation: conflict-graph clique cuts + "
-                             "lifted cover cuts (default: on; --no-cuts disables; "
-                             "bnb backend only)")
+                        help="conflict-graph clique cuts at the root node "
+                             "(default: on; --no-cuts disables; bnb backend only)")
     parser.add_argument("--cut-rounds", type=int, default=None, metavar="N",
                         help="separation rounds at the root node (implies --cuts; "
                              "bnb backend only)")
     parser.add_argument("--root-presolve", action=argparse.BooleanOptionalAction,
                         default=None,
-                        help="root model presolve: dual fixing, singleton "
-                             "substitution, coefficient tightening, row cleanup "
+                        help="root model presolve: bound tightening, dual fixing, "
+                             "coefficient tightening, row cleanup "
                              "(default: on; --no-root-presolve searches the "
                              "original model; bnb backend only)")
-    parser.add_argument("--warm-lps", action=argparse.BooleanOptionalAction,
-                        default=None,
-                        help="warm-start node LPs from the parent basis via the "
-                             "revised dual simplex (default: on; --no-warm-lps "
-                             "cold-solves every node; bnb backend only)")
     parser.add_argument("--portfolio", action=argparse.BooleanOptionalAction,
                         default=None,
                         help="race exact B&B against the lpt/sa heuristic rungs "
@@ -169,25 +155,17 @@ def _solver_block_from_args(args) -> SolverOptions | None:
             overrides["seed"] = seed
         portfolio = PortfolioPolicy(**overrides)
     block = {}
-    if getattr(args, "branching", None) is not None:
-        block["branching"] = args.branching
-    if getattr(args, "presolve", None) is not None:
-        block["presolve"] = args.presolve
     if cuts is not None:
         block["cuts"] = cuts
     if root_presolve is not None:
         block["root_presolve"] = root_presolve
-    if getattr(args, "warm_lps", None) is not None:
-        block["warm_start"] = args.warm_lps
     if portfolio is not None:
         block["portfolio"] = portfolio
     if not block:
         return None
     if args.backend != "bnb":
-        flags = {"branching": "--branching", "presolve": "--presolve",
-                 "cuts": "--cuts/--no-cuts/--cut-rounds",
+        flags = {"cuts": "--cuts/--no-cuts/--cut-rounds",
                  "root_presolve": "--root-presolve/--no-root-presolve",
-                 "warm_start": "--warm-lps/--no-warm-lps",
                  "portfolio": "--portfolio/--portfolio-entrants/--portfolio-seed"}
         listed = "/".join(flags[key] for key in block)
         raise ValidationError(

@@ -107,20 +107,18 @@ def design(
     """Solve ``problem`` — to proven optimality, or as far as a policy allows.
 
     Solver knobs travel on ``policy.solver``
-    (:class:`~repro.obs.SolverOptions`: presolve, branching, a
-    :class:`~repro.obs.CutPolicy` cuts block, a root-model
-    :class:`~repro.obs.PresolvePolicy`, the ``warm_start`` node-LP
-    toggle, checkpoint interval); they
-    only apply to the bnb backend and are rejected elsewhere. When nothing
-    chose a cut policy, the designer turns branch-and-cut on with
+    (:class:`~repro.obs.SolverOptions`: a :class:`~repro.obs.CutPolicy`
+    cuts block, a root-model :class:`~repro.obs.PresolvePolicy`, the
+    checkpoint interval, the portfolio); they only apply to the bnb
+    backend and are rejected elsewhere. When nothing chose a cut policy,
+    the designer turns root clique cuts on with
     :data:`~repro.obs.DEFAULT_CUT_POLICY` — the TAM formulations are rich
-    in conflict structure and separation is a no-op when they are not.
-    Root presolve and warm-started node LPs are likewise on by default
-    inside the solver itself (see DESIGN.md §13); disable them per request
-    with ``SolverOptions(root_presolve=PresolvePolicy.disabled(),
-    warm_start=False)``. Any other keyword (``gap_tol``, ``presolve``, …)
-    is forwarded to the backend as an ad-hoc option and hashed into the
-    cache key.
+    in conflict structure and separation finds nothing when they are not.
+    Root presolve is likewise on by default inside the solver itself (see
+    DESIGN.md §13); disable it per request with
+    ``SolverOptions(root_presolve=PresolvePolicy.disabled())``. Any other
+    keyword (``gap_tol``, ``dive``, …) is forwarded to the backend as an
+    ad-hoc option and hashed into the cache key.
 
     Without a ``policy`` the solve is exact: :class:`InfeasibleError` when
     the constraints admit no assignment, :class:`SolverError` if the backend

@@ -66,8 +66,8 @@ def minimize_width(
     design embeds in W+1 wires), so a binary search over W is sound. Each
     probe runs the full width-distribution enumeration at that W. Raises
     :class:`InfeasibleError` if even ``max_width`` wires cannot meet the
-    budget. Extra keyword options (``presolve``, ``branching``, ``gap_tol``,
-    ...) are forwarded to every probe's solves.
+    budget. Extra keyword options (``gap_tol``, ``dive``, ...) are
+    forwarded to every probe's solves.
     """
     if time_budget <= 0:
         raise ValidationError(f"time budget must be positive, got {time_budget}")
@@ -184,8 +184,8 @@ def explore_bus_counts(
     serialization model the optimum is not monotone in NB, which is exactly
     why the paper treats NB as a design parameter. ``jobs > 1`` sweeps the
     bus counts in parallel, preserving NB order. Extra keyword options
-    (``presolve``, ``branching``, ...) are forwarded to every point's
-    solves — they must be picklable.
+    (``gap_tol``, ``dive``, ...) are forwarded to every point's solves —
+    they must be picklable.
     """
     if max_buses <= 0:
         raise ValidationError(f"max_buses must be positive, got {max_buses}")

@@ -88,8 +88,8 @@ def width_sweep(
     is the true optimum for (W, NB). ``jobs > 1`` fans the budgets across
     worker processes; the returned points keep the input width order.
     ``policy`` (a :class:`~repro.obs.SolvePolicy`) caps each point's solve.
-    Extra keyword options (``presolve``, ``branching``, ``gap_tol``, ...)
-    are forwarded to every point's solve — they must be picklable.
+    Extra keyword options (``gap_tol``, ``dive``, ...) are forwarded to
+    every point's solve — they must be picklable.
     """
     payloads = [
         (soc, width, num_buses, timing, backend, policy, solver_options)

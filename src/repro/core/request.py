@@ -100,13 +100,11 @@ class SolveRequest(DerivedFields):
     requests must be picklable, serializable, and content-addressable.
     ``options`` holds extra JSON-scalar solver kwargs (``gap_tol``, ...)
     as a sorted tuple of pairs so equal requests compare and hash equal
-    regardless of construction order; structured solver settings
-    (presolve, branching, the branch-and-cut :class:`~repro.obs.CutPolicy`,
-    the root-model :class:`~repro.obs.PresolvePolicy`, and the
-    ``warm_start`` node-LP toggle)
-    belong on ``policy.solver`` (:class:`~repro.obs.SolverOptions`), which
-    serializes with the policy and reaches the fingerprint through its
-    cache token.
+    regardless of construction order; structured solver settings (the
+    root clique-cut :class:`~repro.obs.CutPolicy` and the root-model
+    :class:`~repro.obs.PresolvePolicy`) belong on ``policy.solver``
+    (:class:`~repro.obs.SolverOptions`), which serializes with the policy
+    and reaches the fingerprint through its cache token.
 
     The token, the wire form and overrides derive from the fields
     (:class:`~repro.obs.policy.DerivedFields`): ``jobs`` opts out of the

@@ -5,7 +5,7 @@ model through a precomputed :class:`~repro.ilp.lp.LpWorkspace`, so the
 scipy constraint handles are derived once, not per node. Before the search
 starts, **root presolve** (:mod:`repro.ilp.presolve_root`, gated by a
 :class:`~repro.obs.policy.PresolvePolicy`) shrinks the model itself —
-dual fixing, singleton substitution, coefficient tightening, row cleanup —
+bound tightening, dual fixing, coefficient tightening, row cleanup —
 and the whole search then runs in the reduced space; every incumbent is
 mapped back through the recorded ``Postsolve`` before it is stored, so
 cache records, checkpoints, and fingerprints stay in original variable
@@ -20,7 +20,7 @@ node:
   bounds (with the incumbent as an objective cutoff row) plus reduced-cost
   fixing from the root LP duals, pruning or shrinking subtrees before any
   LP is solved (see :mod:`repro.ilp.presolve`);
-- **warm-started node LPs** (default on) — each heap entry also carries
+- **warm-started node LPs** — each heap entry also carries
   its parent's simplex :class:`~repro.ilp.simplex.Basis`; a child differs
   from its parent by bound tightenings only, which keep that basis dual
   feasible, so the bounded revised dual simplex reoptimizes in a few
@@ -29,14 +29,16 @@ node:
   basis carries its factorization while the open nodes' factorizations
   fit under ``_FACTOR_BYTES_CAP``, so a child does not re-invert it.
   Numerical doubt of any kind falls back to the cold engine;
-- **pseudocost branching** (default) — branching scores learned from the
-  observed objective degradations of earlier branchings, falling back to
+- **pseudocost branching** — branching scores learned from the observed
+  objective degradations of earlier branchings, falling back to
   most-fractional until history exists.
 
-A depth-limited *diving* pass at the root rounds its way to an early
-incumbent so that pruning has a bound to work with from the start. All
-objective handling is in minimization sense; the wrapping ``solve``
-translates back to the model's sense.
+At the root, clique cuts from the conflict graph (gated by a
+:class:`~repro.obs.policy.CutPolicy`) tighten the relaxation in up to
+``CutPolicy.rounds`` separation rounds, and a *diving* pass rounds its way
+to an early incumbent so that pruning has a bound to work with from the
+start. All objective handling is in minimization sense; the wrapping
+``solve`` translates back to the model's sense.
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ import math
 
 import numpy as np
 
+from repro.ilp.conflict import ConflictGraph
+from repro.ilp.cuts import Cut, append_cuts
 from repro.ilp.lp import LpResult, LpWorkspace, solve_matrix_lp
 from repro.ilp.model import MatrixForm, Model
 from repro.ilp.presolve import LB_TIGHTENED, propagate_bounds, reduced_cost_tighten
@@ -95,39 +99,20 @@ class BranchAndBoundSolver:
         to the incumbent.
     time_limit:
         Wall-clock budget in seconds (None = unlimited).
-    branching:
-        ``"pseudocost"`` (default): learned degradation scores with a
-        most-fractional fallback until history exists;
-        ``"most_fractional"``: the pre-fast-path rule; ``"first"``: lowest
-        index. ``branching="most_fractional"`` restores the old behavior
-        exactly.
     dive:
         Whether to run the rounding dive at the root for an early incumbent.
     cut_policy:
         A :class:`~repro.obs.policy.CutPolicy` turning on cutting-plane
         separation (None = off): maximal-clique cuts from the conflict
-        graph plus lifted knapsack covers, separated in rounds at the
-        root and (``max_depth > 0``) at shallow tree nodes, deduplicated
-        and aged out through a shared :class:`~repro.ilp.cuts.CutPool`.
-        Every cut is valid for the integer hull, so the active cut rows
-        stay in the LP for every node.
-    presolve:
-        Node presolve (default on): integer bound propagation per node and
-        reduced-cost fixing from the root LP duals. ``presolve=False``
-        restores the plain LP-per-node search. Never changes the optimum —
-        only the work needed to prove it.
+        graph, separated in up to ``rounds`` rounds at the root. Every
+        cut is valid for the integer hull, so the cut rows stay in the LP
+        for every node.
     root_presolve:
         A :class:`~repro.obs.policy.PresolvePolicy` for the one-time model
         reduction before the search (None = the default policy, on).
         Pass ``PresolvePolicy.disabled()`` to search the original model.
         Exact for the integer program; incumbents are postsolved back to
         original variable space before they are stored anywhere.
-    lp_warm_start:
-        Warm-started node LPs (None = on): re-solve each child node with
-        the bounded revised dual simplex
-        (:class:`~repro.ilp.simplex.RevisedSimplex`) starting from the
-        parent basis, falling back to a cold HiGHS solve on any numerical
-        doubt.
     warm_start:
         Optional feasible assignment ``{Variable: value}`` used as the
         initial incumbent (e.g. a greedy heuristic's solution). Validated
@@ -153,42 +138,25 @@ class BranchAndBoundSolver:
         node_limit: int = 200_000,
         gap_tol: float = 1e-9,
         time_limit: float | None = None,
-        branching: str = "pseudocost",
         dive: bool = True,
         cut_policy: CutPolicy | None = None,
-        presolve: bool = True,
         root_presolve: PresolvePolicy | None = None,
-        lp_warm_start: bool | None = None,
         warm_start: dict | None = None,
         checkpoint_dir: str | None = None,
         checkpoint_interval: float = 1.0,
     ):
-        if branching not in ("pseudocost", "most_fractional", "first"):
-            raise ValueError(f"unknown branching rule {branching!r}")
         self.model = model
         self.node_limit = node_limit
         self.gap_tol = gap_tol
         self.time_limit = time_limit
-        self.branching = branching
         self.dive = dive
-        self.cut_policy = cut_policy
-        self.presolve = bool(presolve)
+        self.cut_policy = CutPolicy.disabled() if cut_policy is None else cut_policy
         self.root_presolve = (
             DEFAULT_PRESOLVE_POLICY if root_presolve is None else root_presolve
         )
-        self.lp_warm_start = True if lp_warm_start is None else bool(lp_warm_start)
         self.checkpoint_interval = float(checkpoint_interval)
-
-        self._cuts_enabled = cut_policy is not None and cut_policy.enabled
-        self._cut_pool = None
-        self._conflicts = None
-        if self._cuts_enabled:
-            from repro.ilp.cuts import CutPool
-
-            assert cut_policy is not None
-            self._cut_pool = CutPool(
-                max_size=cut_policy.max_pool, max_age=cut_policy.max_age
-            )
+        # Cut rows in the working LP, in the order root separation added them.
+        self._cuts: list[Cut] = []
         # The original form anchors everything that outlives this solve:
         # checkpoint fingerprints, incumbents, the returned values. The
         # *search* arrays are bound by _bind_form once root presolve has
@@ -224,7 +192,7 @@ class BranchAndBoundSolver:
 
         Cuts append rows to a rebuilt ``self._form``; ``self._base_form``
         stays at the bound form so separation always derives from uncut
-        rows and cut validity survives pool rebuilds.
+        rows.
         """
         self._base_form = form
         self._set_lp_form(form)
@@ -243,9 +211,7 @@ class BranchAndBoundSolver:
         self._pc_dn, self._pc_up = self._pc[:n], self._pc[n:]
         self._pc_dn_n, self._pc_up_n = self._pc_n[:n], self._pc_n[n:]
         self._basis_generation = 0
-        self._warm_engine = (
-            RevisedSimplex(form, generation=0) if self.lp_warm_start else None
-        )
+        self._warm_engine = RevisedSimplex(form, generation=0)
 
     def _set_lp_form(self, form: MatrixForm) -> None:
         """Make ``form`` the LP every node solves, with its residual check.
@@ -258,10 +224,12 @@ class BranchAndBoundSolver:
         self._workspace = LpWorkspace(form)
         rows: list[np.ndarray] = []
         rhs: list[np.ndarray] = []
-        if form.a_ub.size:
+        # Row counts, not .size: on a form without columns every row is a
+        # constant the check must still read.
+        if form.a_ub.shape[0]:
             rows.append(form.a_ub)
             rhs.append(form.b_ub)
-        if form.a_eq.size:
+        if form.a_eq.shape[0]:
             rows += [form.a_eq, -form.a_eq]
             rhs += [form.b_eq, -form.b_eq]
         self._check_rows = np.vstack(rows) if rows else None
@@ -347,17 +315,16 @@ class BranchAndBoundSolver:
         """
         self._stats.lp_solves += 1
         lp_start = now()
-        if self._warm_engine is not None:
-            warm = self._warm_engine.solve(lb, ub, basis=basis, cutoff=cutoff)
-            trusted = warm.status in ("infeasible", "cutoff") or (
-                warm.status == "optimal" and self._warm_point_ok(warm.x, lb, ub)
-            )
-            if trusted:
-                self._stats.warm_lp_solves += 1
-                self._stats.lp_time += now() - lp_start
-                self._stats.lp_iterations += warm.iterations
-                return warm
-            self._stats.warm_lp_fallbacks += 1
+        warm = self._warm_engine.solve(lb, ub, basis=basis, cutoff=cutoff)
+        trusted = warm.status in ("infeasible", "cutoff") or (
+            warm.status == "optimal" and self._warm_point_ok(warm.x, lb, ub)
+        )
+        if trusted:
+            self._stats.warm_lp_solves += 1
+            self._stats.lp_time += now() - lp_start
+            self._stats.lp_iterations += warm.iterations
+            return warm
+        self._stats.warm_lp_fallbacks += 1
         result = solve_matrix_lp(
             self._form,
             lb=lb,
@@ -391,12 +358,11 @@ class BranchAndBoundSolver:
         return self.time_limit is not None and now() - start > self.time_limit
 
     def _fractional_index(self, x: np.ndarray) -> int | None:
-        """Pick the integer variable to branch on, or None if all integral.
+        """The most fractional integer variable, or None if all integral.
 
-        Vectorized; the ``"first"`` rule returns the lowest fractional index
-        and every other rule scores by fractionality ``min(f, 1-f)`` with
-        ties broken toward the lowest index (matching the historical scalar
-        loop exactly — ``np.argmax`` keeps the first maximum).
+        Vectorized; scores by fractionality ``min(f, 1-f)`` with ties broken
+        toward the lowest index (matching the historical scalar loop
+        exactly — ``np.argmax`` keeps the first maximum).
         """
         if self._int_indices.size == 0:
             return None
@@ -405,15 +371,11 @@ class BranchAndBoundSolver:
         mask = frac > _INT_TOL
         if not np.count_nonzero(mask):
             return None
-        if self.branching == "first":
-            return int(self._int_indices[mask.argmax()])
         scores = np.where(mask, np.minimum(frac, 1.0 - frac), -1.0)
         return int(self._int_indices[scores.argmax()])
 
     def _select_branch(self, x: np.ndarray) -> int | None:
         """Branching decision for a search node (pseudocost-aware)."""
-        if self.branching != "pseudocost":
-            return self._fractional_index(x)
         xi = x[self._int_indices]
         mask = np.abs(xi - xi.round()) > _INT_TOL
         if not np.count_nonzero(mask):
@@ -455,8 +417,7 @@ class BranchAndBoundSolver:
     def _apply_reduced_cost_fixing(self) -> None:
         """Tighten the global root bounds from the root duals + incumbent."""
         if (
-            not self.presolve
-            or self._root_rc is None
+            self._root_rc is None
             or self._root_obj is None
             or not math.isfinite(self._incumbent_obj)
         ):
@@ -558,60 +519,53 @@ class BranchAndBoundSolver:
             current = result.x
 
     # ----------------------------------------------------------- separation
-    def _count_cuts(self, added: list) -> None:
-        self._stats.cuts += len(added)
-        for cut in added:
-            if cut.kind == "clique":
-                self._stats.clique_cuts += 1
-            else:
-                self._stats.cover_cuts += 1
-
     def _rebuild_with_cuts(self) -> None:
-        """Reassemble the working LP as base rows + the active cut pool.
+        """Reassemble the working LP as base rows + the cut rows.
 
         The cut rows also join the node-presolve propagation tables, so a
         clique cut propagates (fixing one member to 1 zeroes the rest).
         """
-        from repro.ilp.cuts import append_cuts
-
-        assert self._cut_pool is not None
-        pairs = [cut.as_pair(self._base_form.num_vars) for cut in self._cut_pool.active]
+        pairs = [cut.as_pair(self._base_form.num_vars) for cut in self._cuts]
         self._set_lp_form(append_cuts(self._base_form, pairs))
         # The constraint matrix changed shape: bump the basis generation so
         # every basis snapshot taken against the old matrix goes stale, and
         # refit the warm engine to the cut-extended rows.
         self._basis_generation += 1
-        if self._warm_engine is not None:
-            self._warm_engine = RevisedSimplex(
-                self._form, generation=self._basis_generation
-            )
+        self._warm_engine = RevisedSimplex(self._form, generation=self._basis_generation)
 
     def _separate_root(self, start: float, root: LpResult) -> LpResult:
-        """Separation rounds at the root, while the deadline allows; returns
-        the final root relaxation."""
-        from repro.ilp.conflict import ConflictGraph
+        """Clique-cut rounds at the root, while the deadline allows; returns
+        the final root relaxation.
+
+        A round stops the loop when it separates nothing. A cut added in one
+        round holds at every later root point, so no round repeats one.
+        """
+        # Looked up at call time, so a wrapper installed on the module (as
+        # perfbench's tracer does) sees every round.
         from repro.ilp.cuts import generate_cuts
 
-        policy = self.cut_policy
-        assert policy is not None and self._cut_pool is not None
-        if policy.clique and self._conflicts is None:
-            with span("conflict_graph") as graph_span:
-                self._conflicts = ConflictGraph.from_matrix_form(self._base_form)
-                graph_span.attrs["edges"] = self._conflicts.num_edges
-        with span("cut_separation", rounds=policy.rounds) as sep_span:
-            for _ in range(policy.rounds):
+        with span("ilp.conflict.graph") as graph_span:
+            conflicts = ConflictGraph.from_matrix_form(self._base_form)
+            graph_span.attrs["edges"] = conflicts.num_edges
+        with span("ilp.cuts.separate", rounds=self.cut_policy.rounds) as sep_span:
+            for _ in range(self.cut_policy.rounds):
                 if self._out_of_time(start):
                     break
-                dropped = self._cut_pool.age_and_prune(root.x)
-                self._stats.cuts_dropped += len(dropped)
-                fresh = generate_cuts(self._base_form, root.x, policy, self._conflicts)
-                added = [cut for cut in fresh if self._cut_pool.add(cut)]
-                if not added and not dropped:
+                added = generate_cuts(conflicts, root.x)
+                if not added:
                     break
-                self._count_cuts(added)
+                self._cuts += added
+                self._stats.cuts += len(added)
+                self._stats.cut_rounds += 1
                 self._rebuild_with_cuts()
                 root = self._solve_node(
-                    self._base_lb, self._base_ub, want_reduced_costs=self.presolve
+                    self._base_lb, self._base_ub, want_reduced_costs=True
+                )
+                trace_event(
+                    "cut_round",
+                    added=len(added),
+                    active=len(self._cuts),
+                    bound=root.objective,
                 )
                 if root.status == "infeasible":
                     # Cuts are valid for the integer hull, so an infeasible
@@ -619,59 +573,15 @@ class BranchAndBoundSolver:
                     break
                 if root.status != "optimal":  # only numerical noise lands here
                     raise SolverError("root LP failed after adding cuts")
-                self._stats.cut_rounds += 1
-                trace_event(
-                    "cut_round",
-                    added=len(added),
-                    dropped=len(dropped),
-                    active=len(self._cut_pool),
-                    bound=root.objective,
-                )
                 if self._fractional_index(root.x) is None:
                     break
             sep_span.attrs["cuts"] = self._stats.cuts
-            sep_span.attrs["active"] = len(self._cut_pool)
-        if self._stats.cuts == 0 and (
-            self._conflicts is None or self._conflicts.num_edges == 0
-        ):
-            # Nothing separated at the root and no conflict structure to
-            # try again with: skip in-tree separation entirely so
-            # unconstrained instances pay nothing per node.
-            self._cuts_enabled = False
         return root
-
-    def _separate_at_node(
-        self, result: LpResult, lb: np.ndarray, ub: np.ndarray
-    ) -> LpResult | None:
-        """One separation round at a shallow tree node.
-
-        Cuts derive from the *base* rows, never from node bounds, so they
-        are globally valid and simply join the shared pool. Returns the
-        re-solved node relaxation, or None when nothing new separated.
-        """
-        from repro.ilp.cuts import generate_cuts
-
-        policy = self.cut_policy
-        assert policy is not None and self._cut_pool is not None
-        fresh = generate_cuts(self._base_form, result.x, policy, self._conflicts)
-        added = [cut for cut in fresh if self._cut_pool.add(cut)]
-        if not added:
-            return None
-        self._count_cuts(added)
-        self._stats.cut_rounds += 1
-        self._rebuild_with_cuts()
-        trace_event(
-            "cut_round",
-            node=self._stats.nodes,
-            added=len(added),
-            active=len(self._cut_pool),
-        )
-        return self._solve_node(lb, ub)
 
     def _search(self, start: float) -> Status:
         form = self._orig_form
         if self.root_presolve.enabled:
-            with span("root_model_presolve") as model_span:
+            with span("ilp.presolve_root.reduce") as model_span:
                 reduction = presolve_root(self._orig_form, self.root_presolve)
                 self._stats.root_presolve_rounds = reduction.stats["rounds"]
                 self._stats.root_cols_removed = reduction.stats["cols_removed"]
@@ -683,12 +593,9 @@ class BranchAndBoundSolver:
             self._postsolve = reduction.postsolve
             reduced = reduction.form
             if reduced.num_vars == 0:
-                # Everything was fixed; validate the leftover constant rows
-                # (row cleanup may be gated off) and restore the point.
-                ok = (not reduced.a_ub.size or bool(np.all(reduced.b_ub >= -1e-6))) and (
-                    not reduced.a_eq.size or bool(np.all(np.abs(reduced.b_eq) <= 1e-6))
-                )
-                if not ok:
+                # Everything was fixed; validate any leftover constant rows
+                # and restore the point.
+                if not reduced.constant_rows_hold():
                     return Status.INFEASIBLE
                 x = reduction.postsolve.restore(np.zeros(0))
                 objective = float(self._orig_form.c @ x) + self._orig_form.c0
@@ -701,19 +608,18 @@ class BranchAndBoundSolver:
             form = reduced
         self._bind_form(form)
 
-        if self.presolve:
-            with span("root_presolve") as presolve_span:
-                feasible, changes = propagate_bounds(
-                    self._workspace.propagation, self._base_lb, self._base_ub
-                )
-                self._stats.presolve_fixings += len(changes)
-                presolve_span.attrs["fixings"] = len(changes)
-            if not feasible:
-                return Status.INFEASIBLE
+        with span("ilp.presolve.propagate") as presolve_span:
+            feasible, changes = propagate_bounds(
+                self._workspace.propagation, self._base_lb, self._base_ub
+            )
+            self._stats.presolve_fixings += len(changes)
+            presolve_span.attrs["fixings"] = len(changes)
+        if not feasible:
+            return Status.INFEASIBLE
 
-        with span("lp_relaxation"):
+        with span("ilp.simplex.root_lp"):
             root = self._solve_node(
-                self._base_lb, self._base_ub, want_reduced_costs=self.presolve
+                self._base_lb, self._base_ub, want_reduced_costs=True
             )
         self._stats.nodes += 1
         if root.status == "infeasible":
@@ -729,29 +635,28 @@ class BranchAndBoundSolver:
             self._stats.best_bound = root.objective
             return Status.OPTIMAL
 
-        cut_rounds = self.cut_policy.rounds if self._cuts_enabled else 0
-        with span("presolve", cut_rounds=cut_rounds, dive=self.dive):
-            if self._cuts_enabled:
-                root = self._separate_root(start, root)
-                if root.status == "infeasible":
-                    return Status.INFEASIBLE
-                if self._fractional_index(root.x) is None:
-                    self._accept_candidate(root.x, root.objective)
-                    self._stats.best_bound = root.objective
-                    return Status.OPTIMAL
+        if self.cut_policy.enabled:
+            root = self._separate_root(start, root)
+            if root.status == "infeasible":
+                return Status.INFEASIBLE
+            if self._fractional_index(root.x) is None:
+                self._accept_candidate(root.x, root.objective)
+                self._stats.best_bound = root.objective
+                return Status.OPTIMAL
 
-            # Root duals anchor reduced-cost fixing for the whole search;
-            # captured after cuts so they price the final root relaxation.
-            self._root_obj = root.objective
-            self._root_rc = root.reduced_costs
-            self._root_lb = self._base_lb.copy()
-            self._root_ub = self._base_ub.copy()
+        # Root duals anchor reduced-cost fixing for the whole search;
+        # captured after cuts so they price the final root relaxation.
+        self._root_obj = root.objective
+        self._root_rc = root.reduced_costs
+        self._root_lb = self._base_lb.copy()
+        self._root_ub = self._base_ub.copy()
 
+        with span("ilp.branch_and_bound.dive", dive=self.dive):
             if self.dive:
                 self._dive_for_incumbent(start, root.x, basis=root.basis)
             self._apply_reduced_cost_fixing()
 
-        with span("bnb_search") as search_span:
+        with span("ilp.branch_and_bound") as search_span:
             status = self._best_first(start, root)
             search_span.attrs["nodes"] = self._stats.nodes
             search_span.attrs["status"] = status.value
@@ -843,21 +748,20 @@ class BranchAndBoundSolver:
                 # Global reduced-cost fixing emptied this subtree's box.
                 self._stats.presolve_pruned += 1
                 continue
-            if self.presolve:
-                cutoff = self._cutoff()
-                feasible, changes = propagate_bounds(
-                    self._workspace.propagation,
-                    lb,
-                    ub,
-                    cutoff=cutoff if math.isfinite(cutoff) else None,
-                )
-                if not feasible:
-                    self._stats.presolve_pruned += 1
-                    continue
-                if changes:
-                    self._stats.presolve_fixings += len(changes)
-                    for delta in changes:
-                        chain = (chain, *delta)
+            cutoff = self._cutoff()
+            feasible, changes = propagate_bounds(
+                self._workspace.propagation,
+                lb,
+                ub,
+                cutoff=cutoff if math.isfinite(cutoff) else None,
+            )
+            if not feasible:
+                self._stats.presolve_pruned += 1
+                continue
+            if changes:
+                self._stats.presolve_fixings += len(changes)
+                for delta in changes:
+                    chain = (chain, *delta)
 
             node_cutoff = self._cutoff()
             result = self._solve_node(
@@ -875,19 +779,6 @@ class BranchAndBoundSolver:
                 continue
             if result.objective >= self._cutoff():
                 continue
-
-            if (
-                self._cuts_enabled
-                and self.cut_policy is not None
-                and 0 < depth <= self.cut_policy.max_depth
-            ):
-                separated = self._separate_at_node(result, lb, ub)
-                if separated is not None:
-                    result = separated
-                    if result.status != "optimal":
-                        continue  # pool cuts emptied this node's box: prune
-                    if result.objective >= self._cutoff():
-                        continue
 
             j = self._select_branch(result.x)
             if j is None:

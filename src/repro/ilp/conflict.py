@@ -81,33 +81,8 @@ class ConflictGraph:
     def num_edges(self) -> int:
         return sum(len(nbrs) for nbrs in self.adjacency.values()) // 2
 
-    def neighbors(self, j: int) -> frozenset[int]:
-        return self.adjacency.get(j, frozenset())
-
     def are_adjacent(self, j: int, k: int) -> bool:
         return k in self.adjacency.get(j, frozenset())
-
-    def maximal_cliques(self, max_cliques: int | None = None) -> list[tuple[int, ...]]:
-        """Greedily enumerated maximal cliques, deterministic order.
-
-        One clique is grown from every vertex (highest degree first, index
-        as tie-break), then deduplicated — a cheap cover of the clique
-        structure rather than an exhaustive Bron–Kerbosch enumeration,
-        which is all cut separation needs.
-        """
-        by_priority = sorted(self.adjacency, key=lambda j: (-len(self.adjacency[j]), j))
-        seen: set[frozenset[int]] = set()
-        cliques: list[tuple[int, ...]] = []
-        for seed in by_priority:
-            clique = self._grow(seed, sorted(self.adjacency[seed]))
-            key = frozenset(clique)
-            if key in seen:
-                continue
-            seen.add(key)
-            cliques.append(tuple(sorted(clique)))
-            if max_cliques is not None and len(cliques) >= max_cliques:
-                break
-        return cliques
 
     def _grow(self, seed: int, candidates: list[int]) -> list[int]:
         """Extend ``seed`` with candidates adjacent to every current member."""

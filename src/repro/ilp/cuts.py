@@ -1,98 +1,26 @@
-"""Cutting planes: lifted knapsack covers, clique cuts, and the cut pool.
+"""Clique cuts from the conflict graph, separated at the root.
 
-Cover cuts are the classic strengthening for 0/1 rows: given a
-constraint ``sum a_j x_j <= b`` over binaries with ``a_j >= 0``, any
-*cover* C (a set with ``sum_{j in C} a_j > b``) yields the valid cut
-``sum_{j in C} x_j <= |C| - 1``. Separation uses the standard greedy
-heuristic: pick variables by ascending ``1 - x*_j`` until the weights
-exceed ``b``; the cover cuts off ``x*`` iff ``sum_{j in C}(1 - x*_j) < 1``.
-With ``lift=True`` the cover is *extended*: every support variable at
-least as heavy as the heaviest cover member joins the left-hand side at
-the same right-hand side — any ``|C|`` members of the extension weigh at
-least as much as C itself, so the inequality stays valid while strictly
-dominating the plain cover cut.
-
-Clique cuts come from the conflict graph (:mod:`repro.ilp.conflict`).
-Both kinds flow through one :class:`CutPool` owned by the
-branch-and-bound solver: the pool deduplicates cuts by their support
-signature, caps how many are active, and retires cuts that stay slack
-for several consecutive separation rounds (see
-:class:`~repro.obs.policy.CutPolicy`). The low-level
-``generate_cover_cuts`` / ``append_cuts`` helpers keep their PR-4
-signatures for direct use.
+Any clique K of the conflict graph (:mod:`repro.ilp.conflict`) yields the
+valid inequality ``sum_{j in K} x_j <= 1``. :func:`generate_cuts` runs one
+separation round at an LP point and returns the violated clique cuts,
+most violated first; the branch-and-bound solver appends them to its LP
+with :func:`append_cuts`. Cuts derive from the conflict structure of the
+base rows only, so every cut is valid for the integer hull.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.ilp.model import MatrixForm
 
-_TOL = 1e-6
+#: At most this many cuts join the LP per separation round.
+MAX_CUTS_PER_ROUND = 32
 
-
-def _binary_mask(form: MatrixForm) -> np.ndarray:
-    return form.integer_mask & (form.lb == 0.0) & (form.ub == 1.0)
-
-
-def generate_cover_cuts(
-    form: MatrixForm, x: np.ndarray, max_cuts: int = 20, lift: bool = False
-) -> list[tuple[np.ndarray, float]]:
-    """Return cover cuts of ``form``'s UB rows violated by the LP point ``x``.
-
-    Each cut is ``(row, rhs)`` with ``row @ x <= rhs`` valid for every
-    integer point and violated by ``x``. Rows must be pure non-negative
-    binary knapsacks to participate; others are skipped. With ``lift``
-    the cover is extended by the heavy non-cover support (same rhs),
-    which never weakens the cut.
-    """
-    binary = _binary_mask(form)
-    cuts: list[tuple[np.ndarray, float]] = []
-    for r in range(form.a_ub.shape[0]):
-        if len(cuts) >= max_cuts:
-            break
-        row = form.a_ub[r]
-        b = form.b_ub[r]
-        support = np.flatnonzero(row)
-        if len(support) < 2 or b <= 0:
-            continue
-        if not np.all(binary[support]) or np.any(row[support] < 0):
-            continue
-        if row[support].sum() <= b + _TOL:
-            continue  # no cover exists; the row is never binding integrally
-
-        # Greedy separation: cheapest (most fractional-up) items first.
-        order = sorted(support, key=lambda j: 1.0 - x[j])
-        cover: list[int] = []
-        weight = 0.0
-        for j in order:
-            cover.append(j)
-            weight += row[j]
-            if weight > b + _TOL:
-                break
-        if weight <= b + _TOL:
-            continue
-        slack = sum(1.0 - x[j] for j in cover)
-        if slack >= 1.0 - _TOL:
-            continue  # not violated by x
-
-        members = cover
-        if lift:
-            # Extended cover: any |C| members of E(C) weigh at least as
-            # much as C (every extension item outweighs every cover
-            # item), so sum_{E(C)} x <= |C| - 1 remains valid.
-            a_max = max(row[j] for j in cover)
-            in_cover = set(cover)
-            members = cover + [
-                int(j) for j in support
-                if j not in in_cover and row[j] >= a_max - _TOL
-            ]
-        cut_row = np.zeros(form.num_vars)
-        cut_row[members] = 1.0
-        cuts.append((cut_row, float(len(cover) - 1)))
-    return cuts
+#: A clique cut must be violated by more than this to be separated.
+MIN_VIOLATION = 1e-4
 
 
 def append_cuts(form: MatrixForm, cuts: list[tuple[np.ndarray, float]]) -> MatrixForm:
@@ -114,26 +42,14 @@ def append_cuts(form: MatrixForm, cuts: list[tuple[np.ndarray, float]]) -> Matri
     )
 
 
-# --------------------------------------------------------------------- pool
-@dataclass
+@dataclass(frozen=True)
 class Cut:
     """One cutting plane ``sum coefs[i] * x[cols[i]] <= rhs``."""
 
     cols: tuple[int, ...]
     coefs: tuple[float, ...]
     rhs: float
-    kind: str  # "clique" | "cover"
     violation: float = 0.0
-    age: int = field(default=0, compare=False)
-
-    @property
-    def key(self) -> tuple:
-        """Support signature used for pool deduplication (kind-agnostic)."""
-        terms = tuple(sorted(zip(self.cols, (round(c, 9) for c in self.coefs))))
-        return (terms, round(self.rhs, 9))
-
-    def activity(self, x: np.ndarray) -> float:
-        return float(sum(c * x[j] for j, c in zip(self.cols, self.coefs)))
 
     def as_pair(self, num_vars: int) -> tuple[np.ndarray, float]:
         """Dense ``(row, rhs)`` form for :func:`append_cuts`."""
@@ -142,82 +58,17 @@ class Cut:
         return row, self.rhs
 
 
-class CutPool:
-    """Active cuts with dedup, a size cap, and slack-based aging.
+def generate_cuts(graph, x: np.ndarray) -> list[Cut]:
+    """One separation round: the clique cuts of ``graph`` violated at ``x``.
 
-    ``add`` rejects duplicates (by support signature) and anything past
-    the capacity; ``age_and_prune`` bumps the age of every cut slack at
-    the current LP point, resets it for binding cuts, and drops cuts
-    whose age exceeds ``max_age`` — keeping the rebuilt LP workspace
-    small across separation rounds.
+    Returns at most :data:`MAX_CUTS_PER_ROUND` cuts, most violated first
+    (ties by column tuple).
     """
-
-    def __init__(self, max_size: int = 256, max_age: int = 3):
-        self.max_size = max_size
-        self.max_age = max_age
-        self._by_key: dict[tuple, Cut] = {}
-
-    def __len__(self) -> int:
-        return len(self._by_key)
-
-    @property
-    def active(self) -> list[Cut]:
-        return list(self._by_key.values())
-
-    def add(self, cut: Cut) -> bool:
-        """Admit ``cut`` unless it is a duplicate or the pool is full."""
-        key = cut.key
-        if key in self._by_key or len(self._by_key) >= self.max_size:
-            return False
-        self._by_key[key] = cut
-        return True
-
-    def age_and_prune(self, x: np.ndarray, tol: float = _TOL) -> list[Cut]:
-        """Age cuts slack at ``x``; drop and return the expired ones."""
-        dropped: list[Cut] = []
-        for key, cut in list(self._by_key.items()):
-            if cut.rhs - cut.activity(x) > tol:
-                cut.age += 1
-            else:
-                cut.age = 0
-            if cut.age > self.max_age:
-                dropped.append(self._by_key.pop(key))
-        return dropped
-
-
-def generate_cuts(form, x, policy, graph=None) -> list[Cut]:
-    """One separation round at the LP point ``x`` under ``policy``.
-
-    ``form`` must be the *base* matrix (without pool cuts): separation
-    only ever derives from original rows, so every emitted cut is valid
-    for the integer hull regardless of which node requested it. Returns
-    at most ``policy.max_cuts_per_round`` cuts, most violated first.
-    """
-    cuts: list[Cut] = []
-    if policy.clique and graph is not None:
+    cuts = [
+        Cut(cols, (1.0,) * len(cols), 1.0, violation)
         for cols, violation in graph.separate(
-            x, max_cliques=policy.max_cuts_per_round,
-            min_violation=policy.min_violation,
-        ):
-            cuts.append(
-                Cut(cols, (1.0,) * len(cols), 1.0, "clique", violation)
-            )
-    if policy.cover:
-        for row, rhs in generate_cover_cuts(
-            form, x, max_cuts=policy.max_cuts_per_round, lift=True
-        ):
-            support = np.flatnonzero(row)
-            violation = float(row @ x) - float(rhs)
-            if violation < policy.min_violation:
-                continue
-            cuts.append(
-                Cut(
-                    tuple(int(j) for j in support),
-                    tuple(float(row[j]) for j in support),
-                    float(rhs),
-                    "cover",
-                    violation,
-                )
-            )
-    cuts.sort(key=lambda cut: (-cut.violation, cut.kind, cut.cols))
-    return cuts[: policy.max_cuts_per_round]
+            x, max_cliques=MAX_CUTS_PER_ROUND, min_violation=MIN_VIOLATION
+        )
+    ]
+    cuts.sort(key=lambda cut: (-cut.violation, cut.cols))
+    return cuts

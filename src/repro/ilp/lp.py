@@ -86,6 +86,13 @@ def solve_matrix_lp(
     built on the same form skips re-deriving the constraint handles on every
     call; ``want_reduced_costs`` additionally returns the column duals.
     """
+    if form.num_vars == 0:
+        # Nothing to optimize, and linprog rejects an empty problem.
+        if not form.constant_rows_hold():
+            return LpResult("infeasible", None, None)
+        zeros = np.zeros(0)
+        reduced_costs = zeros if want_reduced_costs else None
+        return LpResult("optimal", zeros, form.c0, reduced_costs=reduced_costs)
     lb = form.lb if lb is None else lb
     ub = form.ub if ub is None else ub
     if np.any(lb > ub):

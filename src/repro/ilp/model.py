@@ -118,6 +118,11 @@ class MatrixForm:
     def num_vars(self) -> int:
         return self.c.shape[0]
 
+    def constant_rows_hold(self, tol: float = 1e-6) -> bool:
+        """Whether every row holds at ``x = 0``: the whole feasibility test
+        of a form with no columns, whose rows are all constant."""
+        return bool(np.all(self.b_ub >= -tol) and np.all(np.abs(self.b_eq) <= tol))
+
 
 class Model:
     """A mixed-integer linear program under construction."""

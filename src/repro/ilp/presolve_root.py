@@ -2,7 +2,7 @@
 
 Where :mod:`repro.ilp.presolve` tightens *bounds* per node, this module
 shrinks the *model* once at the root, in up to ``PresolvePolicy.rounds``
-passes of five reductions (each individually gated by the policy):
+passes of these reductions:
 
 - **Bound tightening** — the node propagator (:func:`propagate_bounds`)
   run over the whole model, so later reductions see the tightest box.
@@ -10,10 +10,6 @@ passes of five reductions (each individually gated by the policy):
   ``A_ub`` coefficient share a sign, and which is absent from ``A_eq``,
   can be pushed to its cheap bound without losing any optimum: moving it
   that way never costs feasibility and never costs objective.
-- **Singleton-column substitution** — a free continuous column appearing
-  in exactly one row, an equality, is determined by that row:
-  ``x_j = (b_r - sum_k a_rk x_k) / a_rj``. The column and the row both
-  leave the model; the objective folds through the substitution.
 - **Coefficient tightening** — for a unit-width integer column in a
   ``<=`` row, when the row's maximum activity exceeds the rhs by less
   than the column's contribution range, the coefficient (and rhs) shrink
@@ -27,10 +23,9 @@ passes of five reductions (each individually gated by the policy):
 Every reduction preserves at least one optimal solution of the *integer*
 program, and :class:`Postsolve` maps any reduced-space point back to an
 exactly feasible original-space point — fixed columns get their recorded
-values, substituted columns are recomputed from their defining row. The
-branch-and-bound solver keeps its cache keys, checkpoints, and matrix
-fingerprints in original space, so presolve settings never leak into
-stored artifacts (see DESIGN.md §13).
+values. The branch-and-bound solver keeps its cache keys, checkpoints, and
+matrix fingerprints in original space, so presolve settings never leak
+into stored artifacts (see DESIGN.md §13).
 """
 
 from __future__ import annotations
@@ -57,10 +52,8 @@ _ACT_BIG = 1e14
 class Postsolve:
     """Maps reduced-space solutions back to the original variable space.
 
-    ``kept[r]`` is the original index of reduced column ``r``. ``records``
-    is the reduction stack in the order the engine applied it; ``restore``
-    replays it in reverse, so a column substituted *after* another fix is
-    recomputed from already-restored values.
+    ``kept[r]`` is the original index of reduced column ``r``; ``records``
+    holds ``(original column, value)`` for every column presolve fixed.
     """
 
     num_vars: int
@@ -77,13 +70,8 @@ class Postsolve:
         x = np.full(self.num_vars, np.nan)
         if self.kept.size:
             x[self.kept] = x_reduced
-        for record in reversed(self.records):
-            if record[0] == "fix":
-                _, j, value = record
-                x[j] = value
-            else:  # ("subst", j, idx, coefs, rhs, pivot)
-                _, j, idx, coefs, rhs, pivot = record
-                x[j] = (rhs - float(coefs @ x[idx])) / pivot
+        for j, value in self.records:
+            x[j] = value
         if np.isnan(x).any():  # pragma: no cover - internal invariant
             missing = np.flatnonzero(np.isnan(x))
             raise RuntimeError(f"postsolve left columns unrestored: {missing.tolist()}")
@@ -119,6 +107,9 @@ class _Reducer:
     deterministic for a given input.
     """
 
+    #: The reductions of one pass, in the order they run.
+    REDUCTIONS = ("tighten_bounds", "sweep_fixed", "dual_fix", "coeff_tighten", "row_cleanup")
+
     def __init__(self, form: MatrixForm):
         self.c = form.c.astype(float).copy()
         self.c0 = float(form.c0)
@@ -135,7 +126,6 @@ class _Reducer:
             "rounds": 0,
             "bounds_tightened": 0,
             "dual_fixed": 0,
-            "singleton_cols": 0,
             "coeffs_tightened": 0,
             "rows_removed": 0,
             "cols_removed": 0,
@@ -165,7 +155,7 @@ class _Reducer:
         if cols.size == 0:
             return
         for j, value in zip(cols.tolist(), values.tolist()):
-            self.records.append(("fix", int(self.orig[j]), float(value)))
+            self.records.append((int(self.orig[j]), float(value)))
         if self.a_ub.size:
             self.b_ub -= self.a_ub[:, cols] @ values
         if self.a_eq.size:
@@ -254,52 +244,6 @@ class _Reducer:
         values = np.where(down, self.lb, self.ub)
         cols = np.flatnonzero(down | up)
         self._fix_columns(cols, values[cols])
-
-    def singleton_cols(self) -> None:
-        while True:
-            if self.num_vars == 0 or not self.a_eq.size:
-                return
-            ub_hits = (
-                np.count_nonzero(self.a_ub, axis=0)
-                if self.a_ub.size
-                else np.zeros(self.num_vars, dtype=int)
-            )
-            eq_hits = np.count_nonzero(self.a_eq, axis=0)
-            candidates = np.flatnonzero(
-                ~self.integer_mask
-                & (ub_hits == 0)
-                & (eq_hits == 1)
-                & ~np.isfinite(self.lb)
-                & ~np.isfinite(self.ub)
-            )
-            if candidates.size == 0:
-                return
-            j = int(candidates[0])
-            r = int(np.flatnonzero(self.a_eq[:, j])[0])
-            pivot = float(self.a_eq[r, j])
-            row = self.a_eq[r].copy()
-            rhs = float(self.b_eq[r])
-            others = np.flatnonzero((row != 0.0) & (np.arange(self.num_vars) != j))
-            self.records.append(
-                (
-                    "subst",
-                    int(self.orig[j]),
-                    self.orig[others].copy(),
-                    row[others].copy(),
-                    rhs,
-                    pivot,
-                )
-            )
-            # Fold the objective through x_j = (rhs - sum a_rk x_k) / pivot.
-            cj = float(self.c[j])
-            if cj != 0.0:
-                self.c[others] -= (cj / pivot) * row[others]
-                self.c0 += cj * rhs / pivot
-            self._drop_eq_rows(np.arange(self.a_eq.shape[0]) == r)
-            keep = np.arange(self.num_vars) != j
-            self._keep_columns(keep)
-            self.stats["singleton_cols"] += 1
-            self.stats["cols_removed"] += 1
 
     def coeff_tighten(self) -> None:
         if not self.a_ub.size or self.num_vars == 0:
@@ -404,8 +348,8 @@ class _Reducer:
 def presolve_root(form: MatrixForm, policy: "PresolvePolicy") -> PresolveResult:
     """Reduce ``form`` under ``policy``; exact for the integer program.
 
-    Runs up to ``policy.rounds`` passes of the enabled reductions and stops
-    early once a pass changes nothing. The returned form is safe to hand to
+    Runs up to ``policy.rounds`` passes of every reduction and stops early
+    once a pass changes nothing. The returned form is safe to hand to
     any LP/MIP solver; map its solutions back with ``result.postsolve``.
     """
     reducer = _Reducer(form)
@@ -421,18 +365,10 @@ def presolve_root(form: MatrixForm, policy: "PresolvePolicy") -> PresolveResult:
             reducer.stats["coeffs_tightened"],
         )
         reducer.stats["rounds"] += 1
-        if policy.bound_tighten:
-            reducer.tighten_bounds()
-        if not reducer.infeasible:
-            reducer.sweep_fixed()
-        if not reducer.infeasible and policy.dual_fix:
-            reducer.dual_fix()
-        if not reducer.infeasible and policy.singleton_cols:
-            reducer.singleton_cols()
-        if not reducer.infeasible and policy.coeff_tighten:
-            reducer.coeff_tighten()
-        if not reducer.infeasible and policy.row_cleanup:
-            reducer.row_cleanup()
+        for reduction in reducer.REDUCTIONS:
+            getattr(reducer, reduction)()
+            if reducer.infeasible:
+                break
         if reducer.infeasible:
             break
         after = (

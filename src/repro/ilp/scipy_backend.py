@@ -23,6 +23,15 @@ def solve_with_scipy(model: Model, time_limit: float | None = None) -> Solution:
     1/4 (iteration or time interrupt) -> NODE_LIMIT.
     """
     form = model.to_matrix_form()
+    sign = 1.0 if model.sense == "min" else -1.0
+    if form.num_vars == 0:
+        # Nothing to branch on, and milp rejects an empty problem.
+        stats = SolveStats()
+        stats.publish(get_metrics())
+        if not form.constant_rows_hold():
+            return Solution(Status.INFEASIBLE, stats=stats, backend="scipy")
+        stats.best_bound, stats.gap = sign * form.c0, 0.0
+        return Solution(Status.OPTIMAL, sign * form.c0, {}, stats, backend="scipy")
     constraints = []
     if form.a_ub.size:
         constraints.append(LinearConstraint(form.a_ub, -np.inf, form.b_ub))
@@ -32,7 +41,7 @@ def solve_with_scipy(model: Model, time_limit: float | None = None) -> Solution:
     if time_limit is not None:
         options["time_limit"] = time_limit
     start = now()
-    with span("bnb_search", backend="scipy"):
+    with span("ilp.scipy_backend.milp"):
         res = milp(
             c=form.c,
             constraints=constraints,
@@ -41,7 +50,6 @@ def solve_with_scipy(model: Model, time_limit: float | None = None) -> Solution:
             options=options,
         )
 
-    sign = 1.0 if model.sense == "min" else -1.0
     stats = SolveStats(
         nodes=int(getattr(res, "mip_node_count", 0) or 0),
         wall_time=now() - start,

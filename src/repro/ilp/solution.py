@@ -57,9 +57,6 @@ class SolveCounters:
     incumbent_updates: int = _counter()
     cuts: int = _counter()
     cut_rounds: int = _counter()
-    clique_cuts: int = _counter()
-    cover_cuts: int = _counter()
-    cuts_dropped: int = _counter()
     # Model.solve counts solve.retries itself, one per re-run.
     retries: int = _counter(publish=False)
     presolve_fixings: int = _counter()
@@ -93,12 +90,10 @@ class SolveStats(SolveCounters):
     ``pseudocost_branches`` the branchings decided by pseudocost scores
     rather than the most-fractional fallback.
 
-    The cut counters describe branch-and-cut separation (see
-    :class:`~repro.obs.policy.CutPolicy`): ``cuts`` is the total number
-    of cutting planes admitted to the pool, split into ``clique_cuts``
-    and ``cover_cuts`` by family; ``cut_rounds`` counts separation
-    rounds that changed the LP, and ``cuts_dropped`` the cuts the pool
-    aged out for staying slack.
+    The cut counters describe root clique-cut separation (see
+    :class:`~repro.obs.policy.CutPolicy`): ``cuts`` is the number of
+    cutting planes added to the LP, and ``cut_rounds`` counts the
+    separation rounds that added them.
 
     The root-presolve counters describe the model reductions applied once
     before the search (see :class:`~repro.obs.policy.PresolvePolicy`):

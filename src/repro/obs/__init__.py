@@ -31,7 +31,6 @@ from repro.obs.metrics import (
     use_metrics,
 )
 from repro.obs.policy import (
-    BRANCHING_RULES,
     DEFAULT_CUT_POLICY,
     DEFAULT_FALLBACK,
     DEFAULT_PORTFOLIO_POLICY,
@@ -58,7 +57,6 @@ from repro.obs.tracing import (
 )
 
 __all__ = [
-    "BRANCHING_RULES",
     "CheckpointStore",
     "Counter",
     "CutPolicy",

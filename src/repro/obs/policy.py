@@ -49,11 +49,6 @@ FALLBACK_RUNGS = ("lpt", "sa")
 #: Default degradation ladder on budget exhaustion without an incumbent.
 DEFAULT_FALLBACK = ("lpt", "sa")
 
-#: Branching rules :class:`~repro.ilp.branch_and_bound.BranchAndBoundSolver`
-#: accepts; validated here so a typo fails at policy construction, not
-#: mid-sweep inside a worker process.
-BRANCHING_RULES = ("most_fractional", "pseudocost", "first")
-
 _D = TypeVar("_D", bound="DerivedFields")
 
 
@@ -187,60 +182,36 @@ class DerivedFields:
 
 @dataclass(frozen=True)
 class CutPolicy(DerivedFields):
-    """How (and whether) the B&B solver separates cutting planes.
+    """How many rounds of clique cuts the B&B solver separates at the root.
 
     The solver derives a conflict graph from the pairwise-exclusion
     structure of the matrix and separates maximal-clique cuts
-    (``sum x <= 1``) plus lifted knapsack cover cuts, in up to ``rounds``
-    rounds at the root node and — when ``max_depth > 0`` — one round at
-    tree nodes no deeper than ``max_depth``. A shared cut pool
-    deduplicates cuts, keeps at most ``max_pool`` active, and retires a
-    cut after it has been slack for ``max_age`` consecutive rounds.
+    (``sum x <= 1``) in up to ``rounds`` rounds at the root node; every
+    node below then solves its LP with those cut rows. ``rounds=0`` turns
+    separation off.
 
     Cut settings change what a solve returns (node counts, provenance,
-    possibly which optimal vertex is reported), so every field
-    contributes to :meth:`cache_token` and therefore to the solve-cache
-    fingerprint.
+    possibly which optimal vertex is reported), so ``rounds`` contributes
+    to :meth:`cache_token` and therefore to the solve-cache fingerprint.
     """
 
     rounds: int = 3
-    max_cuts_per_round: int = 32
-    clique: bool = True
-    cover: bool = True
-    max_depth: int = 2
-    min_violation: float = 1e-4
-    max_pool: int = 256
-    max_age: int = 3
 
     def __post_init__(self) -> None:
         if self.rounds < 0:
             raise ValueError(f"rounds cannot be negative, got {self.rounds}")
-        if self.max_cuts_per_round <= 0:
-            raise ValueError(
-                f"max_cuts_per_round must be positive, got {self.max_cuts_per_round}"
-            )
-        if self.max_depth < 0:
-            raise ValueError(f"max_depth cannot be negative, got {self.max_depth}")
-        if self.min_violation <= 0:
-            raise ValueError(
-                f"min_violation must be positive, got {self.min_violation}"
-            )
-        if self.max_pool <= 0:
-            raise ValueError(f"max_pool must be positive, got {self.max_pool}")
-        if self.max_age < 1:
-            raise ValueError(f"max_age must be at least 1, got {self.max_age}")
 
     # ------------------------------------------------------------ derivations
     @property
     def enabled(self) -> bool:
-        """True when any separation at all may run."""
-        return (self.clique or self.cover) and (self.rounds > 0 or self.max_depth > 0)
+        """True when separation may run."""
+        return self.rounds > 0
 
     @classmethod
     def disabled(cls) -> "CutPolicy":
         """An explicit cuts-off policy (distinct from *unset*, which lets
         the designer apply its default)."""
-        return cls(rounds=0, max_depth=0)
+        return cls(rounds=0)
 
     def backend_options(self) -> dict[str, Any]:
         """The solver kwargs this cut policy implies (bnb only)."""
@@ -253,29 +224,24 @@ DEFAULT_CUT_POLICY = CutPolicy()
 
 @dataclass(frozen=True)
 class PresolvePolicy(DerivedFields):
-    """How (and whether) the root presolve engine reduces a model.
+    """How many passes the root presolve engine may make over a model.
 
     Before the branch-and-bound search starts, the root presolve engine
-    (:mod:`repro.ilp.presolve_root`) applies model reductions in up to
-    ``rounds`` passes: global bound tightening, dual fixing, singleton
-    column elimination, coefficient tightening on integer columns, and
-    empty/duplicate/redundant row cleanup. Every reduction preserves the
-    set of optimal solutions of the *integer* program; a
-    :class:`~repro.ilp.presolve_root.Postsolve` step maps reduced-space
-    solutions back to the original variable space, so caches, checkpoints,
-    and fingerprints stay presolve-independent.
+    (:mod:`repro.ilp.presolve_root`) reduces the model in up to ``rounds``
+    passes of global bound tightening, dual fixing, coefficient
+    tightening on integer columns, and empty/duplicate/redundant row
+    cleanup. Every reduction preserves the set of optimal solutions of the
+    *integer* program; a :class:`~repro.ilp.presolve_root.Postsolve` step
+    maps reduced-space solutions back to the original variable space, so
+    caches, checkpoints, and fingerprints stay presolve-independent.
+    ``rounds=0`` searches the original model.
 
     Presolve settings change what a solve returns (which optimal vertex,
-    node counts, stats), so every field contributes to
-    :meth:`cache_token` and therefore to the solve-cache fingerprint.
+    node counts, stats), so ``rounds`` contributes to :meth:`cache_token`
+    and therefore to the solve-cache fingerprint.
     """
 
     rounds: int = 4
-    bound_tighten: bool = True
-    dual_fix: bool = True
-    singleton_cols: bool = True
-    coeff_tighten: bool = True
-    row_cleanup: bool = True
 
     def __post_init__(self) -> None:
         if self.rounds < 0:
@@ -285,13 +251,7 @@ class PresolvePolicy(DerivedFields):
     @property
     def enabled(self) -> bool:
         """True when any reduction at all may run."""
-        return self.rounds > 0 and (
-            self.bound_tighten
-            or self.dual_fix
-            or self.singleton_cols
-            or self.coeff_tighten
-            or self.row_cleanup
-        )
+        return self.rounds > 0
 
     @classmethod
     def disabled(cls) -> "PresolvePolicy":
@@ -393,20 +353,12 @@ class SolverOptions(DerivedFields):
     :meth:`backend_options`.
     """
 
-    presolve: bool | None = None
-    branching: str | None = None
     cuts: CutPolicy | None = None
     root_presolve: PresolvePolicy | None = None
-    warm_start: bool | None = None
     checkpoint_interval: float | None = field(default=None, metadata={"cache": False})
     portfolio: PortfolioPolicy | None = None
 
     def __post_init__(self) -> None:
-        if self.branching is not None and self.branching not in BRANCHING_RULES:
-            raise ValueError(
-                f"unknown branching rule {self.branching!r}; "
-                f"known: {list(BRANCHING_RULES)}"
-            )
         if self.cuts is not None and not isinstance(self.cuts, CutPolicy):
             raise TypeError(
                 f"cuts must be a CutPolicy or None, got {type(self.cuts).__name__}"
@@ -417,10 +369,6 @@ class SolverOptions(DerivedFields):
             raise TypeError(
                 "root_presolve must be a PresolvePolicy or None, "
                 f"got {type(self.root_presolve).__name__}"
-            )
-        if self.warm_start is not None and not isinstance(self.warm_start, bool):
-            raise TypeError(
-                f"warm_start must be a bool or None, got {type(self.warm_start).__name__}"
             )
         if self.portfolio is not None and not isinstance(
             self.portfolio, PortfolioPolicy
@@ -439,18 +387,10 @@ class SolverOptions(DerivedFields):
         options: dict[str, Any] = {}
         if backend != "bnb":
             return options
-        if self.presolve is not None:
-            options["presolve"] = self.presolve
-        if self.branching is not None:
-            options["branching"] = self.branching
         if self.cuts is not None:
             options.update(self.cuts.backend_options())
         if self.root_presolve is not None:
             options.update(self.root_presolve.backend_options())
-        if self.warm_start is not None:
-            # The solver's own `warm_start` kwarg carries an incumbent
-            # *value* hint; the LP-basis toggle travels as lp_warm_start.
-            options["lp_warm_start"] = self.warm_start
         # `portfolio` is deliberately NOT a backend kwarg: the racer is a
         # designer-level dispatch (repro.runtime.portfolio), not a solver
         # knob — the B&B backend never sees it. It still shapes the result,

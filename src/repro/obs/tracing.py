@@ -1,8 +1,11 @@
 """Lightweight solve tracing: spans, node-event sampling, flame summaries.
 
 A :class:`Tracer` records a tree of timed :class:`Span` objects covering the
-solve pipeline — ``formulate`` / ``presolve`` / ``lp_relaxation`` /
-``bnb_search`` / ``cache_lookup`` / ``decode`` — plus a *sampled* stream of
+solve pipeline — ``formulate`` / ``cache_lookup`` / ``solve`` / ``decode``,
+and inside the solver the layers under perfbench's names
+(``ilp.presolve_root.reduce``, ``ilp.presolve.propagate``,
+``ilp.simplex.root_lp``, ``ilp.conflict.graph``, ``ilp.cuts.separate``,
+``ilp.branch_and_bound.dive``, ``ilp.branch_and_bound``) — plus a *sampled* stream of
 branch-and-bound node events (node index, depth, bound, incumbent) and every
 incumbent-improvement event. Tracing is opt-in: instrumented code calls the
 module-level :func:`span` / :func:`node_event` / :func:`event` helpers,

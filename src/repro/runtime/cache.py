@@ -71,7 +71,9 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 # ``best_bound``/``gap`` mean the proven bound and the relative gap on every
 # exit. v6: a solve key carries only the policy's cached fields (checkpoint
 # settings no longer split it), and a record keeps every SolveStats field.
-_FORMAT_VERSION = 6
+# v7: the clique_cuts/cover_cuts/cuts_dropped counters and the branching,
+# node-presolve and warm-LP switches are gone from records and keys.
+_FORMAT_VERSION = 7
 
 
 def _hash_array(h: "hashlib._Hash", label: str, array: np.ndarray) -> None:

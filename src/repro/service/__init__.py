@@ -4,9 +4,9 @@ runtime.
 Every entry point funnels into the same unified
 :class:`~repro.core.request.SolveRequest` surface the library and the CLI
 use, so a request fingerprints, caches, and dedupes identically no matter
-which front-end produced it. Structured solver knobs (branching, cuts,
-root presolve, warm-started node LPs) ride the ``policy.solver`` block of
-the wire payload as plain JSON — see
+which front-end produced it. Structured solver knobs (root cuts, root
+presolve) ride the ``policy.solver`` block of the wire payload as plain
+JSON — see
 :meth:`repro.obs.SolverOptions.from_dict`. See DESIGN.md §11 for lanes,
 dedupe, tenancy, and failure semantics.
 

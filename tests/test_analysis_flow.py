@@ -268,12 +268,12 @@ class TestD001SeededMutations:
         assert offenders, "presolve policy dropped from the solver token undetected"
         assert any("SolverOptions.root_presolve" in d.message for d in offenders)
 
-    def test_deleting_warm_start_token_contribution_fires(self, mutable_tree):
-        # Same guard for the node-LP warm-start toggle: warm and cold solves
-        # may return different optimal vertices and always differ in stats.
-        offenders = self.opt_out_field(mutable_tree, "warm_start", "bool | None")
-        assert offenders, "warm_start dropped from the solver token undetected"
-        assert any("SolverOptions.warm_start" in d.message for d in offenders)
+    def test_deleting_node_budget_token_contribution_fires(self, mutable_tree):
+        # Same guard for an effort field: a solve truncated by its node
+        # budget must never be replayed for an uncapped request.
+        offenders = self.opt_out_field(mutable_tree, "node_budget", "int | None")
+        assert offenders, "node_budget dropped from the policy token undetected"
+        assert any("SolvePolicy.node_budget" in d.message for d in offenders)
 
     def test_hand_written_token_on_an_options_class_fires(self, mutable_tree):
         # A hand-written token is a second field list that can drift from

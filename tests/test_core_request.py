@@ -73,7 +73,7 @@ class TestFingerprint:
         assert make_request(widths=(16, 8)).fingerprint() != base
         assert make_request(soc="S2").fingerprint() != base
         assert make_request(timing="fixed").fingerprint() != base
-        assert make_request(options={"presolve": False}).fingerprint() != base
+        assert make_request(options={"dive": False}).fingerprint() != base
         assert make_request(policy=SolvePolicy(node_budget=9)).fingerprint() != base
 
     def test_policy_checkpoint_dir_is_not_result_affecting(self):
@@ -101,7 +101,7 @@ class TestWireFormat:
             backend="bnb",
             policy=SolvePolicy(deadline=5.0, fallback=("lpt",)),
             jobs=2,
-            options={"presolve": False},
+            options={"dive": False},
         )
         assert SolveRequest.from_payload(request.as_payload()) == request
 
@@ -186,23 +186,24 @@ class TestCliConstructsRequests:
         from repro.obs import PresolvePolicy
 
         args = build_parser().parse_args(
-            ["design", "S1", "--widths", "16,16", "--no-root-presolve", "--no-warm-lps"]
+            ["design", "S1", "--widths", "16,16", "--no-root-presolve"]
         )
         request = _request_from_args("design", args)
         assert request.policy.solver.root_presolve == PresolvePolicy.disabled()
         assert not request.policy.solver.root_presolve.enabled
-        assert request.policy.solver.warm_start is False
 
         args = build_parser().parse_args(
-            ["design", "S1", "--widths", "16,16", "--root-presolve", "--warm-lps"]
+            ["design", "S1", "--widths", "16,16", "--root-presolve"]
         )
         request = _request_from_args("design", args)
         assert request.policy.solver.root_presolve == PresolvePolicy()
-        assert request.policy.solver.warm_start is True
+        # Node LPs always start warm: there is no flag to turn that off.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["design", "S1", "--widths", "16,16", "--no-warm-lps"])
 
     def test_presolve_and_warm_flags_are_fingerprint_stable_on_the_wire(self):
         args = build_parser().parse_args(
-            ["design", "S1", "--widths", "16,16", "--no-root-presolve", "--no-warm-lps"]
+            ["design", "S1", "--widths", "16,16", "--no-root-presolve"]
         )
         request = _request_from_args("design", args)
         rebuilt = SolveRequest.from_payload(request.as_payload())

@@ -75,15 +75,14 @@ class TestExactness:
         assert sol.objective == pytest.approx(0.0)
         assert sol.stats.warm_lp_solves == 1
 
-    def test_first_branching_rule(self):
-        m, _ = knapsack_model([4, 3, 2], [5, 4, 3], 5)
-        sol = m.solve(branching="first")
-        assert sol.objective == pytest.approx(7.0)
-
     def test_unknown_branching_rejected(self):
+        # Pseudocost branching is the only rule: a branching kwarg is an
+        # unknown solver option, rejected rather than silently ignored.
         m, _ = knapsack_model([1], [1], 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="branching"):
             BranchAndBoundSolver(m, branching="pseudo")
+        with pytest.raises(TypeError, match="branching"):
+            m.solve(branching="first", cache=False)
 
 
 class TestStatuses:

@@ -1,7 +1,7 @@
 """Conflict graph, clique separation, and branch-and-cut exactness.
 
 Units build graphs by hand (adjacency dicts and tiny models with known
-pairwise-exclusion rows) and pin the greedy clique enumeration; the
+pairwise-exclusion rows) and pin the greedy clique separation; the
 property tests brute-force every integer point of small random models to
 show that no generated cut ever removes an integer-feasible solution, and
 the design-level tests assert cuts-on / cuts-off / scipy all agree on the
@@ -22,7 +22,6 @@ from repro.core import DesignProblem
 from repro.ilp import INTEGER, Model, quicksum
 from repro.ilp.conflict import ConflictGraph
 from repro.ilp.cuts import generate_cuts
-from repro.obs.policy import DEFAULT_CUT_POLICY
 
 
 def packing_model(num_items: int = 4, num_slots: int = 2) -> Model:
@@ -83,6 +82,9 @@ class TestConflictGraphConstruction:
 
 
 class TestMaximalCliques:
+    #: Violates both maximal cliques of :meth:`triangle_plus_pendant`.
+    BOTH_VIOLATED = np.array([0.5, 0.5, 0.5, 0.6])
+
     def triangle_plus_pendant(self) -> ConflictGraph:
         # 0-1-2 triangle, 3 attached to 2 only.
         return ConflictGraph(
@@ -90,14 +92,17 @@ class TestMaximalCliques:
         )
 
     def test_enumeration_finds_both_maximal_cliques(self):
-        assert self.triangle_plus_pendant().maximal_cliques() == [(0, 1, 2), (2, 3)]
+        found = self.triangle_plus_pendant().separate(self.BOTH_VIOLATED)
+        # Seeds go by descending x*: the pendant edge first.
+        assert found == [((2, 3), pytest.approx(0.1)), ((0, 1, 2), pytest.approx(0.5))]
 
     def test_max_cliques_cap(self):
-        assert len(self.triangle_plus_pendant().maximal_cliques(max_cliques=1)) == 1
+        graph = self.triangle_plus_pendant()
+        assert len(graph.separate(self.BOTH_VIOLATED, max_cliques=1)) == 1
 
     def test_every_reported_clique_is_maximal(self):
         graph = self.triangle_plus_pendant()
-        for clique in graph.maximal_cliques():
+        for clique, _ in graph.separate(self.BOTH_VIOLATED):
             members = set(clique)
             for p, q in itertools.combinations(clique, 2):
                 assert graph.are_adjacent(p, q)
@@ -150,19 +155,22 @@ class TestCutsNeverCutFeasiblePoints:
         form = m.to_matrix_form()
         graph = ConflictGraph.from_matrix_form(form)
         x_frac = rng.uniform(0.0, 1.0, size=form.num_vars)
-        cuts = generate_cuts(form, x_frac, DEFAULT_CUT_POLICY, graph=graph)
+        cuts = generate_cuts(graph, x_frac)
         feasible = list(_integer_feasible_points(m))
         assert feasible, "capacity floor keeps at least the origin feasible"
         for cut in cuts:
+            row, rhs = cut.as_pair(form.num_vars)
             for point in feasible:
-                assert cut.activity(point) <= cut.rhs + 1e-9, (
-                    f"{cut.kind} cut removed integer-feasible point {point}"
+                assert row @ point <= rhs + 1e-9, (
+                    f"clique cut {cut.cols} removed integer-feasible point {point}"
                 )
 
     def test_packing_model_cliques_are_valid(self):
         m = packing_model()
         graph = ConflictGraph.from_matrix_form(m.to_matrix_form())
-        cliques = graph.maximal_cliques()
+        # Columns alternate slot 0 / slot 1 per item; lean on slot 0.
+        x = np.array([0.5, 0.2] * 3 + [0.0, 0.0])
+        cliques = [cols for cols, _ in graph.separate(x)]
         assert any(len(c) >= 3 for c in cliques)  # the slot-0 triangle merges
         for point in _integer_feasible_points(m):
             for clique in cliques:
@@ -228,5 +236,5 @@ class TestDesignExactnessWithCuts:
             policy=SolvePolicy(solver=SolverOptions(cuts=CutPolicy.disabled())),
         )
         assert on.makespan == pytest.approx(off.makespan)
-        # no conflict structure: the no-candidates guard keeps cuts at zero
+        # no conflict structure: nothing to separate
         assert on.stats.cuts == 0

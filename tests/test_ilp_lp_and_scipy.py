@@ -92,6 +92,48 @@ class TestScipyBackend:
         assert values[x] in (0.0, 1.0)
 
 
+def _column_free_model(rhs: float | None) -> Model:
+    """No variables; with ``rhs``, the constant rows ``5 <= rhs`` and ``2 == 2``."""
+    from repro.ilp.expr import LinExpr
+
+    m = Model("empty")
+    if rhs is not None:
+        m.add_constr(LinExpr() + 5 <= rhs)
+        m.add_constr(LinExpr() + 2 == 2)
+        m.maximize(LinExpr() + 4)
+    return m
+
+
+class TestModelsWithoutColumns:
+    """A form with no columns is answered from its constant rows: every
+    solve path agrees, and none hands scipy an empty problem."""
+
+    @pytest.mark.parametrize(
+        "rhs, status, objective",
+        [(None, Status.OPTIMAL, 0.0), (9.0, Status.OPTIMAL, 4.0), (3.0, Status.INFEASIBLE, None)],
+        ids=["no-rows", "rows-hold", "row-broken"],
+    )
+    def test_every_solve_path_agrees(self, rhs, status, objective):
+        from repro.obs import PresolvePolicy
+
+        m = _column_free_model(rhs)
+        lp = solve_matrix_lp(m.to_matrix_form())
+        assert lp.status == status.value
+        solutions = [
+            m.solve_relaxation(),
+            m.solve(backend="scipy", cache=False),
+            m.solve(cache=False),
+            m.solve(cache=False, root_presolve=PresolvePolicy.disabled()),
+        ]
+        for sol in solutions:
+            assert sol.status is status, sol
+            if objective is None:
+                assert sol.objective is None
+            else:
+                assert sol.objective == pytest.approx(objective)
+                assert sol.values == {}
+
+
 def test_solution_repr_mentions_status():
     m = Model()
     x = m.add_binary("x")

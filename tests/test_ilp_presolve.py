@@ -3,7 +3,7 @@ delta-bound nodes, and the precomputed LP workspace.
 
 The load-bearing property is *exactness*: none of the fast-path machinery
 may ever change an optimum, only the work needed to prove it. The randomized
-classes pin branch and bound — with every knob combination — against the
+classes pin branch and bound — with root presolve on and off — against the
 scipy/HiGHS MILP oracle on TAM-shaped assignment instances.
 """
 
@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ilp import CONTINUOUS, INTEGER, BranchAndBoundSolver, Model, Status, quicksum
+from repro.ilp import branch_and_bound
 from repro.ilp.lp import LpWorkspace, solve_matrix_lp
 from repro.ilp.presolve import (
     LB_TIGHTENED,
@@ -23,6 +24,7 @@ from repro.ilp.presolve import (
     propagate_bounds,
     reduced_cost_tighten,
 )
+from repro.obs import PresolvePolicy
 
 _INT_TOL = 1e-6
 _BIG = 1e15
@@ -438,15 +440,13 @@ class TestLpWorkspace:
         assert first is second
 
 
-def _scalar_fractional_index(int_indices, x, branching):
+def _scalar_fractional_index(int_indices, x):
     """The historical Python-loop rule, kept as the tie-breaking reference."""
     best, best_score = None, -1.0
     for j in int_indices:
         frac = abs(x[j] - round(x[j]))
         if frac <= _INT_TOL:
             continue
-        if branching == "first":
-            return int(j)
         score = min(frac, 1.0 - frac)
         if score > best_score:
             best, best_score = int(j), score
@@ -454,19 +454,19 @@ def _scalar_fractional_index(int_indices, x, branching):
 
 
 class TestFractionalIndex:
-    @given(st.integers(0, 1000), st.sampled_from(["most_fractional", "first"]))
+    @given(st.integers(0, 1000))
     @settings(max_examples=60)
-    def test_matches_scalar_reference(self, seed, branching):
+    def test_matches_scalar_reference(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 12))
         m = Model("frac")
         xs = [m.add_binary(f"x{i}") for i in range(n)]
         m.add_constr(quicksum(xs) <= n)
         m.maximize(quicksum(xs))
-        solver = BranchAndBoundSolver(m, branching=branching)
+        solver = BranchAndBoundSolver(m)
         # Quantized values make exact ties common — the interesting case.
         x = rng.integers(0, 8, size=n) / 8.0
-        expected = _scalar_fractional_index(solver._int_indices, x, branching)
+        expected = _scalar_fractional_index(solver._int_indices, x)
         assert solver._fractional_index(x) == expected
 
     def test_all_integral_returns_none(self):
@@ -475,12 +475,27 @@ class TestFractionalIndex:
         assert solver._fractional_index(np.array([1.0, 0.0])) is None
 
     def test_pseudocost_rule_dives_like_most_fractional(self):
-        # _fractional_index is also the dive's rule: under "pseudocost" it
-        # must fall back to most-fractional scoring, not "first".
+        # _fractional_index is also the dive's rule: it scores by
+        # fractionality alone, never by the lowest fractional index.
         m, _ = knapsack_model([1, 2, 3], [1, 1, 1], 3)
-        solver = BranchAndBoundSolver(m, branching="pseudocost")
+        solver = BranchAndBoundSolver(m)
         x = np.array([0.9, 0.5, 0.0])
         assert solver._fractional_index(x) == 1
+
+
+def _most_fractional_solve(m: Model):
+    """B&B with the pseudocost rule swapped for most-fractional branching."""
+    solver = BranchAndBoundSolver(m)
+    solver._select_branch = solver._fractional_index
+    return solver.solve()
+
+
+def _without_node_presolve(monkeypatch):
+    """Make node propagation and reduced-cost fixing no-ops in B&B."""
+    monkeypatch.setattr(
+        branch_and_bound, "propagate_bounds", lambda tables, lb, ub, **kw: (True, [])
+    )
+    monkeypatch.setattr(branch_and_bound, "reduced_cost_tighten", lambda *args: 0)
 
 
 class TestExactnessWithFastPath:
@@ -493,12 +508,7 @@ class TestExactnessWithFastPath:
         jobs, machines = int(rng.integers(3, 7)), int(rng.integers(2, 4))
         m = assignment_model(rng.integers(1, 30, size=(jobs, machines)))
         ref = m.solve(backend="scipy")
-        for options in (
-            {},  # defaults: presolve on, pseudocost
-            {"presolve": False},
-            {"branching": "most_fractional"},
-            {"presolve": False, "branching": "most_fractional"},  # the old solver
-        ):
+        for options in ({}, {"root_presolve": PresolvePolicy.disabled()}):
             ours = m.solve(cache=False, **options)
             assert ours.status is Status.OPTIMAL
             assert ours.objective == pytest.approx(ref.objective, abs=1e-6), options
@@ -513,18 +523,16 @@ class TestExactnessWithFastPath:
         m, _ = knapsack_model(weights, profits, int(sum(weights) * 0.5) + 1)
         ref = m.solve(backend="scipy")
         fast = m.solve(cache=False)
-        slow = m.solve(cache=False, presolve=False, branching="most_fractional")
         assert fast.objective == pytest.approx(ref.objective, abs=1e-6)
-        assert slow.objective == pytest.approx(ref.objective, abs=1e-6)
+        assert m.check_solution(fast.rounded()) == []
 
     def test_presolve_stats_populated(self):
         rng = np.random.default_rng(0)
         m = assignment_model(rng.integers(1, 30, size=(8, 3)))
         sol = m.solve(cache=False)
         assert sol.stats.lp_solves >= sol.stats.nodes
-        off = m.solve(cache=False, presolve=False)
-        assert off.stats.presolve_fixings == 0
-        assert off.stats.presolve_pruned == 0
+        assert sol.stats.presolve_fixings > 0
+        assert sol.stats.presolve_pruned > 0
 
     def test_infeasible_still_infeasible_with_presolve(self):
         m = Model()
@@ -532,7 +540,7 @@ class TestExactnessWithFastPath:
         m.add_constr(a + b >= 3)
         m.minimize(a + b)
         assert m.solve(cache=False).status is Status.INFEASIBLE
-        assert m.solve(cache=False, presolve=False).status is Status.INFEASIBLE
+        assert m.solve(backend="scipy").status is Status.INFEASIBLE
 
 
 class TestPseudocostRegression:
@@ -543,15 +551,16 @@ class TestPseudocostRegression:
         # scores stopped steering the search.
         rng = np.random.default_rng(42)
         m = assignment_model(rng.integers(1, 50, size=(10, 3)))
-        pc = m.solve(cache=False, presolve=False)
-        mf = m.solve(cache=False, presolve=False, branching="most_fractional")
+        pc = m.solve(cache=False)
+        mf = _most_fractional_solve(m)
         assert pc.objective == pytest.approx(mf.objective)
         assert pc.stats.nodes <= mf.stats.nodes
 
-    def test_presolve_reduces_nodes_on_fixed_instance(self):
+    def test_presolve_reduces_nodes_on_fixed_instance(self, monkeypatch):
         rng = np.random.default_rng(42)
         m = assignment_model(rng.integers(1, 50, size=(10, 3)))
         fast = m.solve(cache=False)
-        slow = m.solve(cache=False, presolve=False, branching="most_fractional")
+        _without_node_presolve(monkeypatch)
+        slow = _most_fractional_solve(m)
         assert fast.objective == pytest.approx(slow.objective)
-        assert fast.stats.nodes <= slow.stats.nodes
+        assert fast.stats.nodes < slow.stats.nodes

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ilp import INTEGER, Model, Status, quicksum
-from repro.ilp.presolve_root import Postsolve, presolve_root
+from repro.ilp.presolve_root import Postsolve, _Reducer, presolve_root
 from repro.obs import PresolvePolicy, SolvePolicy, SolverOptions
 
 _TOL = 1e-6
@@ -65,21 +65,11 @@ class TestPostsolveUnits:
 
     def test_fix_record_restores_constant(self):
         ps = Postsolve(
-            num_vars=3, kept=np.array([0, 2]), records=[("fix", 1, 5.0)]
+            num_vars=3, kept=np.array([0, 2]), records=[(1, 5.0)]
         )
         assert not ps.identity
         restored = ps.restore(np.array([1.0, 2.0]))
         np.testing.assert_allclose(restored, [1.0, 5.0, 2.0])
-
-    def test_subst_record_recomputes_from_row(self):
-        # x1 = (7 - 2*x0) / 1 in an equality row 2*x0 + x1 == 7.
-        ps = Postsolve(
-            num_vars=2,
-            kept=np.array([0]),
-            records=[("subst", 1, np.array([0]), np.array([2.0]), 7.0, 1.0)],
-        )
-        restored = ps.restore(np.array([3.0]))
-        np.testing.assert_allclose(restored, [3.0, 1.0])
 
     def test_unfilled_column_raises(self):
         ps = Postsolve(num_vars=2, kept=np.array([0]), records=[])
@@ -194,24 +184,23 @@ class TestExactnessAgainstBruteForce:
         assert _feasible(form, restored)
         assert float(form.c @ restored) + form.c0 == pytest.approx(best, abs=1e-6)
 
-    @given(random_integer_program(), st.integers(0, 4))
+    @given(random_integer_program(), st.sampled_from(_Reducer.REDUCTIONS))
     @settings(max_examples=30, deadline=None)
-    def test_single_reduction_policies_are_each_exact(self, instance, which):
-        gates = ["bound_tighten", "dual_fix", "singleton_cols", "coeff_tighten",
-                 "row_cleanup"]
-        overrides = {gate: gate == gates[which] for gate in gates}
+    def test_single_reduction_policies_are_each_exact(self, instance, reduction):
         form = _build(instance).to_matrix_form()
-        result = presolve_root(form, PresolvePolicy(**overrides))
+        reducer = _Reducer(form)
+        getattr(reducer, reduction)()
         best, _ = _brute_force(form)
-        if result.status == "infeasible":
+        if reducer.infeasible:
             assert best is None
             return
-        best_reduced, x_reduced = _brute_force(result.form)
+        postsolve = Postsolve(form.num_vars, kept=reducer.orig, records=reducer.records)
+        best_reduced, x_reduced = _brute_force(reducer.snapshot())
         if best is None:
             assert best_reduced is None
             return
         assert best_reduced == pytest.approx(best, abs=1e-6)
-        assert _feasible(form, result.postsolve.restore(x_reduced))
+        assert _feasible(form, postsolve.restore(x_reduced))
 
 
 class TestEndToEndOnDesigns:
@@ -225,9 +214,7 @@ class TestEndToEndOnDesigns:
         plain = design(
             problem,
             policy=SolvePolicy(
-                solver=SolverOptions(
-                    root_presolve=PresolvePolicy.disabled(), warm_start=False
-                )
+                solver=SolverOptions(root_presolve=PresolvePolicy.disabled())
             ),
             cache=False,
         )

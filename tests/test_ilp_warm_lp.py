@@ -5,8 +5,8 @@ Three layers: the LP engine itself is pinned against ``scipy.linprog``
 objective) and, pivot for pivot, against :func:`reference_solve`, the
 engine as it stood before its per-call NumPy work was cut; the
 branch-and-bound integration is pinned by solving the same models warm and
-cold — identical optima, with the warm counters proving the dual simplex
-actually answered the node LPs.
+cold with HiGHS — identical optima, with the warm counters proving the dual
+simplex actually answered the node LPs.
 """
 
 import numpy as np
@@ -19,7 +19,7 @@ from repro.ilp import branch_and_bound
 from repro.ilp.cuts import Cut
 from repro.ilp.lp import LpResult
 from repro.ilp.simplex import IN_BASIS, NB_FREE, NB_LOWER, NB_UPPER, Basis, RevisedSimplex
-from repro.obs import CutPolicy, PresolvePolicy, SolvePolicy, SolverOptions
+from repro.obs import CutPolicy
 from repro.soc import build_s3
 from repro.tam import TamArchitecture
 
@@ -552,7 +552,7 @@ class TestResidualCheck:
         solver = BranchAndBoundSolver(m, cut_policy=CutPolicy())
         solver._bind_form(solver._orig_form)
         if with_cut:
-            solver._cut_pool.add(Cut(cols=(0, 2), coefs=(-1.0, 1.0), rhs=0.5, kind="cover"))
+            solver._cuts.append(Cut(cols=(0, 2), coefs=(-1.0, 1.0), rhs=0.5))
             solver._rebuild_with_cuts()
         return solver
 
@@ -576,13 +576,10 @@ class TestResidualCheck:
         assert not self._ok(self._solver(with_cut=True), cut_point)
 
 
-def _warm_and_cold(model_factory, **solve_kwargs):
-    warm = model_factory().solve(cache=False, **solve_kwargs)
-    cold = model_factory().solve(
-        cache=False,
-        policy=SolvePolicy(solver=SolverOptions(warm_start=False)),
-        **solve_kwargs,
-    )
+def _warm_and_cold(model_factory):
+    """The same model solved by warm B&B and cold by HiGHS."""
+    warm = model_factory().solve(cache=False)
+    cold = model_factory().solve(cache=False, backend="scipy")
     return warm, cold
 
 
@@ -592,7 +589,7 @@ class TestWarmStartedBranchAndBound:
         assert warm.status is Status.OPTIMAL
         assert warm.objective == pytest.approx(cold.objective)
         assert warm.stats.warm_lp_solves > 0
-        assert cold.stats.warm_lp_solves == 0
+        assert warm.stats.warm_lp_fallbacks == 0
 
     def test_warm_matches_cold_on_integer_bounds(self):
         def factory():
@@ -609,16 +606,9 @@ class TestWarmStartedBranchAndBound:
 
     def test_seeded_s1_sweep_matches_cold_resolves(self, s1):
         """The acceptance sweep: warm-started node LPs reach the same
-        optima as cold re-solves across an S1 width sweep."""
-        cold_policy = SolvePolicy(
-            solver=SolverOptions(
-                root_presolve=PresolvePolicy.disabled(), warm_start=False
-            )
-        )
+        optima as cold HiGHS solves across an S1 width sweep."""
         warm_points = width_sweep(s1, 2, [8, 12, 16], timing="serial")
-        cold_points = width_sweep(
-            s1, 2, [8, 12, 16], timing="serial", policy=cold_policy
-        )
+        cold_points = width_sweep(s1, 2, [8, 12, 16], timing="serial", backend="scipy")
         assert len(warm_points) == len(cold_points)
         for wp, cp in zip(warm_points, cold_points):
             assert wp.makespan == pytest.approx(cp.makespan)
@@ -633,10 +623,6 @@ class TestWarmStartedBranchAndBound:
             soc=s1, arch=arch3, timing="serial", power_budget=3500.0
         )
         warm = design(problem, cache=False)
-        cold = design(
-            problem,
-            policy=SolvePolicy(solver=SolverOptions(warm_start=False)),
-            cache=False,
-        )
+        cold = design(problem, backend="scipy", cache=False)
         assert warm.makespan == pytest.approx(cold.makespan)
         assert warm.stats.warm_lp_solves > 0

@@ -18,8 +18,10 @@ from repro.core import (
     design,
     schedule_with_power_cap,
 )
+from repro.ilp import Status
 from repro.ilp.lpformat import parse_lp, write_lp
 from repro.layout import grid_place
+from repro.obs import CutPolicy, PresolvePolicy
 from repro.soc import generate_synthetic_soc
 from repro.tam import TamArchitecture, ate_vector_memory, exhaustive_optimal, tam_utilization
 from repro.util.errors import InfeasibleError
@@ -115,3 +117,71 @@ class TestFiveWayAgreement:
             except InfeasibleError:
                 continue
             assert constrained.makespan >= base_makespan - 1e-9
+
+
+#: Every on/off combination of the branch-and-bound layers that have a switch.
+SWITCHES = [
+    {"cut_policy": cuts, "root_presolve": presolve}
+    for cuts in (CutPolicy(), CutPolicy.disabled())
+    for presolve in (PresolvePolicy(), PresolvePolicy.disabled())
+]
+
+#: Bus splits, most with identical buses (interchangeable in the ILP).
+SPLITS = ([16, 16], [8, 8], [32, 16], [8, 8, 16], [16, 16, 16], [8, 16, 8])
+
+MODES = ("catalog", "parametric", "itc02")
+VARIANTS = ("serial", "power", "layout", "fixed+power")
+
+
+def _switch_problem(mode: str, variant: str, seed: int) -> DesignProblem:
+    rng = np.random.default_rng([seed, MODES.index(mode), VARIANTS.index(variant)])
+    soc = generate_synthetic_soc(int(rng.integers(3, 9)), seed=seed, mode=mode)
+    arch = TamArchitecture(SPLITS[int(rng.integers(len(SPLITS)))])
+    kwargs = {}
+    if variant in ("power", "fixed+power"):
+        powers = sorted(c.test_power for c in soc)
+        kwargs["power_budget"] = powers[-1] + powers[-2] * float(rng.uniform(0.4, 1.1))
+    if variant == "layout":
+        floorplan = grid_place(soc)
+        kwargs["floorplan"] = floorplan
+        kwargs["max_pair_distance"] = floorplan.spread() * float(rng.uniform(0.45, 1.0))
+    timing = "fixed" if variant == "fixed+power" else "serial"
+    return DesignProblem(soc=soc, arch=arch, timing=timing, **kwargs)
+
+
+class TestSwitchMatrix:
+    """B&B under every combination of its switches agrees with HiGHS and the
+    exhaustive search, on optima and on infeasibility alike."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_every_switch_combination_agrees(self, mode, variant):
+        for seed in range(8):
+            problem = _switch_problem(mode, variant, seed)
+            try:
+                oracle = exhaustive_optimal(
+                    problem.soc, problem.arch, problem.timing,
+                    forbidden_pairs=problem.forbidden_pairs,
+                    forced_pairs=problem.forced_pairs,
+                ).makespan
+            except InfeasibleError:
+                oracle = None
+            try:
+                model = build_assignment_ilp(problem).model
+            except InfeasibleError:
+                assert oracle is None, (mode, variant, seed)
+                continue
+            highs = model.solve(backend="scipy", cache=False)
+            if oracle is None:
+                assert highs.status is Status.INFEASIBLE, (mode, variant, seed)
+            else:
+                assert highs.objective == pytest.approx(oracle), (mode, variant, seed)
+            for switches in SWITCHES:
+                label = (mode, variant, seed, switches)
+                ours = model.solve(cache=False, **switches)
+                assert ours.status is highs.status, label
+                if oracle is None:
+                    continue
+                assert ours.objective == pytest.approx(oracle), label
+                assert ours.stats.best_bound <= ours.objective + 1e-6, label
+                assert model.check_solution(ours.rounded()) == [], label

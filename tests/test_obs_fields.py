@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 from repro.core import SolveRequest
 from repro.core.request import _REQUIRED as REQUIRED_BY_KIND
 from repro.obs import (
-    BRANCHING_RULES,
     FALLBACK_RUNGS,
     PORTFOLIO_ENTRANTS,
     CutPolicy,
@@ -82,24 +81,8 @@ def instances(cls, field_strategies):
 
 
 FIELDS: dict[type, dict] = {}
-FIELDS[CutPolicy] = {
-    "rounds": st.integers(0, 8),
-    "max_cuts_per_round": positive,
-    "clique": st.booleans(),
-    "cover": st.booleans(),
-    "max_depth": st.integers(0, 6),
-    "min_violation": real,
-    "max_pool": positive,
-    "max_age": st.integers(1, 8),
-}
-FIELDS[PresolvePolicy] = {
-    "rounds": st.integers(0, 8),
-    "bound_tighten": st.booleans(),
-    "dual_fix": st.booleans(),
-    "singleton_cols": st.booleans(),
-    "coeff_tighten": st.booleans(),
-    "row_cleanup": st.booleans(),
-}
+FIELDS[CutPolicy] = {"rounds": st.integers(0, 8)}
+FIELDS[PresolvePolicy] = {"rounds": st.integers(0, 8)}
 FIELDS[PortfolioPolicy] = {
     "entrants": st.permutations(PORTFOLIO_ENTRANTS).flatmap(
         lambda order: st.integers(0, len(order)).map(lambda n: tuple(order[:n]))
@@ -109,11 +92,8 @@ FIELDS[PortfolioPolicy] = {
     "jobs": positive,
 }
 FIELDS[SolverOptions] = {
-    "presolve": optional(st.booleans()),
-    "branching": optional(st.sampled_from(BRANCHING_RULES)),
     "cuts": optional(instances(CutPolicy, FIELDS[CutPolicy])),
     "root_presolve": optional(instances(PresolvePolicy, FIELDS[PresolvePolicy])),
-    "warm_start": optional(st.booleans()),
     "checkpoint_interval": optional(real),
     "portfolio": optional(instances(PortfolioPolicy, FIELDS[PortfolioPolicy])),
 }

@@ -114,18 +114,11 @@ class TestCutPolicyObject:
     def test_validation_rejects_bad_fields(self):
         with pytest.raises(ValueError):
             CutPolicy(rounds=-1)
-        with pytest.raises(ValueError):
-            CutPolicy(max_cuts_per_round=0)
-        with pytest.raises(ValueError):
-            CutPolicy(min_violation=-1.0)
-        with pytest.raises(ValueError):
-            CutPolicy(max_pool=0)
 
     def test_enabled_flag(self):
         assert DEFAULT_CUT_POLICY.enabled
         assert not CutPolicy.disabled().enabled
-        assert not CutPolicy(clique=False, cover=False).enabled
-        assert CutPolicy(rounds=0, max_depth=2).enabled  # in-tree only
+        assert CutPolicy(rounds=1).enabled
 
     def test_root_cuts_is_not_a_cut_field(self):
         # The retired root_cuts=N spelling has no policy mapping any more:
@@ -136,26 +129,17 @@ class TestCutPolicyObject:
             SolverOptions.from_dict({"cuts": {"root_cuts": 2}})
 
     def test_dict_round_trip_and_unknown_keys(self):
-        policy = CutPolicy(rounds=5, clique=False, max_depth=1)
+        policy = CutPolicy(rounds=5)
         assert CutPolicy.from_dict(policy.as_dict()) == policy
         with pytest.raises(ValueError, match="gomory"):
             CutPolicy.from_dict({"gomory": True})
+        with pytest.raises(ValueError, match="max_depth"):
+            CutPolicy.from_dict({"max_depth": 2})
 
     def test_cache_token_distinguishes_every_field(self):
         base = CutPolicy()
-        tokens = {base.cache_token()}
-        for change in (
-            {"rounds": 9},
-            {"max_cuts_per_round": 9},
-            {"clique": False},
-            {"cover": False},
-            {"max_depth": 9},
-            {"min_violation": 0.5},
-            {"max_pool": 9},
-            {"max_age": 9},
-        ):
-            tokens.add(base.with_overrides(**change).cache_token())
-        assert len(tokens) == 9
+        tokens = {base.cache_token(), base.with_overrides(rounds=9).cache_token()}
+        assert len(tokens) == 2
 
 
 class TestPresolvePolicyObject:
@@ -166,97 +150,69 @@ class TestPresolvePolicyObject:
     def test_enabled_flag(self):
         assert DEFAULT_PRESOLVE_POLICY.enabled
         assert not PresolvePolicy.disabled().enabled
-        assert not PresolvePolicy(
-            bound_tighten=False,
-            dual_fix=False,
-            singleton_cols=False,
-            coeff_tighten=False,
-            row_cleanup=False,
-        ).enabled
-        assert PresolvePolicy(rounds=1, bound_tighten=False).enabled
+        assert PresolvePolicy(rounds=1).enabled
 
     def test_dict_round_trip_and_unknown_keys(self):
-        policy = PresolvePolicy(rounds=2, singleton_cols=False)
+        policy = PresolvePolicy(rounds=2)
         assert PresolvePolicy.from_dict(policy.as_dict()) == policy
         with pytest.raises(ValueError, match="probing"):
             PresolvePolicy.from_dict({"probing": True})
+        with pytest.raises(ValueError, match="singleton_cols"):
+            PresolvePolicy.from_dict({"singleton_cols": False})
 
     def test_cache_token_distinguishes_every_field(self):
         base = PresolvePolicy()
-        tokens = {base.cache_token()}
-        for change in (
-            {"rounds": 9},
-            {"bound_tighten": False},
-            {"dual_fix": False},
-            {"singleton_cols": False},
-            {"coeff_tighten": False},
-            {"row_cleanup": False},
-        ):
-            tokens.add(base.with_overrides(**change).cache_token())
-        assert len(tokens) == 7
+        tokens = {base.cache_token(), base.with_overrides(rounds=9).cache_token()}
+        assert len(tokens) == 2
 
     def test_policy_is_picklable(self):
         import pickle
 
-        policy = PresolvePolicy(rounds=1, dual_fix=False)
+        policy = PresolvePolicy(rounds=1)
         assert pickle.loads(pickle.dumps(policy)) == policy
 
 
 class TestSolverOptionsBlock:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SolverOptions(branching="steepest")
         with pytest.raises(TypeError):
             SolverOptions(cuts={"rounds": 3})
         with pytest.raises(TypeError):
             SolverOptions(root_presolve={"rounds": 2})
-        with pytest.raises(TypeError):
-            SolverOptions(warm_start="yes")
         with pytest.raises(ValueError):
             SolverOptions(checkpoint_interval=0)
 
     def test_presolve_and_warm_start_forwarding(self):
-        block = SolverOptions(
-            root_presolve=PresolvePolicy.disabled(), warm_start=False
-        )
+        block = SolverOptions(root_presolve=PresolvePolicy.disabled())
         options = block.backend_options("bnb")
-        assert options["root_presolve"] == PresolvePolicy.disabled()
-        # The solver's own `warm_start` kwarg is an incumbent-values hint;
-        # the LP-basis toggle travels under a distinct name.
-        assert options["lp_warm_start"] is False
-        assert "warm_start" not in options
+        assert options == {"root_presolve": PresolvePolicy.disabled()}
         assert block.backend_options("scipy") == {}
+        # Node LPs always start warm: the block has no LP-basis switch, and
+        # never sets the solver's own `warm_start` (an incumbent hint).
+        with pytest.raises(ValueError, match="warm_start"):
+            SolverOptions.from_dict({"warm_start": False})
 
     def test_presolve_and_warm_start_shape_cache_token(self):
         bare = SolverOptions()
         presolve_off = SolverOptions(root_presolve=PresolvePolicy.disabled())
-        warm_off = SolverOptions(warm_start=False)
-        tokens = {b.cache_token() for b in (bare, presolve_off, warm_off)}
+        one_round = SolverOptions(root_presolve=PresolvePolicy(rounds=1))
+        tokens = {b.cache_token() for b in (bare, presolve_off, one_round)}
         assert len(tokens) == 3
 
     def test_nested_presolve_dict_round_trip(self):
-        block = SolverOptions(
-            root_presolve=PresolvePolicy(rounds=2, coeff_tighten=False),
-            warm_start=True,
-        )
+        block = SolverOptions(root_presolve=PresolvePolicy(rounds=2))
         assert SolverOptions.from_dict(block.as_dict()) == block
 
     def test_backend_options_forwarding(self):
-        block = SolverOptions(presolve=False, cuts=CutPolicy(rounds=2))
+        block = SolverOptions(cuts=CutPolicy(rounds=2))
         options = block.backend_options("bnb")
-        assert options["presolve"] is False
-        assert options["cut_policy"] == CutPolicy(rounds=2)
-        assert "branching" not in options
+        assert options == {"cut_policy": CutPolicy(rounds=2)}
         # non-bnb backends understand none of these knobs
         assert block.backend_options("scipy") == {}
 
     def test_policy_carries_solver_block_to_backend(self):
-        policy = SolvePolicy(
-            node_budget=7, solver=SolverOptions(branching="first", cuts=CutPolicy())
-        )
+        policy = SolvePolicy(node_budget=7, solver=SolverOptions(cuts=CutPolicy()))
         options = policy.backend_options("bnb")
         assert options["node_limit"] == 7
-        assert options["branching"] == "first"
         assert options["cut_policy"] == CutPolicy()
         assert policy.backend_options("scipy") == {}
 
@@ -273,7 +229,7 @@ class TestSolverOptionsBlock:
         policy = SolvePolicy(
             deadline=1.5,
             solver=SolverOptions(
-                presolve=True, branching="pseudocost", cuts=CutPolicy(max_depth=1)
+                cuts=CutPolicy(rounds=1), root_presolve=PresolvePolicy(rounds=2)
             ),
         )
         assert SolvePolicy.from_dict(policy.as_dict()) == policy
@@ -284,11 +240,11 @@ class TestSolverOptionsBlock:
                 SolvePolicy.from_dict({"node_budget": 3, key: 1})
 
     def test_flat_key_beside_nested_block_rejected(self):
-        payload = {"presolve": False, "solver": {"presolve": True}}
-        with pytest.raises(ValueError, match="unknown SolvePolicy field.*presolve"):
+        payload = {"cuts": {"rounds": 2}, "solver": {"cuts": {"rounds": 1}}}
+        with pytest.raises(ValueError, match="unknown SolvePolicy field.*cuts"):
             SolvePolicy.from_dict(payload)
-        nested = SolvePolicy.from_dict({"solver": {"presolve": True}})
-        assert nested.solver == SolverOptions(presolve=True)
+        nested = SolvePolicy.from_dict({"solver": {"cuts": {"rounds": 1}}})
+        assert nested.solver == SolverOptions(cuts=CutPolicy(rounds=1))
 
     def test_block_is_picklable(self):
         import pickle
@@ -510,13 +466,13 @@ class TestCacheKeyLeavesOutUncachedFields:
         assert (cache.hits, cache.misses) == (1, 1)
 
     def test_flat_design_kwarg_is_an_ad_hoc_option_in_the_key(self, problem):
-        # design(..., presolve=False) reaches the backend like gap_tol does,
+        # design(..., dive=False) reaches the backend like gap_tol does,
         # and is hashed into the key like any ad-hoc option.
         cache = SolutionCache()
-        flat = design(problem, presolve=False, cache=cache)
+        flat = design(problem, dive=False, cache=cache)
         assert not flat.stats.cache_hit
         assert not design(problem, cache=cache).stats.cache_hit
-        assert design(problem, presolve=False, cache=cache).stats.cache_hit
+        assert design(problem, dive=False, cache=cache).stats.cache_hit
 
 
 class TestCheckpointing:

@@ -69,9 +69,6 @@ class TestRunTelemetry:
         for name in (
             "lp_time",
             "cut_rounds",
-            "clique_cuts",
-            "cover_cuts",
-            "cuts_dropped",
             "pseudocost_branches",
             "root_presolve_rounds",
             "root_coeffs_tightened",

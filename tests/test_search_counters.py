@@ -173,6 +173,12 @@ class TestLayoutCuts:
         limit = CUTS_ON_BASELINE_NODES * (1.0 + NODE_TOLERANCE)
         assert cuts_on["solve.nodes"] <= limit
 
+    def test_cut_rounds_counted_when_cuts_added(self, cuts_on):
+        # A round counts once its cuts are in the LP, including a round
+        # whose cuts prove the root infeasible.
+        assert cuts_on["solve.cuts"] > 0
+        assert cuts_on["solve.cut_rounds"] >= 1
+
 
 def test_root_presolve_removes_rows_or_columns(s1):
     removed = 0
