@@ -5,14 +5,13 @@ ILPs + a fractional knapsack) while asserting that every configuration
 returns the same optimum:
 
 - the root rounding *dive* (early incumbent for pruning);
-- *root clique cuts* under the default :class:`~repro.api.CutPolicy`
-  (a no-op where no row yields a pairwise conflict).
+- *root clique cuts*, on by default and off with ``cut_rounds=0`` (a
+  no-op where no row yields a pairwise conflict).
 """
 
 import pytest
 
 from repro.api import (
-    CutPolicy,
     DesignProblem,
     Model,
     TamArchitecture,
@@ -41,7 +40,7 @@ def _instances():
 CONFIGS = {
     "baseline": {},
     "no_dive": {"dive": False},
-    "cuts": {"cut_policy": CutPolicy()},
+    "no_cuts": {"cut_rounds": 0},
 }
 
 

@@ -90,15 +90,11 @@ from repro.ilp.model import register_backend, unregister_backend
 from repro.ilp.solution import Solution, SolveStats, Status
 from repro.layout import Floorplan, anneal_place, bus_wirelength, grid_place, tam_wirelength
 from repro.obs import (
-    DEFAULT_CUT_POLICY,
     DEFAULT_PORTFOLIO_POLICY,
-    DEFAULT_PRESOLVE_POLICY,
     CheckpointStore,
-    CutPolicy,
     FallbackReport,
     MetricsRegistry,
     PortfolioPolicy,
-    PresolvePolicy,
     SolvePolicy,
     SolverOptions,
     Span,
@@ -150,7 +146,6 @@ from repro.util.errors import (
     InfeasibleError,
     ReproError,
     SolverError,
-    TransientSolverError,
     ValidationError,
 )
 from repro.util.tables import Table, format_objective, format_table
@@ -270,10 +265,6 @@ __all__ = [
     "use_metrics",
     "SolvePolicy",
     "SolverOptions",
-    "CutPolicy",
-    "DEFAULT_CUT_POLICY",
-    "PresolvePolicy",
-    "DEFAULT_PRESOLVE_POLICY",
     "FallbackReport",
     "CheckpointStore",
     "register_backend",
@@ -299,7 +290,6 @@ __all__ = [
     "ReproError",
     "InfeasibleError",
     "SolverError",
-    "TransientSolverError",
     "ValidationError",
 ]
 
@@ -319,7 +309,6 @@ _SINCE_PR: dict[str, int] = {
     "CheckpointStore": 3,
     "register_backend": 3,
     "unregister_backend": 3,
-    "TransientSolverError": 3,
     # PR 4: solver-core fast path
     "BranchAndBoundSolver": 4,
     # PR 6: flow-aware lint engine
@@ -333,12 +322,7 @@ _SINCE_PR: dict[str, int] = {
     "facade_table": 7,
     "render_facade_manifest": 7,
     # PR 8: branch-and-cut + structured solver options
-    "CutPolicy": 8,
     "SolverOptions": 8,
-    "DEFAULT_CUT_POLICY": 8,
-    # PR 9: root presolve + warm-started node LPs
-    "PresolvePolicy": 9,
-    "DEFAULT_PRESOLVE_POLICY": 9,
     # PR 10: scale corpus + racing portfolio
     "PortfolioPolicy": 10,
     "DEFAULT_PORTFOLIO_POLICY": 10,
@@ -354,9 +338,7 @@ _SINCE_PR: dict[str, int] = {
 #: Defining module for exports that are plain values (no ``__module__``).
 _CONSTANT_MODULES: dict[str, str] = {
     "DEFAULT_CACHE_DIR": "repro.runtime.cache",
-    "DEFAULT_CUT_POLICY": "repro.obs.policy",
     "DEFAULT_PORTFOLIO_POLICY": "repro.obs.policy",
-    "DEFAULT_PRESOLVE_POLICY": "repro.obs.policy",
     "EXPERIMENTS": "repro.experiments",
     "REQUEST_KINDS": "repro.core.request",
     "BLESSED_ALIASES": "repro.api",

@@ -24,12 +24,12 @@ caches) identically no matter which front-end produced it.
 The solver commands share the runtime flags ``--jobs N`` (parallel sweep
 fan-out), ``--cache [DIR]`` (memoize solved instances, in memory or on
 disk), and ``--no-cache`` — plus the anytime-solve flags ``--deadline`` /
-``--node-budget`` / ``--retries`` / ``--no-fallback`` that build a
+``--node-budget`` / ``--no-fallback`` that build a
 :class:`~repro.api.SolvePolicy`, and the bnb solver knobs
 ``--cuts`` / ``--no-cuts`` / ``--cut-rounds`` / ``--root-presolve`` /
-``--no-root-presolve`` that ride its structured
+``--no-root-presolve`` that set ``cut_rounds`` / ``presolve_rounds`` on its
 :class:`~repro.api.SolverOptions` block (root clique cuts and root model
-presolve are both on by default; the ``--no-*`` forms disable them).
+presolve are both on by default; the ``--no-*`` forms set 0 rounds).
 ``design --trace [FILE]`` additionally records a span trace and prints
 its flame summary.
 
@@ -37,7 +37,8 @@ The SOC argument accepts the builtin names ``S1``/``S2``/``S3``,
 ``SYN<n>[:seed]`` for a synthetic system, or a path to a ``.soc`` file.
 
 Everything here goes through :mod:`repro.api` — the CLI is a consumer of
-the public facade, not of the internal layering.
+the public facade, not of the internal layering — apart from the solver's
+default round counts, which ``--cuts`` and ``--root-presolve`` name.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ import sys
 
 from repro.api import (
     DEFAULT_CACHE_DIR,
-    CutPolicy,
     DesignProblem,
     PortfolioPolicy,
     ReproError,
@@ -120,22 +120,21 @@ def _solver_block_from_args(args) -> SolverOptions | None:
     options — so CLI, library, and service requests fingerprint
     identically for identical settings.
     """
-    from repro.api import PresolvePolicy, ValidationError
+    from repro.api import ValidationError
+    from repro.ilp.branch_and_bound import CUT_ROUNDS, PRESOLVE_ROUNDS
 
     if getattr(args, "cuts", None) is False and getattr(args, "cut_rounds", None):
         raise ValidationError("--no-cuts and --cut-rounds contradict each other")
-    cuts = None
+    cut_rounds = None
     if getattr(args, "cuts", None) is False:
-        cuts = CutPolicy.disabled()
+        cut_rounds = 0
     elif getattr(args, "cut_rounds", None) is not None:
-        cuts = CutPolicy(rounds=args.cut_rounds)
+        cut_rounds = args.cut_rounds
     elif getattr(args, "cuts", None) is True:
-        cuts = CutPolicy()
-    root_presolve = None
-    if getattr(args, "root_presolve", None) is False:
-        root_presolve = PresolvePolicy.disabled()
-    elif getattr(args, "root_presolve", None) is True:
-        root_presolve = PresolvePolicy()
+        cut_rounds = CUT_ROUNDS
+    presolve_rounds = None
+    if getattr(args, "root_presolve", None) is not None:
+        presolve_rounds = PRESOLVE_ROUNDS if args.root_presolve else 0
     portfolio = None
     entrants = getattr(args, "portfolio_entrants", None)
     seed = getattr(args, "portfolio_seed", None)
@@ -155,17 +154,17 @@ def _solver_block_from_args(args) -> SolverOptions | None:
             overrides["seed"] = seed
         portfolio = PortfolioPolicy(**overrides)
     block = {}
-    if cuts is not None:
-        block["cuts"] = cuts
-    if root_presolve is not None:
-        block["root_presolve"] = root_presolve
+    if cut_rounds is not None:
+        block["cut_rounds"] = cut_rounds
+    if presolve_rounds is not None:
+        block["presolve_rounds"] = presolve_rounds
     if portfolio is not None:
         block["portfolio"] = portfolio
     if not block:
         return None
     if args.backend != "bnb":
-        flags = {"cuts": "--cuts/--no-cuts/--cut-rounds",
-                 "root_presolve": "--root-presolve/--no-root-presolve",
+        flags = {"cut_rounds": "--cuts/--no-cuts/--cut-rounds",
+                 "presolve_rounds": "--root-presolve/--no-root-presolve",
                  "portfolio": "--portfolio/--portfolio-entrants/--portfolio-seed"}
         listed = "/".join(flags[key] for key in block)
         raise ValidationError(
@@ -190,8 +189,6 @@ def _add_policy_flags(parser: argparse.ArgumentParser) -> None:
                              "incumbent (or a heuristic fallback) is returned")
     parser.add_argument("--node-budget", type=int, default=None, metavar="N",
                         help="B&B node budget per solve (anytime mode, like --deadline)")
-    parser.add_argument("--retries", type=int, default=0, metavar="N",
-                        help="retry transient backend failures up to N times")
     parser.add_argument("--no-fallback", action="store_true",
                         help="fail instead of degrading to heuristics when a "
                              "budget is exhausted without an incumbent")
@@ -201,12 +198,11 @@ def _policy_from_args(args) -> SolvePolicy | None:
     """Build the SolvePolicy the flags describe (None = exact, uncapped)."""
     solver = _solver_block_from_args(args)
     if (args.deadline is None and args.node_budget is None
-            and not args.retries and not args.no_fallback and solver is None):
+            and not args.no_fallback and solver is None):
         return None
     return SolvePolicy(
         deadline=args.deadline,
         node_budget=args.node_budget,
-        max_retries=args.retries,
         fallback=() if args.no_fallback else SolvePolicy().fallback,
         solver=solver,
     )

@@ -25,7 +25,7 @@ from repro.core.problem import DesignProblem
 from repro.ilp.solution import SolveStats, Status
 from repro.layout.floorplan import Floorplan
 from repro.layout.routing import tam_wirelength
-from repro.obs import DEFAULT_CUT_POLICY, FallbackReport, SolvePolicy, get_metrics, now, span
+from repro.obs import FallbackReport, SolvePolicy, get_metrics, now, span
 from repro.runtime.telemetry import RunTelemetry
 from repro.soc.system import Soc
 from repro.tam.architecture import TamArchitecture
@@ -87,7 +87,7 @@ class TamDesign:
             f"nodes={self.stats.nodes}, LPs={self.stats.lp_solves}, "
             f"{self.stats.wall_time * 1000:.0f} ms{cached}"
         )
-        if self.fallback is not None and (self.fallback.degraded or self.fallback.retries):
+        if self.fallback is not None and self.fallback.degraded:
             lines.append(f"  resilience: {self.fallback.render()}")
         if self.portfolio is not None:
             lines.append(f"  {self.portfolio.render()}")
@@ -98,7 +98,6 @@ def design(
     problem: DesignProblem,
     backend: str = "bnb",
     wirelength_method: str = "chain",
-    warm_start_heuristic: bool = False,
     cache: "object | bool | None" = None,
     policy: SolvePolicy | None = None,
     incumbent: Assignment | None = None,
@@ -107,16 +106,13 @@ def design(
     """Solve ``problem`` — to proven optimality, or as far as a policy allows.
 
     Solver knobs travel on ``policy.solver``
-    (:class:`~repro.obs.SolverOptions`: a :class:`~repro.obs.CutPolicy`
-    cuts block, a root-model :class:`~repro.obs.PresolvePolicy`, the
-    checkpoint interval, the portfolio); they only apply to the bnb
-    backend and are rejected elsewhere. When nothing chose a cut policy,
-    the designer turns root clique cuts on with
-    :data:`~repro.obs.DEFAULT_CUT_POLICY` — the TAM formulations are rich
-    in conflict structure and separation finds nothing when they are not.
-    Root presolve is likewise on by default inside the solver itself (see
-    DESIGN.md §13); disable it per request with
-    ``SolverOptions(root_presolve=PresolvePolicy.disabled())``. Any other
+    (:class:`~repro.obs.SolverOptions`: root ``cut_rounds`` and
+    ``presolve_rounds``, the portfolio); the round counts only reach the
+    bnb backend. Left unset, the solver runs its own defaults,
+    ``CUT_ROUNDS`` rounds of root clique cuts and ``PRESOLVE_ROUNDS``
+    passes of root presolve (:mod:`repro.ilp.branch_and_bound`, DESIGN.md
+    §12–§13); ``SolverOptions(cut_rounds=0)`` or
+    ``SolverOptions(presolve_rounds=0)`` turns either off. Any other
     keyword (``gap_tol``, ``dive``, …) is forwarded to the backend as an
     ad-hoc option and hashed into the cache key.
 
@@ -130,12 +126,11 @@ def design(
     :class:`~repro.obs.FallbackReport` and the process metrics. A policy
     with an empty ladder restores the strict behavior under a budget.
 
-    ``warm_start_heuristic`` feeds the LPT greedy solution to the branch &
-    bound as its initial incumbent (bnb backend only): the optimum is
-    unchanged, pruning just starts earlier. ``incumbent`` injects an
-    arbitrary known-good :class:`~repro.tam.assignment.Assignment` the same
-    way — the channel the racing portfolio cross-feeds heuristic winners
-    through.
+    ``incumbent`` feeds a known-good
+    :class:`~repro.tam.assignment.Assignment` (an LPT greedy solution, say)
+    to the branch & bound as its initial incumbent (bnb backend only): the
+    optimum is unchanged, pruning just starts earlier. It is the channel
+    the racing portfolio cross-feeds heuristic winners through.
 
     When ``policy.solver.portfolio`` is an enabled
     :class:`~repro.obs.PortfolioPolicy` (and the backend is ``bnb``), the
@@ -189,15 +184,6 @@ def design(
         # Test times are integral cycle counts: stop once the bound is
         # within one cycle of the incumbent.
         solver_options["gap_tol"] = 1.0 - 1e-6
-    if (
-        backend == "bnb"
-        and "cut_policy" not in solver_options
-        and (policy is None or policy.solver is None or policy.solver.cuts is None)
-    ):
-        # Branch-and-cut by default: separation only ever strengthens the
-        # relaxation (never the optimum) and no-ops on instances without
-        # conflict/knapsack structure. CutPolicy.disabled() opts out.
-        solver_options["cut_policy"] = DEFAULT_CUT_POLICY
     if incumbent is not None and backend == "bnb" and "warm_start" not in solver_options:
         violations = problem.validate(incumbent)
         if violations:
@@ -211,20 +197,6 @@ def design(
         }
         values[formulation.makespan_var] = incumbent.makespan(problem.timing)
         solver_options["warm_start"] = values
-    elif warm_start_heuristic and backend == "bnb" and "warm_start" not in solver_options:
-        from repro.core.baselines import lpt_assignment
-
-        try:
-            baseline = lpt_assignment(problem)
-        except InfeasibleError:
-            pass  # greedy failed; B&B starts cold and still proves the answer
-        else:
-            values = {
-                var: 1.0 if baseline.assignment.bus_of[i] == j else 0.0
-                for (i, j), var in formulation.x.items()
-            }
-            values[formulation.makespan_var] = baseline.makespan
-            solver_options["warm_start"] = values
     with span("solve", backend=backend):
         solution = formulation.model.solve(
             backend=backend, cache=cache, policy=policy, **solver_options
@@ -236,7 +208,7 @@ def design(
             reason="ILP infeasible",
         )
 
-    report = FallbackReport(retries=solution.stats.retries)
+    report = FallbackReport()
     if not solution.is_feasible:
         # Budget exhausted with no incumbent: walk the degradation ladder.
         return _degrade(problem, solution, backend, policy, report, wirelength_method)
@@ -305,8 +277,7 @@ def _degrade(
                 else:  # "sa" — the only other registered rung
                     from repro.core.baselines import simulated_annealing
 
-                    seed = policy.fallback_seed if policy is not None else 0
-                    candidate = simulated_annealing(problem, seed=seed)
+                    candidate = simulated_annealing(problem, seed=0)
             except InfeasibleError as exc:
                 report.record_step(rung, "infeasible", detail=str(exc.reason or exc))
                 continue

@@ -100,15 +100,16 @@ class SolveRequest(DerivedFields):
     requests must be picklable, serializable, and content-addressable.
     ``options`` holds extra JSON-scalar solver kwargs (``gap_tol``, ...)
     as a sorted tuple of pairs so equal requests compare and hash equal
-    regardless of construction order; structured solver settings (the
-    root clique-cut :class:`~repro.obs.CutPolicy` and the root-model
-    :class:`~repro.obs.PresolvePolicy`) belong on ``policy.solver``
-    (:class:`~repro.obs.SolverOptions`), which serializes with the policy
-    and reaches the fingerprint through its cache token.
+    regardless of construction order; the solver settings (root
+    ``cut_rounds`` and ``presolve_rounds``, the portfolio) belong on
+    ``policy.solver`` (:class:`~repro.obs.SolverOptions`), which serializes
+    with the policy and reaches the fingerprint through its cache token.
 
-    The token, the wire form and overrides derive from the fields
-    (:class:`~repro.obs.policy.DerivedFields`): ``jobs`` opts out of the
-    token, and ``options`` travels as a JSON object.
+    The token, the wire form, overrides and the integer checks derive from
+    the fields (:class:`~repro.obs.policy.DerivedFields`): ``widths``,
+    ``total_width``, ``num_buses``, ``max_buses`` and ``jobs`` must be
+    integers (not bools) when the request is built, ``jobs`` opts out of
+    the token, and ``options`` travels as a JSON object.
     """
 
     _error = ValidationError
@@ -131,6 +132,7 @@ class SolveRequest(DerivedFields):
     policy: SolvePolicy | None = None
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.kind not in REQUEST_KINDS:
             raise ValidationError(
                 f"unknown request kind {self.kind!r}; expected one of {list(REQUEST_KINDS)}"

@@ -3,8 +3,8 @@
 The solver operates on the dense :class:`~repro.ilp.model.MatrixForm` of a
 model through a precomputed :class:`~repro.ilp.lp.LpWorkspace`, so the
 scipy constraint handles are derived once, not per node. Before the search
-starts, **root presolve** (:mod:`repro.ilp.presolve_root`, gated by a
-:class:`~repro.obs.policy.PresolvePolicy`) shrinks the model itself —
+starts, **root presolve** (:mod:`repro.ilp.presolve_root`, up to
+``presolve_rounds`` passes) shrinks the model itself —
 bound tightening, dual fixing, coefficient tightening, row cleanup —
 and the whole search then runs in the reduced space; every incumbent is
 mapped back through the recorded ``Postsolve`` before it is stored, so
@@ -33,9 +33,8 @@ node:
   objective degradations of earlier branchings, falling back to
   most-fractional until history exists.
 
-At the root, clique cuts from the conflict graph (gated by a
-:class:`~repro.obs.policy.CutPolicy`) tighten the relaxation in up to
-``CutPolicy.rounds`` separation rounds, and a *diving* pass rounds its way
+At the root, clique cuts from the conflict graph tighten the relaxation in
+up to ``cut_rounds`` separation rounds, and a *diving* pass rounds its way
 to an early incumbent so that pruning has a bound to work with from the
 start. All objective handling is in minimization sense; the wrapping
 ``solve`` translates back to the model's sense.
@@ -59,15 +58,20 @@ from repro.ilp.simplex import Basis, RevisedSimplex
 from repro.ilp.solution import Solution, SolveStats, Status, relative_gap
 from repro.obs import get_metrics, node_event, now, span
 from repro.obs import event as trace_event
-from repro.obs.policy import (
-    DEFAULT_PRESOLVE_POLICY,
-    CheckpointStore,
-    CutPolicy,
-    PresolvePolicy,
-)
+from repro.obs.policy import CheckpointStore
 from repro.util.errors import SolverError
 
 _INT_TOL = 1e-6
+
+#: Rounds of root clique-cut separation a solve runs unless told otherwise.
+CUT_ROUNDS = 3
+
+#: Passes of root model presolve a solve runs unless told otherwise.
+PRESOLVE_ROUNDS = 4
+
+#: Minimum seconds between two incumbent checkpoint writes during a search;
+#: the final incumbent is written when the solve ends, whatever the gap.
+CHECKPOINT_INTERVAL = 1.0
 
 #: Floor for pseudocost scores so an (estimated) zero degradation never
 #: erases the other direction's signal in the product rule.
@@ -101,18 +105,15 @@ class BranchAndBoundSolver:
         Wall-clock budget in seconds (None = unlimited).
     dive:
         Whether to run the rounding dive at the root for an early incumbent.
-    cut_policy:
-        A :class:`~repro.obs.policy.CutPolicy` turning on cutting-plane
-        separation (None = off): maximal-clique cuts from the conflict
-        graph, separated in up to ``rounds`` rounds at the root. Every
-        cut is valid for the integer hull, so the cut rows stay in the LP
-        for every node.
-    root_presolve:
-        A :class:`~repro.obs.policy.PresolvePolicy` for the one-time model
-        reduction before the search (None = the default policy, on).
-        Pass ``PresolvePolicy.disabled()`` to search the original model.
-        Exact for the integer program; incumbents are postsolved back to
-        original variable space before they are stored anywhere.
+    cut_rounds:
+        Rounds of maximal-clique cuts from the conflict graph separated at
+        the root (0 = none). Every cut is valid for the integer hull, so
+        the cut rows stay in the LP for every node.
+    presolve_rounds:
+        Passes of the one-time model reduction before the search (0 =
+        search the original model). Exact for the integer program;
+        incumbents are postsolved back to original variable space before
+        they are stored anywhere.
     warm_start:
         Optional feasible assignment ``{Variable: value}`` used as the
         initial incumbent (e.g. a greedy heuristic's solution). Validated
@@ -124,12 +125,7 @@ class BranchAndBoundSolver:
         (see :class:`~repro.obs.CheckpointStore`). On start, a stored
         incumbent for this instance is validated and installed (a warm
         resume for interrupted sweeps); improvements are persisted back,
-        debounced by ``checkpoint_interval``.
-    checkpoint_interval:
-        Minimum seconds between incumbent checkpoint writes — rapid
-        incumbent improvements no longer do synchronous disk I/O inside the
-        search loop on every step. The final incumbent is always persisted
-        when the solve finishes, whatever the interval.
+        at most once per :data:`CHECKPOINT_INTERVAL` seconds.
     """
 
     def __init__(
@@ -139,22 +135,18 @@ class BranchAndBoundSolver:
         gap_tol: float = 1e-9,
         time_limit: float | None = None,
         dive: bool = True,
-        cut_policy: CutPolicy | None = None,
-        root_presolve: PresolvePolicy | None = None,
+        cut_rounds: int = CUT_ROUNDS,
+        presolve_rounds: int = PRESOLVE_ROUNDS,
         warm_start: dict | None = None,
         checkpoint_dir: str | None = None,
-        checkpoint_interval: float = 1.0,
     ):
         self.model = model
         self.node_limit = node_limit
         self.gap_tol = gap_tol
         self.time_limit = time_limit
         self.dive = dive
-        self.cut_policy = CutPolicy.disabled() if cut_policy is None else cut_policy
-        self.root_presolve = (
-            DEFAULT_PRESOLVE_POLICY if root_presolve is None else root_presolve
-        )
-        self.checkpoint_interval = float(checkpoint_interval)
+        self.cut_rounds = cut_rounds
+        self.presolve_rounds = presolve_rounds
         # Cut rows in the working LP, in the order root separation added them.
         self._cuts: list[Cut] = []
         # The original form anchors everything that outlives this solve:
@@ -463,7 +455,7 @@ class BranchAndBoundSolver:
         self._try_update_incumbent(x, objective)
 
     def _save_checkpoint(self, debounce: bool) -> None:
-        """Persist the incumbent, at most once per ``checkpoint_interval``."""
+        """Persist the incumbent, at most once per ``CHECKPOINT_INTERVAL``."""
         if (
             self._checkpoints is None
             or self._fingerprint is None
@@ -471,7 +463,7 @@ class BranchAndBoundSolver:
         ):
             return
         timestamp = now()
-        if debounce and timestamp - self._last_checkpoint < self.checkpoint_interval:
+        if debounce and timestamp - self._last_checkpoint < CHECKPOINT_INTERVAL:
             self._checkpoint_dirty = True
             return
         self._checkpoints.save(
@@ -547,8 +539,8 @@ class BranchAndBoundSolver:
         with span("ilp.conflict.graph") as graph_span:
             conflicts = ConflictGraph.from_matrix_form(self._base_form)
             graph_span.attrs["edges"] = conflicts.num_edges
-        with span("ilp.cuts.separate", rounds=self.cut_policy.rounds) as sep_span:
-            for _ in range(self.cut_policy.rounds):
+        with span("ilp.cuts.separate", rounds=self.cut_rounds) as sep_span:
+            for _ in range(self.cut_rounds):
                 if self._out_of_time(start):
                     break
                 added = generate_cuts(conflicts, root.x)
@@ -580,9 +572,9 @@ class BranchAndBoundSolver:
 
     def _search(self, start: float) -> Status:
         form = self._orig_form
-        if self.root_presolve.enabled:
+        if self.presolve_rounds > 0:
             with span("ilp.presolve_root.reduce") as model_span:
-                reduction = presolve_root(self._orig_form, self.root_presolve)
+                reduction = presolve_root(self._orig_form, self.presolve_rounds)
                 self._stats.root_presolve_rounds = reduction.stats["rounds"]
                 self._stats.root_cols_removed = reduction.stats["cols_removed"]
                 self._stats.root_rows_removed = reduction.stats["rows_removed"]
@@ -635,7 +627,7 @@ class BranchAndBoundSolver:
             self._stats.best_bound = root.objective
             return Status.OPTIMAL
 
-        if self.cut_policy.enabled:
+        if self.cut_rounds > 0:
             root = self._separate_root(start, root)
             if root.status == "infeasible":
                 return Status.INFEASIBLE

@@ -16,7 +16,6 @@ original sense.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -33,8 +32,8 @@ from repro.ilp.expr import (
     VarType,
 )
 from repro.ilp.solution import Solution
-from repro.obs import SolvePolicy, get_metrics, span
-from repro.util.errors import TransientSolverError, ValidationError
+from repro.obs import SolvePolicy, span
+from repro.util.errors import ValidationError
 
 _INF = math.inf
 
@@ -306,13 +305,14 @@ class Model:
         BranchAndBoundSolver`; ``backend="scipy"`` uses HiGHS via
         ``scipy.optimize.milp``; other names resolve through
         :func:`register_backend`. Options are forwarded to the backend
-        (``gap_tol``, ``dive``, ``cut_policy``, ``warm_start`` for bnb).
+        (``gap_tol``, ``dive``, ``cut_rounds``, ``presolve_rounds``,
+        ``warm_start`` for bnb); the bnb solver separates up to
+        ``CUT_ROUNDS`` rounds of root clique cuts and runs up to
+        ``PRESOLVE_ROUNDS`` root presolve passes unless told otherwise.
 
         ``policy`` is a :class:`~repro.obs.SolvePolicy` bounding the solve:
         its deadline / node budget / gap tolerance map onto the backend's
-        limits, and transient backend failures
-        (:class:`~repro.util.errors.TransientSolverError`) are retried up
-        to ``policy.max_retries`` times with exponential backoff. A capped
+        limits, and its solver block onto the kwargs above. A capped
         solve can return ``Status.FEASIBLE`` (best incumbent) or
         ``Status.NODE_LIMIT`` (no incumbent found); the degradation ladder
         for the latter lives one level up in :func:`repro.core.design`.
@@ -335,7 +335,7 @@ class Model:
         ``cache_hit=True``. The cache key covers the ad-hoc options and what
         the policy's cached fields imply (:meth:`~repro.obs.SolvePolicy.
         cache_view`): the *effective* budgets, so a truncated solve never
-        masquerades as an uncapped one, but not its retry or checkpoint
+        masquerades as an uncapped one, but not its fallback or checkpoint
         settings, which never change the answer.
         """
         if lint not in ("off", "warn", "error"):
@@ -386,37 +386,10 @@ class Model:
             raise ValueError(
                 f"unknown backend {backend!r}; expected one of {sorted(_BACKENDS)}"
             )
-        solution = self._solve_with_retries(solver, backend, effective, policy)
+        solution = solver(self, **effective)
         if store is not None and key is not None:
             store.put_solution(key, solution, self.num_vars)
         return solution
-
-    def _solve_with_retries(
-        self,
-        solver: Callable[..., Solution],
-        backend: str,
-        options: dict,
-        policy: SolvePolicy | None,
-    ) -> Solution:
-        """Run the backend, retrying transient failures per the policy."""
-        max_retries = policy.max_retries if policy is not None else 0
-        backoff = policy.retry_backoff if policy is not None else 0.0
-        attempt = 0
-        while True:
-            try:
-                solution = solver(self, **options)
-            except TransientSolverError:
-                metrics = get_metrics()
-                metrics.counter("solve.transient_errors").inc()
-                if attempt >= max_retries:
-                    raise
-                if backoff > 0:
-                    time.sleep(backoff * (2**attempt))
-                attempt += 1
-                metrics.counter("solve.retries").inc()
-                continue
-            solution.stats.retries = attempt
-            return solution
 
     def solve_relaxation(self) -> Solution:
         """Solve the LP relaxation (integrality dropped) with HiGHS."""

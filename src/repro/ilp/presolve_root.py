@@ -1,8 +1,8 @@
 """Root presolve: whole-model reductions before the branch-and-bound search.
 
 Where :mod:`repro.ilp.presolve` tightens *bounds* per node, this module
-shrinks the *model* once at the root, in up to ``PresolvePolicy.rounds``
-passes of these reductions:
+shrinks the *model* once at the root, in up to ``rounds`` passes of these
+reductions:
 
 - **Bound tightening** — the node propagator (:func:`propagate_bounds`)
   run over the whole model, so later reductions see the tightest box.
@@ -32,15 +32,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.ilp.model import MatrixForm
 from repro.ilp.presolve import PropagationTables, propagate_bounds
-
-if TYPE_CHECKING:
-    from repro.obs.policy import PresolvePolicy
 
 _TOL = 1e-6
 
@@ -345,18 +341,18 @@ class _Reducer:
         self._fix_columns(fixed, values)
 
 
-def presolve_root(form: MatrixForm, policy: "PresolvePolicy") -> PresolveResult:
-    """Reduce ``form`` under ``policy``; exact for the integer program.
+def presolve_root(form: MatrixForm, rounds: int) -> PresolveResult:
+    """Reduce ``form`` in up to ``rounds`` passes; exact for the integer program.
 
-    Runs up to ``policy.rounds`` passes of every reduction and stops early
+    Runs up to ``rounds`` passes of every reduction and stops early
     once a pass changes nothing. The returned form is safe to hand to
     any LP/MIP solver; map its solutions back with ``result.postsolve``.
     """
     reducer = _Reducer(form)
     identity = Postsolve(num_vars=form.num_vars, kept=np.arange(form.num_vars))
-    if not policy.enabled:
+    if rounds <= 0:
         return PresolveResult("reduced", form, identity, reducer.stats)
-    for _ in range(policy.rounds):
+    for _ in range(rounds):
         before = (
             reducer.num_vars,
             reducer.a_ub.shape[0],

@@ -20,10 +20,9 @@ class Status(enum.Enum):
     FEASIBLE = "feasible"  # incumbent found but optimality not proven
 
 
-def _counter(publish: bool = True) -> Any:
-    """An additive work counter, published as the ``solve.<name>`` counter
-    unless ``publish`` is False."""
-    return field(default=0, metadata={"publish": "counter" if publish else None})
+def _counter() -> Any:
+    """An additive work counter, published as the ``solve.<name>`` counter."""
+    return field(default=0, metadata={"publish": "counter"})
 
 
 def _timing() -> Any:
@@ -57,8 +56,6 @@ class SolveCounters:
     incumbent_updates: int = _counter()
     cuts: int = _counter()
     cut_rounds: int = _counter()
-    # Model.solve counts solve.retries itself, one per re-run.
-    retries: int = _counter(publish=False)
     presolve_fixings: int = _counter()
     presolve_pruned: int = _counter()
     pseudocost_branches: int = _counter()
@@ -79,8 +76,7 @@ class SolveStats(SolveCounters):
     ``wall_time`` is seconds of wall clock inside ``solve``. ``cache_hit``
     marks a solution answered from the runtime solve cache — the remaining
     counters then describe the *original* solve that produced the record,
-    not work done in this call. ``retries`` counts transient-error re-runs
-    the resilient solve path performed before this result came back.
+    not work done in this call.
 
     The presolve counters describe the node fast path:
     ``presolve_fixings`` is the number of variable bounds tightened by
@@ -91,12 +87,14 @@ class SolveStats(SolveCounters):
     rather than the most-fractional fallback.
 
     The cut counters describe root clique-cut separation (see
-    :class:`~repro.obs.policy.CutPolicy`): ``cuts`` is the number of
+    ``cut_rounds`` on :class:`~repro.obs.policy.SolverOptions`): ``cuts``
+    is the number of
     cutting planes added to the LP, and ``cut_rounds`` counts the
     separation rounds that added them.
 
     The root-presolve counters describe the model reductions applied once
-    before the search (see :class:`~repro.obs.policy.PresolvePolicy`):
+    before the search (see ``presolve_rounds`` on
+    :class:`~repro.obs.policy.SolverOptions`):
     ``root_presolve_rounds`` passes ran, removing
     ``root_cols_removed`` columns and ``root_rows_removed`` rows and
     tightening ``root_coeffs_tightened`` coefficients. The warm-start

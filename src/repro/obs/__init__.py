@@ -11,10 +11,10 @@ Everything time- and effort-related flows through this package:
 - :mod:`repro.obs.metrics` — a process-wide :class:`MetricsRegistry` of
   counters / gauges / histograms the solver stack writes into;
 - :mod:`repro.obs.policy` — :class:`SolvePolicy` (deadline, node budget,
-  retry/backoff, degradation ladder, incumbent checkpointing), its
-  structured :class:`SolverOptions` / :class:`CutPolicy` /
-  :class:`PresolvePolicy` solver block, and the :class:`FallbackReport`
-  provenance record.
+  gap tolerance, degradation ladder, incumbent checkpointing), its
+  :class:`SolverOptions` block (root cut and presolve rounds, the
+  :class:`PortfolioPolicy`), and the :class:`FallbackReport` provenance
+  record.
 
 The blessed public names (re-exported by :mod:`repro.api`): ``SolvePolicy``,
 ``FallbackReport``, ``MetricsRegistry``, ``trace_solve``, ``get_metrics``.
@@ -31,17 +31,13 @@ from repro.obs.metrics import (
     use_metrics,
 )
 from repro.obs.policy import (
-    DEFAULT_CUT_POLICY,
     DEFAULT_FALLBACK,
     DEFAULT_PORTFOLIO_POLICY,
-    DEFAULT_PRESOLVE_POLICY,
     FALLBACK_RUNGS,
     PORTFOLIO_ENTRANTS,
     CheckpointStore,
-    CutPolicy,
     FallbackReport,
     PortfolioPolicy,
-    PresolvePolicy,
     SolvePolicy,
     SolverOptions,
 )
@@ -59,11 +55,8 @@ from repro.obs.tracing import (
 __all__ = [
     "CheckpointStore",
     "Counter",
-    "CutPolicy",
-    "DEFAULT_CUT_POLICY",
     "DEFAULT_FALLBACK",
     "DEFAULT_PORTFOLIO_POLICY",
-    "DEFAULT_PRESOLVE_POLICY",
     "FALLBACK_RUNGS",
     "FallbackReport",
     "Gauge",
@@ -71,7 +64,6 @@ __all__ = [
     "MetricsRegistry",
     "PORTFOLIO_ENTRANTS",
     "PortfolioPolicy",
-    "PresolvePolicy",
     "SolvePolicy",
     "SolverOptions",
     "Span",

@@ -1,7 +1,7 @@
 """Process-wide metrics registry: counters, gauges, histograms.
 
 The solver stack increments a shared :class:`MetricsRegistry` as it works —
-B&B nodes expanded, LP pivots, cache hits and misses, retries, heuristic
+B&B nodes expanded, LP pivots, cache hits and misses, heuristic
 fallbacks, incumbent improvements. A registry snapshot is a plain nested
 dict, so it folds directly into ``repro design --json`` payloads and
 experiment footers, and two runs of the same workload produce identical

@@ -1,14 +1,10 @@
-"""Solve policies: bounded effort, retries, and graceful degradation.
+"""Solve policies: bounded effort and graceful degradation.
 
 A :class:`SolvePolicy` is the single object that says how hard a solve may
 try and what happens when the budget runs out:
 
 - **budgets** — ``deadline`` (wall seconds) and ``node_budget`` (B&B nodes)
   cap the exact search; ``gap_tol`` loosens the optimality proof;
-- **resilience** — ``max_retries`` / ``retry_backoff`` re-run a backend
-  that failed with a *transient* error
-  (:class:`~repro.util.errors.TransientSolverError`), with exponential
-  backoff between attempts;
 - **degradation ladder** — when the budget is exhausted, an incumbent (if
   any) is returned as ``Status.FEASIBLE``; with no incumbent the designer
   walks ``fallback`` — by default LPT greedy then simulated annealing —
@@ -27,14 +23,17 @@ cache can key on the *effective* budget — a truncated solve must never be
 replayed for an uncapped request.
 
 Every settings class here (and :class:`~repro.core.request.SolveRequest`)
-derives its token, its JSON form and its overrides from its dataclass
-fields through :class:`DerivedFields`, so each field is written once.
+derives its token, its JSON form, its overrides and its integer checks
+from its dataclass fields through :class:`DerivedFields`, so each field is
+written once.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
+import numbers
 import os
 import tempfile
 import typing
@@ -87,14 +86,39 @@ def _nested_blocks(cls: type["DerivedFields"]) -> dict[str, type["DerivedFields"
     return blocks
 
 
+@functools.lru_cache(maxsize=None)
+def _integer_fields(cls: type["DerivedFields"]) -> tuple[tuple[str, bool], ...]:
+    """Fields of ``cls`` typed as an int (or None), each with a flag that
+    is True for a tuple of ints."""
+    hints = typing.get_type_hints(cls)
+    found = []
+    for spec in fields(cls):
+        options = (hints[spec.name], *typing.get_args(hints[spec.name]))
+        if int in options:
+            found.append((spec.name, False))
+        elif any(
+            typing.get_origin(option) is tuple and typing.get_args(option)[:1] == (int,)
+            for option in options
+        ):
+            found.append((spec.name, True))
+    return tuple(found)
+
+
+def _is_integer(value: Any) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 class DerivedFields:
     """Base of the frozen settings dataclasses: one field list, derived once.
 
     :meth:`cache_token`, :meth:`as_dict`, :meth:`from_dict` and
     :meth:`with_overrides` all read :func:`dataclasses.fields`, so a new
     field reaches the cache key, the JSON wire form and overrides where it
-    is declared, with no second list to update. A field that changes how a
-    solve runs but never what it returns (retries, worker fan-out,
+    is declared, with no second list to update. Every field typed ``int``
+    (or a tuple of them) must hold integers that are not bools; the check
+    runs when the object is built, so a payload with ``2.5`` rounds fails
+    there, not deep inside a solve. A field that changes how a solve runs
+    but never what it returns (the fallback ladder, worker fan-out,
     checkpoint I/O) opts out of the cache key next to its definition with
     ``metadata={"cache": False}``; :meth:`cache_view` resets exactly those
     fields, nested blocks included. A field stored in one shape and sent in
@@ -108,6 +132,19 @@ class DerivedFields:
 
     #: Exception raised for a malformed :meth:`from_dict` payload.
     _error: ClassVar[type[Exception]] = ValueError
+
+    def __post_init__(self) -> None:
+        for name, sequence in _integer_fields(type(self)):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            if sequence:
+                ok = isinstance(value, (list, tuple)) and all(map(_is_integer, value))
+            else:
+                ok = _is_integer(value)
+            if not ok:
+                kind = "a list of integers" if sequence else "an integer"
+                raise self._error(f"{name} must be {kind}, got {value!r}")
 
     def cache_token(self) -> str:
         """Canonical text of every field that shapes the result."""
@@ -180,94 +217,6 @@ class DerivedFields:
         return cls(**data)
 
 
-@dataclass(frozen=True)
-class CutPolicy(DerivedFields):
-    """How many rounds of clique cuts the B&B solver separates at the root.
-
-    The solver derives a conflict graph from the pairwise-exclusion
-    structure of the matrix and separates maximal-clique cuts
-    (``sum x <= 1``) in up to ``rounds`` rounds at the root node; every
-    node below then solves its LP with those cut rows. ``rounds=0`` turns
-    separation off.
-
-    Cut settings change what a solve returns (node counts, provenance,
-    possibly which optimal vertex is reported), so ``rounds`` contributes
-    to :meth:`cache_token` and therefore to the solve-cache fingerprint.
-    """
-
-    rounds: int = 3
-
-    def __post_init__(self) -> None:
-        if self.rounds < 0:
-            raise ValueError(f"rounds cannot be negative, got {self.rounds}")
-
-    # ------------------------------------------------------------ derivations
-    @property
-    def enabled(self) -> bool:
-        """True when separation may run."""
-        return self.rounds > 0
-
-    @classmethod
-    def disabled(cls) -> "CutPolicy":
-        """An explicit cuts-off policy (distinct from *unset*, which lets
-        the designer apply its default)."""
-        return cls(rounds=0)
-
-    def backend_options(self) -> dict[str, Any]:
-        """The solver kwargs this cut policy implies (bnb only)."""
-        return {"cut_policy": self}
-
-
-#: The cut policy ``design()`` applies when nothing chose one explicitly.
-DEFAULT_CUT_POLICY = CutPolicy()
-
-
-@dataclass(frozen=True)
-class PresolvePolicy(DerivedFields):
-    """How many passes the root presolve engine may make over a model.
-
-    Before the branch-and-bound search starts, the root presolve engine
-    (:mod:`repro.ilp.presolve_root`) reduces the model in up to ``rounds``
-    passes of global bound tightening, dual fixing, coefficient
-    tightening on integer columns, and empty/duplicate/redundant row
-    cleanup. Every reduction preserves the set of optimal solutions of the
-    *integer* program; a :class:`~repro.ilp.presolve_root.Postsolve` step
-    maps reduced-space solutions back to the original variable space, so
-    caches, checkpoints, and fingerprints stay presolve-independent.
-    ``rounds=0`` searches the original model.
-
-    Presolve settings change what a solve returns (which optimal vertex,
-    node counts, stats), so ``rounds`` contributes to :meth:`cache_token`
-    and therefore to the solve-cache fingerprint.
-    """
-
-    rounds: int = 4
-
-    def __post_init__(self) -> None:
-        if self.rounds < 0:
-            raise ValueError(f"rounds cannot be negative, got {self.rounds}")
-
-    # ------------------------------------------------------------ derivations
-    @property
-    def enabled(self) -> bool:
-        """True when any reduction at all may run."""
-        return self.rounds > 0
-
-    @classmethod
-    def disabled(cls) -> "PresolvePolicy":
-        """An explicit presolve-off policy (distinct from *unset*, which
-        lets the solver apply its default)."""
-        return cls(rounds=0)
-
-    def backend_options(self) -> dict[str, Any]:
-        """The solver kwargs this presolve policy implies (bnb only)."""
-        return {"root_presolve": self}
-
-
-#: The root presolve policy the B&B solver applies when nothing chose one.
-DEFAULT_PRESOLVE_POLICY = PresolvePolicy()
-
-
 #: Entrant names the portfolio racer knows how to run. Heuristic rungs
 #: come first (they are the cheap incumbents); ``"bnb"`` is the exact
 #: search they cross-feed.
@@ -287,20 +236,20 @@ class PortfolioPolicy(DerivedFields):
     solution wins, with per-entrant provenance recorded in a
     :class:`~repro.runtime.portfolio.PortfolioReport`.
 
-    ``seed`` seeds the stochastic entrants and ``sa_iterations`` sets the
-    annealing length, so both shape the combined result and contribute to
-    :meth:`cache_token`. ``jobs`` only fans the heuristic race out across
-    workers — every entrant always runs to completion, so fan-out changes
-    wall time but never the answer, and ``jobs`` stays out of the token
-    (the same rule :class:`~repro.core.request.SolveRequest` applies).
+    ``seed`` seeds the stochastic entrants, so it shapes the combined
+    result and contributes to :meth:`cache_token`. ``jobs`` only fans the
+    heuristic race out across workers — every entrant always runs to
+    completion, so fan-out changes wall time but never the answer, and
+    ``jobs`` stays out of the token (the same rule
+    :class:`~repro.core.request.SolveRequest` applies).
     """
 
     entrants: tuple[str, ...] = PORTFOLIO_ENTRANTS
     seed: int = 0
-    sa_iterations: int = 5000
     jobs: int = field(default=1, metadata={"cache": False})
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         ladder = tuple(self.entrants or ())
         object.__setattr__(self, "entrants", ladder)
         unknown = [name for name in ladder if name not in PORTFOLIO_ENTRANTS]
@@ -310,10 +259,6 @@ class PortfolioPolicy(DerivedFields):
             )
         if len(set(ladder)) != len(ladder):
             raise ValueError(f"duplicate portfolio entrant(s) in {ladder}")
-        if self.sa_iterations < 0:
-            raise ValueError(
-                f"sa_iterations cannot be negative, got {self.sa_iterations}"
-            )
 
     # ------------------------------------------------------------ derivations
     @property
@@ -343,33 +288,26 @@ DEFAULT_PORTFOLIO_POLICY = PortfolioPolicy()
 
 @dataclass(frozen=True)
 class SolverOptions(DerivedFields):
-    """Structured B&B solver knobs, riding on :class:`SolvePolicy`.
+    """B&B solver settings, riding on :class:`SolvePolicy`.
 
-    Collapses the formerly scattered flat solver kwargs into one frozen,
-    picklable, fingerprintable block. ``None`` means "solver default" for
-    every field. ``checkpoint_interval`` only debounces
-    checkpoint writes, so it stays out of the cache key and travels
-    through :meth:`SolvePolicy.checkpoint_options`, not
-    :meth:`backend_options`.
+    ``cut_rounds`` caps the rounds of root clique cuts and
+    ``presolve_rounds`` the passes of root model presolve; 0 turns either
+    off. ``None`` leaves the solver's own default (``CUT_ROUNDS`` and
+    ``PRESOLVE_ROUNDS`` in :mod:`repro.ilp.branch_and_bound`). Both, and
+    the ``portfolio`` dispatch, change what a solve returns, so all three
+    are in the cache token.
     """
 
-    cuts: CutPolicy | None = None
-    root_presolve: PresolvePolicy | None = None
-    checkpoint_interval: float | None = field(default=None, metadata={"cache": False})
+    cut_rounds: int | None = None
+    presolve_rounds: int | None = None
     portfolio: PortfolioPolicy | None = None
 
     def __post_init__(self) -> None:
-        if self.cuts is not None and not isinstance(self.cuts, CutPolicy):
-            raise TypeError(
-                f"cuts must be a CutPolicy or None, got {type(self.cuts).__name__}"
-            )
-        if self.root_presolve is not None and not isinstance(
-            self.root_presolve, PresolvePolicy
-        ):
-            raise TypeError(
-                "root_presolve must be a PresolvePolicy or None, "
-                f"got {type(self.root_presolve).__name__}"
-            )
+        super().__post_init__()
+        for name in ("cut_rounds", "presolve_rounds"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} cannot be negative, got {value}")
         if self.portfolio is not None and not isinstance(
             self.portfolio, PortfolioPolicy
         ):
@@ -377,20 +315,16 @@ class SolverOptions(DerivedFields):
                 "portfolio must be a PortfolioPolicy or None, "
                 f"got {type(self.portfolio).__name__}"
             )
-        if self.checkpoint_interval is not None and self.checkpoint_interval <= 0:
-            raise ValueError(
-                f"checkpoint_interval must be positive, got {self.checkpoint_interval}"
-            )
 
     def backend_options(self, backend: str = "bnb") -> dict[str, Any]:
         """The solver kwargs this block implies for ``backend``."""
         options: dict[str, Any] = {}
         if backend != "bnb":
             return options
-        if self.cuts is not None:
-            options.update(self.cuts.backend_options())
-        if self.root_presolve is not None:
-            options.update(self.root_presolve.backend_options())
+        if self.cut_rounds is not None:
+            options["cut_rounds"] = self.cut_rounds
+        if self.presolve_rounds is not None:
+            options["presolve_rounds"] = self.presolve_rounds
         # `portfolio` is deliberately NOT a backend kwarg: the racer is a
         # designer-level dispatch (repro.runtime.portfolio), not a solver
         # knob — the B&B backend never sees it. It still shapes the result,
@@ -400,26 +334,24 @@ class SolverOptions(DerivedFields):
 
 @dataclass(frozen=True)
 class SolvePolicy(DerivedFields):
-    """Effort budget + resilience behavior for one (or many) solves.
+    """Effort budget + degradation behavior for one (or many) solves.
 
     The effort budget and the solver block shape what a solve returns and
-    form the cache token. Retries and the fallback ladder re-run or replace
-    a solve but never alter what a completed solve would have produced, and
-    the checkpoint directory only persists incumbents, so those fields stay
-    out of it.
+    form the cache token. The fallback ladder replaces a solve that found
+    nothing but never alters what a completed solve would have produced,
+    and the checkpoint directory only persists incumbents, so those fields
+    stay out of it.
     """
 
     deadline: float | None = None
     node_budget: int | None = None
     gap_tol: float | None = None
-    max_retries: int = field(default=0, metadata={"cache": False})
-    retry_backoff: float = field(default=0.25, metadata={"cache": False})
     fallback: tuple[str, ...] = field(default=DEFAULT_FALLBACK, metadata={"cache": False})
-    fallback_seed: int = field(default=0, metadata={"cache": False})
     checkpoint_dir: str | None = field(default=None, metadata={"cache": False})
     solver: SolverOptions | None = None
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.solver is not None and not isinstance(self.solver, SolverOptions):
             raise TypeError(
                 f"solver must be a SolverOptions or None, got {type(self.solver).__name__}"
@@ -430,10 +362,6 @@ class SolvePolicy(DerivedFields):
             raise ValueError(f"node_budget must be positive, got {self.node_budget}")
         if self.gap_tol is not None and self.gap_tol < 0:
             raise ValueError(f"gap_tol cannot be negative, got {self.gap_tol}")
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries cannot be negative, got {self.max_retries}")
-        if self.retry_backoff < 0:
-            raise ValueError(f"retry_backoff cannot be negative, got {self.retry_backoff}")
         ladder = tuple(self.fallback or ())
         object.__setattr__(self, "fallback", ladder)
         unknown = [rung for rung in ladder if rung not in FALLBACK_RUNGS]
@@ -477,18 +405,14 @@ class SolvePolicy(DerivedFields):
         they come from fields outside the cache key and stay out of
         :meth:`backend_options`, the mapping a solve key is built from.
         """
-        options: dict[str, Any] = {}
-        if backend != "scipy" and self.checkpoint_dir is not None:
-            options["checkpoint_dir"] = self.checkpoint_dir
-        interval = None if self.solver is None else self.solver.checkpoint_interval
-        if backend == "bnb" and interval is not None:
-            options["checkpoint_interval"] = interval
-        return options
+        if backend == "scipy" or self.checkpoint_dir is None:
+            return {}
+        return {"checkpoint_dir": self.checkpoint_dir}
 
 
 @dataclass
 class FallbackReport:
-    """What the resilient solve path actually did — returned in telemetry.
+    """What the anytime solve path actually did — returned in telemetry.
 
     ``source`` is the provenance of the returned design: ``"exact"`` (the
     solver proved optimality), ``"incumbent"`` (budget exhausted, best
@@ -498,8 +422,6 @@ class FallbackReport:
 
     source: str = "exact"
     reason: str | None = None
-    retries: int = 0
-    transient_errors: list[str] = field(default_factory=list)
     ladder: list[dict[str, Any]] = field(default_factory=list)
 
     @property
@@ -514,20 +436,16 @@ class FallbackReport:
             "source": self.source,
             "degraded": self.degraded,
             "reason": self.reason,
-            "retries": self.retries,
-            "transient_errors": list(self.transient_errors),
             "ladder": [dict(step) for step in self.ladder],
         }
 
     def render(self) -> str:
         """One-line provenance summary for reports."""
-        if not self.degraded and not self.retries:
+        if not self.degraded:
             return "exact solve"
         bits = [f"source={self.source}"]
         if self.reason:
             bits.append(f"reason={self.reason}")
-        if self.retries:
-            bits.append(f"retries={self.retries}")
         if self.ladder:
             bits.append(
                 "ladder=" + "->".join(f"{s['step']}:{s['outcome']}" for s in self.ladder)
@@ -565,15 +483,24 @@ class CheckpointStore:
         existing = self.load(fingerprint)
         if existing is not None and existing.get("objective", float("inf")) <= objective:
             return
-        self.directory.mkdir(parents=True, exist_ok=True)
         payload = {"values": [float(v) for v in values], "objective": float(objective)}
-        fd, tmp_name = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle)
-            os.replace(tmp_name, self._path_for(fingerprint))
-        except OSError:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
+        write_json_atomic(self._path_for(fingerprint), payload)
+
+
+def write_json_atomic(path: Path, payload: Any) -> None:
+    """Write ``payload`` as JSON to ``path``, creating its directory.
+
+    Write-then-rename: a concurrent reader sees the old file or the new
+    one, never a torn one, and a writer killed mid-write leaves ``path``
+    as it was. An I/O error is swallowed (the stores are best-effort) and
+    removes the temporary file.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle)
+        os.replace(tmp_name, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp_name)

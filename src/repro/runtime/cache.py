@@ -26,7 +26,7 @@ Why the key is sound (see DESIGN.md §7):
   (:mod:`repro.runtime.fingerprint`): a different search configuration may
   legitimately return a different (equally optimal) vertex, so it must
   never alias. Policy fields marked ``metadata={"cache": False}``
-  (retries, checkpoint directory and interval) never enter the key.
+  (fallback ladder, checkpoint directory) never enter the key.
 
 Storage is a two-level hierarchy: an in-memory LRU (per process) in front
 of an optional on-disk JSON store under ``directory`` (conventionally
@@ -39,7 +39,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from collections import OrderedDict
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -50,6 +49,7 @@ from typing import TYPE_CHECKING, Any, Iterator, Mapping
 import numpy as np
 
 from repro.ilp.solution import Solution, SolveStats, Status
+from repro.obs.policy import write_json_atomic
 from repro.runtime.fingerprint import cache_token_of
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (model imports us lazily)
@@ -73,7 +73,9 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 # settings no longer split it), and a record keeps every SolveStats field.
 # v7: the clique_cuts/cover_cuts/cuts_dropped counters and the branching,
 # node-presolve and warm-LP switches are gone from records and keys.
-_FORMAT_VERSION = 7
+# v8: records lose the retries counter, and design() no longer hashes a
+# cut_policy into every key (the cut default moved into the solver).
+_FORMAT_VERSION = 8
 
 
 def _hash_array(h: "hashlib._Hash", label: str, array: np.ndarray) -> None:
@@ -303,19 +305,8 @@ class SolutionCache:
         self._remember(key, record)
         self.stores += 1
         if self.directory is not None:
-            path = self._path_for(key)
-            path.parent.mkdir(parents=True, exist_ok=True)
             # Write-then-rename so parallel workers never read a torn file.
-            fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump(record.to_json(), handle)
-                os.replace(tmp_name, path)
-            except OSError:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
+            write_json_atomic(self._path_for(key), record.to_json())
 
     # ------------------------------------------------------------- solutions
     def get_solution(self, key: str, model: "Model") -> Solution | None:

@@ -8,9 +8,8 @@ single shared :class:`~repro.obs.SolvePolicy` budget:
    the persistent process pool (:func:`repro.runtime.parallel.run_parallel`)
    when ``policy.jobs > 1``;
 2. their best incumbent is *cross-fed* to the exact ``"bnb"`` entrant as
-   its starting cutoff (the same warm-start channel
-   ``design(warm_start_heuristic=True)`` uses), with the wall time the
-   heuristics already spent subtracted from the shared deadline;
+   its starting cutoff (through ``design(incumbent=...)``), with the wall
+   time the heuristics already spent subtracted from the shared deadline;
 3. the best solution wins. Ties go to the heuristic that produced the
    incumbent — B&B then merely supplied the optimality proof.
 
@@ -132,7 +131,7 @@ def _run_heuristic_entrant(payload: tuple) -> dict[str, Any]:
     Pure top-level function of its payload (D002): returns a plain dict so
     the result pickles cheaply across the pool boundary.
     """
-    problem, rung, seed, sa_iterations = payload
+    problem, rung, seed = payload
     from repro.core.baselines import lpt_assignment, simulated_annealing
 
     start = now()
@@ -140,7 +139,7 @@ def _run_heuristic_entrant(payload: tuple) -> dict[str, Any]:
         if rung == "lpt":
             result = lpt_assignment(problem)
         elif rung == "sa":
-            result = simulated_annealing(problem, seed=seed, iterations=sa_iterations)
+            result = simulated_annealing(problem, seed=seed)
         else:  # pragma: no cover - PortfolioPolicy validates entrant names
             raise ValueError(f"unknown heuristic entrant {rung!r}")
     except InfeasibleError as exc:
@@ -216,10 +215,7 @@ def run_portfolio(
     best_makespan: float | None = None
     best_bus_of: list[int] | None = None
     if heuristics:
-        payloads = [
-            (problem, rung, portfolio.seed, portfolio.sa_iterations)
-            for rung in heuristics
-        ]
+        payloads = [(problem, rung, portfolio.seed) for rung in heuristics]
         with span("portfolio.heuristics", entrants=list(heuristics)):
             outcomes = run_parallel(
                 _run_heuristic_entrant, payloads, max_workers=portfolio.jobs

@@ -48,11 +48,7 @@ class RunTelemetry(SolveCounters):
             setattr(self, spec.name, getattr(self, spec.name) + getattr(stats, spec.name))
 
     def record_fallback(self, report) -> None:
-        """Count one degraded design (see :class:`repro.obs.FallbackReport`).
-
-        ``retries`` on the report are already folded in via the solve's
-        :class:`SolveStats`; only the degradation itself is new signal.
-        """
+        """Count one degraded design (see :class:`repro.obs.FallbackReport`)."""
         if report is not None and getattr(report, "degraded", False):
             self.fallbacks += 1
 
@@ -99,8 +95,6 @@ class RunTelemetry(SolveCounters):
             f"{self.nodes} B&B nodes, {self.lp_solves} LPs, "
             f"{self.wall_time:.2f}s solver wall, jobs={self.jobs}"
         )
-        if self.retries:
-            line += f", {self.retries} retries"
         if self.fallbacks:
             line += f", {self.fallbacks} fallbacks"
         if self.portfolio_runs:

@@ -4,10 +4,11 @@ runtime.
 Every entry point funnels into the same unified
 :class:`~repro.core.request.SolveRequest` surface the library and the CLI
 use, so a request fingerprints, caches, and dedupes identically no matter
-which front-end produced it. Structured solver knobs (root cuts, root
-presolve) ride the ``policy.solver`` block of the wire payload as plain
-JSON — see
-:meth:`repro.obs.SolverOptions.from_dict`. See DESIGN.md §11 for lanes,
+which front-end produced it. The solver settings ride the
+``policy.solver`` object of the wire payload: ``cut_rounds`` and
+``presolve_rounds`` as JSON integers, ``portfolio`` as an object — see
+:meth:`repro.obs.SolverOptions.from_dict`. A non-integer where an integer
+belongs is rejected with a 400 at submit. See DESIGN.md §11 for lanes,
 dedupe, tenancy, and failure semantics.
 
 - :class:`JobScheduler` — fair-share lanes, fingerprint dedupe, tenant

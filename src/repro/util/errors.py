@@ -53,13 +53,3 @@ class SolverError(ReproError):
     simplex basis factorization.
     """
 
-
-class TransientSolverError(SolverError):
-    """A solver failure worth retrying.
-
-    Raised by backends for conditions that may clear on a re-run — a worker
-    process dying, a flaky external backend, resource exhaustion. The
-    resilient solve path (:class:`~repro.obs.SolvePolicy` with
-    ``max_retries > 0``) retries these with exponential backoff; every
-    other :class:`SolverError` is treated as permanent and propagates.
-    """

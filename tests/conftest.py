@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import hypothesis
 import pytest
+
+import repro
 
 from repro.layout import grid_place
 from repro.soc import build_s1, build_s2, generate_synthetic_soc
@@ -69,3 +74,11 @@ def flexible_timing():
 @pytest.fixture(scope="session")
 def s1_floorplan(s1):
     return grid_place(s1)
+
+
+@pytest.fixture(scope="session")
+def child_env():
+    """Environment for a child ``python`` that imports this checkout's repro."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return {**os.environ, "PYTHONPATH": path}

@@ -211,13 +211,11 @@ class TestD001SeededMutations:
     def test_unhashed_solver_knob_fires(self, mutable_tree):
         model = mutable_tree / "ilp" / "model.py"
         text = model.read_text()
-        dispatch = "solution = self._solve_with_retries(solver, backend, effective, policy)"
+        dispatch = "solution = solver(self, **effective)"
         signature = "policy: SolvePolicy | None = None,"
         assert dispatch in text and signature in text
         text = text.replace(
-            dispatch,
-            "solution = self._solve_with_retries("
-            "solver, backend, effective, policy, branching_hint)",
+            dispatch, "solution = solver(self, branching_hint=branching_hint, **effective)"
         )
         text = text.replace(
             signature, signature + "\n        branching_hint: str | None = None,", 1
@@ -253,20 +251,18 @@ class TestD001SeededMutations:
 
     def test_deleting_cut_policy_token_contribution_fires(self, mutable_tree):
         # Same guard one level down: SolverOptions' token must keep the
-        # CutPolicy field it forwards to the backend.
-        offenders = self.opt_out_field(mutable_tree, "cuts", "CutPolicy | None")
-        assert offenders, "cut policy dropped from the solver token undetected"
-        assert any("SolverOptions.cuts" in d.message for d in offenders)
+        # cut_rounds field it forwards to the backend.
+        offenders = self.opt_out_field(mutable_tree, "cut_rounds", "int | None")
+        assert offenders, "cut_rounds dropped from the solver token undetected"
+        assert any("SolverOptions.cut_rounds" in d.message for d in offenders)
 
     def test_deleting_root_presolve_token_contribution_fires(self, mutable_tree):
         # PR-9 regression guard: SolverOptions' token must keep the
-        # PresolvePolicy field; dropping it would alias presolve-on and
+        # presolve_rounds field; dropping it would alias presolve-on and
         # presolve-off solves (different vertices, stats) to one cache entry.
-        offenders = self.opt_out_field(
-            mutable_tree, "root_presolve", "PresolvePolicy | None"
-        )
-        assert offenders, "presolve policy dropped from the solver token undetected"
-        assert any("SolverOptions.root_presolve" in d.message for d in offenders)
+        offenders = self.opt_out_field(mutable_tree, "presolve_rounds", "int | None")
+        assert offenders, "presolve_rounds dropped from the solver token undetected"
+        assert any("SolverOptions.presolve_rounds" in d.message for d in offenders)
 
     def test_deleting_node_budget_token_contribution_fires(self, mutable_tree):
         # Same guard for an effort field: a solve truncated by its node
@@ -281,19 +277,21 @@ class TestD001SeededMutations:
         policy = mutable_tree / "obs" / "policy.py"
         text = policy.read_text()
         anchor = (
-            "    def backend_options(self) -> dict[str, Any]:\n"
-            '        """The solver kwargs this cut policy implies (bnb only)."""'
+            '    def backend_options(self, backend: str = "bnb") -> dict[str, Any]:\n'
+            '        """The solver kwargs this block implies for ``backend``."""'
         )
-        assert anchor in text, "expected CutPolicy.backend_options to anchor on"
+        assert text.count(anchor) == 1, "expected SolverOptions.backend_options to anchor on"
         hand_written = (
             "    def cache_token(self) -> str:\n"
-            '        return f"cuts(rounds={self.rounds!r})"\n\n'
+            '        return f"solver(cut_rounds={self.cut_rounds!r})"\n\n'
         )
         policy.write_text(text.replace(anchor, hand_written + anchor))
         report = self.run_rules(mutable_tree)
         offenders = [d for d in report.diagnostics if d.rule == "D001"]
-        assert offenders, "hand-written CutPolicy.cache_token went undetected"
-        assert any("CutPolicy" in d.message and "by hand" in d.message for d in offenders)
+        assert offenders, "hand-written SolverOptions.cache_token went undetected"
+        assert any(
+            "SolverOptions" in d.message and "by hand" in d.message for d in offenders
+        )
 
     def test_inherited_token_is_clean(self, tmp_path):
         project = project_from(

@@ -89,22 +89,22 @@ class TestFacadeManifest:
             assert 1 <= int(str(row["since"])) <= 10, row
 
     def test_pr8_solver_options_surface(self):
+        # SolverOptions stays; its cut setting is a plain int field now,
+        # and the wrapper class and its default constant are gone.
         rows = {row["name"]: row for row in api.facade_table()}
-        for name in ("CutPolicy", "SolverOptions", "DEFAULT_CUT_POLICY"):
-            assert name in api.__all__
-            assert rows[name]["since"] == 8
-            assert rows[name]["module"] == "repro.obs.policy"
-        assert isinstance(api.DEFAULT_CUT_POLICY, api.CutPolicy)
-        assert api.DEFAULT_CUT_POLICY.enabled
+        assert "SolverOptions" in api.__all__
+        assert rows["SolverOptions"]["since"] == 8
+        assert rows["SolverOptions"]["module"] == "repro.obs.policy"
+        assert api.SolverOptions(cut_rounds=2).cut_rounds == 2
+        for name in ("CutPolicy", "DEFAULT_CUT_POLICY", "TransientSolverError"):
+            assert name not in api.__all__ and not hasattr(api, name)
 
     def test_pr9_presolve_surface(self):
-        rows = {row["name"]: row for row in api.facade_table()}
+        # Root presolve is SolverOptions.presolve_rounds: PR 9's wrapper
+        # class and default constant left the facade.
+        assert api.SolverOptions(presolve_rounds=0).presolve_rounds == 0
         for name in ("PresolvePolicy", "DEFAULT_PRESOLVE_POLICY"):
-            assert name in api.__all__
-            assert rows[name]["since"] == 9
-            assert rows[name]["module"] == "repro.obs.policy"
-        assert isinstance(api.DEFAULT_PRESOLVE_POLICY, api.PresolvePolicy)
-        assert api.DEFAULT_PRESOLVE_POLICY.enabled
+            assert name not in api.__all__ and not hasattr(api, name)
 
     def test_pr10_scale_surface(self):
         rows = {row["name"]: row for row in api.facade_table()}

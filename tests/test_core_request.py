@@ -56,6 +56,29 @@ class TestValidation:
         with pytest.raises(ValidationError, match="SolvePolicy"):
             make_request(policy={"node_budget": 3})
 
+    @pytest.mark.parametrize(
+        "payload, error",
+        [
+            ({"kind": "design", "widths": [16.7, 8]}, ValidationError),
+            ({"kind": "design", "widths": [True, 8]}, ValidationError),
+            ({"kind": "sweep", "total_width": 16.5, "num_buses": 2}, ValidationError),
+            ({"kind": "sweep", "total_width": 16, "num_buses": 2.5}, ValidationError),
+            ({"kind": "bus_count", "total_width": 16, "max_buses": 3.0}, ValidationError),
+            ({"kind": "design", "widths": [16, 8], "jobs": 1.5}, ValidationError),
+            ({"policy": {"node_budget": 2.5}}, ValueError),
+            ({"policy": {"solver": {"cut_rounds": 2.5}}}, ValueError),
+            ({"policy": {"solver": {"cut_rounds": True}}}, ValueError),
+            ({"policy": {"solver": {"presolve_rounds": 1.5}}}, ValueError),
+            ({"policy": {"solver": {"portfolio": {"seed": 0.5}}}}, ValueError),
+            ({"policy": {"solver": {"portfolio": {"jobs": 1.5}}}}, ValueError),
+        ],
+    )
+    def test_non_integer_settings_rejected_when_built(self, payload, error):
+        # Each of these used to build, then fail (or run truncated) in run().
+        wire = {"kind": "design", "soc": "S1", "widths": [16, 8], **payload}
+        with pytest.raises(error, match="must be .*integer"):
+            SolveRequest.from_payload(wire)
+
     def test_widths_and_options_are_canonicalized(self):
         a = make_request(widths=[16, 16], options={"b": 2, "a": 1})
         b = make_request(widths=(16, 16), options=(("a", 1), ("b", 2)))
@@ -163,40 +186,43 @@ class TestCliConstructsRequests:
         assert request.policy.node_budget == 7
 
     def test_cut_flags_reach_the_policy_solver_block(self):
-        from repro.obs import CutPolicy
+        from repro.ilp.branch_and_bound import CUT_ROUNDS
 
         args = build_parser().parse_args(["design", "S1", "--widths", "16,16", "--cuts"])
         request = _request_from_args("design", args)
-        assert request.policy.solver.cuts == CutPolicy()
+        assert request.policy.solver.cut_rounds == CUT_ROUNDS
 
         args = build_parser().parse_args(
             ["design", "S1", "--widths", "16,16", "--no-cuts"]
         )
         request = _request_from_args("design", args)
-        assert request.policy.solver.cuts == CutPolicy.disabled()
-        assert not request.policy.solver.cuts.enabled
+        assert request.policy.solver.cut_rounds == 0
 
         args = build_parser().parse_args(
             ["design", "S1", "--widths", "16,16", "--cut-rounds", "5"]
         )
         request = _request_from_args("design", args)
-        assert request.policy.solver.cuts.rounds == 5
+        assert request.policy.solver.cut_rounds == 5
+        assert request.policy.solver.presolve_rounds is None
 
     def test_presolve_and_warm_flags_reach_the_policy_solver_block(self):
-        from repro.obs import PresolvePolicy
+        from repro.ilp.branch_and_bound import PRESOLVE_ROUNDS
 
         args = build_parser().parse_args(
             ["design", "S1", "--widths", "16,16", "--no-root-presolve"]
         )
         request = _request_from_args("design", args)
-        assert request.policy.solver.root_presolve == PresolvePolicy.disabled()
-        assert not request.policy.solver.root_presolve.enabled
+        assert request.policy.solver.presolve_rounds == 0
 
         args = build_parser().parse_args(
             ["design", "S1", "--widths", "16,16", "--root-presolve"]
         )
         request = _request_from_args("design", args)
-        assert request.policy.solver.root_presolve == PresolvePolicy()
+        assert request.policy.solver.presolve_rounds == PRESOLVE_ROUNDS
+        assert request.policy.solver.cut_rounds is None
+        # The retry loop is gone, and its flag with it.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["design", "S1", "--widths", "16,16", "--retries", "2"])
         # Node LPs always start warm: there is no flag to turn that off.
         with pytest.raises(SystemExit):
             build_parser().parse_args(["design", "S1", "--widths", "16,16", "--no-warm-lps"])

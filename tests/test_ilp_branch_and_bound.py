@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.core import DesignProblem, build_assignment_ilp
 from repro.ilp import INTEGER, BranchAndBoundSolver, Model, Status, quicksum
 from repro.layout import grid_place
-from repro.obs import CutPolicy, PresolvePolicy, SolvePolicy
+from repro.obs import SolvePolicy
 from repro.soc import build_s1, build_s3
 from repro.tam import TamArchitecture
 
@@ -70,7 +70,7 @@ class TestExactness:
         # it disabled the warm engine solves the root LP on zero columns,
         # and its residual check then sees empty arrays.
         model = Model("empty")
-        sol = BranchAndBoundSolver(model, root_presolve=PresolvePolicy.disabled()).solve()
+        sol = BranchAndBoundSolver(model, presolve_rounds=0).solve()
         assert sol.status is Status.OPTIMAL
         assert sol.objective == pytest.approx(0.0)
         assert sol.stats.warm_lp_solves == 1
@@ -143,9 +143,9 @@ class TestDeadline:
         # The root LP still runs; the cut rounds and the dive behind it
         # check the deadline first, as the node loop does.
         model = self._model(case)
-        unlimited = BranchAndBoundSolver(model, cut_policy=CutPolicy()).solve()
+        unlimited = BranchAndBoundSolver(model).solve()
         assert unlimited.stats.lp_solves > 1
-        solution = BranchAndBoundSolver(model, time_limit=0.0, cut_policy=CutPolicy()).solve()
+        solution = BranchAndBoundSolver(model, time_limit=0.0).solve()
         assert solution.stats.lp_solves == 1
         assert solution.stats.cut_rounds == 0
         assert solution.status is Status.NODE_LIMIT

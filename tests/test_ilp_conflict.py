@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import CutPolicy, SolvePolicy, SolverOptions, design
+from repro.api import SolvePolicy, SolverOptions, design
 from repro.core import DesignProblem
 from repro.ilp import INTEGER, Model, quicksum
 from repro.ilp.conflict import ConflictGraph
@@ -177,8 +177,8 @@ class TestCutsNeverCutFeasiblePoints:
                 assert sum(point[j] for j in clique) <= 1 + 1e-9
 
 
-def _design_makespan(problem, cuts=None, backend="bnb"):
-    policy = None if cuts is None else SolvePolicy(solver=SolverOptions(cuts=cuts))
+def _design_makespan(problem, cut_rounds=None, backend="bnb"):
+    policy = SolvePolicy(solver=SolverOptions(cut_rounds=cut_rounds))
     return design(problem, backend=backend, policy=policy).makespan
 
 
@@ -193,8 +193,8 @@ class TestDesignExactnessWithCuts:
             floorplan=s1_floorplan,
             max_pair_distance=4.0,
         )
-        on = _design_makespan(problem, cuts=CutPolicy())
-        off = _design_makespan(problem, cuts=CutPolicy.disabled())
+        on = _design_makespan(problem, cut_rounds=3)
+        off = _design_makespan(problem, cut_rounds=0)
         oracle = _design_makespan(problem, backend="scipy")
         assert on == pytest.approx(off)
         assert on == pytest.approx(oracle)
@@ -211,30 +211,25 @@ class TestDesignExactnessWithCuts:
             floorplan=s1_floorplan,
             max_pair_distance=3.0,
         )
-        for cuts in (CutPolicy(), CutPolicy.disabled()):
+        for cut_rounds in (3, 0):
             with pytest.raises(InfeasibleError):
-                _design_makespan(problem, cuts=cuts)
+                _design_makespan(problem, cut_rounds=cut_rounds)
 
     def test_power_constrained_design(self, s1, arch3):
         budget = max(core.test_power for core in s1.cores) * 1.5
         problem = DesignProblem(
             soc=s1, arch=arch3, timing="serial", power_budget=budget
         )
-        on = _design_makespan(problem, cuts=CutPolicy())
-        off = _design_makespan(problem, cuts=CutPolicy.disabled())
+        on = _design_makespan(problem, cut_rounds=3)
+        off = _design_makespan(problem, cut_rounds=0)
         oracle = _design_makespan(problem, backend="scipy")
         assert on == pytest.approx(off)
         assert on == pytest.approx(oracle)
 
     def test_unconstrained_design_unaffected(self, s1, arch3):
         problem = DesignProblem(soc=s1, arch=arch3, timing="serial")
-        on = design(
-            problem, policy=SolvePolicy(solver=SolverOptions(cuts=CutPolicy()))
-        )
-        off = design(
-            problem,
-            policy=SolvePolicy(solver=SolverOptions(cuts=CutPolicy.disabled())),
-        )
+        on = design(problem, policy=SolvePolicy(solver=SolverOptions(cut_rounds=3)))
+        off = design(problem, policy=SolvePolicy(solver=SolverOptions(cut_rounds=0)))
         assert on.makespan == pytest.approx(off.makespan)
         # no conflict structure: nothing to separate
         assert on.stats.cuts == 0

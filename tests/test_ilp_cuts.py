@@ -1,4 +1,4 @@
-"""Tests for clique cut separation and the branch-and-cut CutPolicy surface."""
+"""Tests for clique cut separation and the ``cut_rounds`` solver setting."""
 
 import itertools
 
@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import CutPolicy
 from repro.ilp import Model, Status, quicksum
 from repro.ilp.conflict import ConflictGraph
 from repro.ilp.cuts import append_cuts, generate_cuts
@@ -93,8 +92,8 @@ class TestSeparation:
 class TestCutsInBnb:
     def test_same_optimum_with_cuts(self):
         m, _ = fractional_triangle_model()
-        plain = m.solve(cache=False, cut_policy=CutPolicy.disabled())
-        with_cuts = m.solve(cache=False, cut_policy=CutPolicy())
+        plain = m.solve(cache=False, cut_rounds=0)
+        with_cuts = m.solve(cache=False)
         assert with_cuts.status is Status.OPTIMAL
         assert with_cuts.objective == pytest.approx(plain.objective)
         assert with_cuts.stats.cuts > 0
@@ -103,15 +102,15 @@ class TestCutsInBnb:
     def test_cuts_close_this_instance_at_root(self):
         # The triangle's one clique cut makes the root relaxation integral.
         m, _ = fractional_triangle_model()
-        sol = m.solve(cache=False, cut_policy=CutPolicy(rounds=3), dive=False)
+        sol = m.solve(cache=False, cut_rounds=3, dive=False)
         assert sol.stats.nodes == 1 and sol.stats.cut_rounds == 1
-        off = m.solve(cache=False, cut_policy=CutPolicy.disabled(), dive=False)
+        off = m.solve(cache=False, cut_rounds=0, dive=False)
         assert off.stats.nodes > 1
         assert sol.objective == pytest.approx(off.objective)
 
     def test_root_cuts_kwarg_is_rejected(self):
         # The retired root_cuts=N spelling is an unknown solver kwarg now;
-        # root rounds are a CutPolicy like any other.
+        # root rounds are cut_rounds.
         m, _ = fractional_knapsack_model()
         with pytest.raises(TypeError, match="root_cuts"):
             m.solve(root_cuts=3, cache=False)
@@ -128,7 +127,7 @@ class TestCutsInBnb:
         xs = [m.add_binary(f"x{i}") for i in range(n)]
         m.add_constr(quicksum(int(w) * x for w, x in zip(weights, xs)) <= cap)
         m.maximize(quicksum(int(p) * x for p, x in zip(profits, xs)))
-        ours = m.solve(cut_policy=CutPolicy(rounds=5))
+        ours = m.solve(cut_rounds=5)
         ref = m.solve(backend="scipy")
         assert ours.objective == pytest.approx(ref.objective)
         assert m.check_solution(ours.rounded()) == []
@@ -140,6 +139,6 @@ class TestCutsInBnb:
 
         problem = DesignProblem(soc=s1, arch=arch3, timing="serial")
         model = build_assignment_ilp(problem).model
-        plain = model.solve()
-        cut = model.solve(cut_policy=CutPolicy())
+        plain = model.solve(cut_rounds=0)
+        cut = model.solve()
         assert cut.objective == pytest.approx(plain.objective)

@@ -114,8 +114,6 @@ class TestModelsWithoutColumns:
         ids=["no-rows", "rows-hold", "row-broken"],
     )
     def test_every_solve_path_agrees(self, rhs, status, objective):
-        from repro.obs import PresolvePolicy
-
         m = _column_free_model(rhs)
         lp = solve_matrix_lp(m.to_matrix_form())
         assert lp.status == status.value
@@ -123,7 +121,7 @@ class TestModelsWithoutColumns:
             m.solve_relaxation(),
             m.solve(backend="scipy", cache=False),
             m.solve(cache=False),
-            m.solve(cache=False, root_presolve=PresolvePolicy.disabled()),
+            m.solve(cache=False, presolve_rounds=0),
         ]
         for sol in solutions:
             assert sol.status is status, sol

@@ -24,7 +24,6 @@ from repro.ilp.presolve import (
     propagate_bounds,
     reduced_cost_tighten,
 )
-from repro.obs import PresolvePolicy
 
 _INT_TOL = 1e-6
 _BIG = 1e15
@@ -508,7 +507,7 @@ class TestExactnessWithFastPath:
         jobs, machines = int(rng.integers(3, 7)), int(rng.integers(2, 4))
         m = assignment_model(rng.integers(1, 30, size=(jobs, machines)))
         ref = m.solve(backend="scipy")
-        for options in ({}, {"root_presolve": PresolvePolicy.disabled()}):
+        for options in ({}, {"presolve_rounds": 0}):
             ours = m.solve(cache=False, **options)
             assert ours.status is Status.OPTIMAL
             assert ours.objective == pytest.approx(ref.objective, abs=1e-6), options

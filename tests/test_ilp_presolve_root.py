@@ -17,8 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ilp import INTEGER, Model, Status, quicksum
+from repro.ilp.branch_and_bound import PRESOLVE_ROUNDS
 from repro.ilp.presolve_root import Postsolve, _Reducer, presolve_root
-from repro.obs import PresolvePolicy, SolvePolicy, SolverOptions
+from repro.obs import SolvePolicy, SolverOptions
 
 _TOL = 1e-6
 
@@ -83,7 +84,7 @@ class TestReductionsOnHandBuiltModels:
         m = Model()
         x = m.add_var("x", ub=4, vartype=INTEGER)
         m.maximize(x)
-        result = presolve_root(m.to_matrix_form(), PresolvePolicy())
+        result = presolve_root(m.to_matrix_form(), PRESOLVE_ROUNDS)
         assert result.status == "reduced"
         assert result.form.num_vars == 0
         assert result.stats["cols_removed"] == 1
@@ -99,7 +100,7 @@ class TestReductionsOnHandBuiltModels:
         x = m.add_var("x", ub=2, vartype=INTEGER)
         y = m.add_var("y", ub=2, vartype=INTEGER)
         m.add_constr(3 * x + 3 * y == 4)
-        result = presolve_root(m.to_matrix_form(), PresolvePolicy())
+        result = presolve_root(m.to_matrix_form(), PRESOLVE_ROUNDS)
         assert result.status == "infeasible"
 
     def test_infeasible_row_detected(self):
@@ -107,7 +108,7 @@ class TestReductionsOnHandBuiltModels:
         a, b = m.add_binary("a"), m.add_binary("b")
         m.add_constr(a + b >= 3)
         m.minimize(a + b)
-        result = presolve_root(m.to_matrix_form(), PresolvePolicy())
+        result = presolve_root(m.to_matrix_form(), PRESOLVE_ROUNDS)
         assert result.status == "infeasible"
 
     def test_disabled_policy_is_identity(self):
@@ -115,7 +116,7 @@ class TestReductionsOnHandBuiltModels:
         x = m.add_var("x", ub=4, vartype=INTEGER)
         m.maximize(x)
         form = m.to_matrix_form()
-        result = presolve_root(form, PresolvePolicy.disabled())
+        result = presolve_root(form, 0)
         assert result.form is form
         assert result.postsolve.identity
         assert result.stats["rounds"] == 0
@@ -127,7 +128,7 @@ class TestReductionsOnHandBuiltModels:
         m.add_constr(3 * a + 3 * b <= 5)
         m.maximize(2 * a + b)
         form = m.to_matrix_form()
-        result = presolve_root(form, PresolvePolicy())
+        result = presolve_root(form, PRESOLVE_ROUNDS)
         assert result.stats["coeffs_tightened"] >= 1
         best, _ = _brute_force(form)
         best_reduced, x_reduced = _brute_force(result.form)
@@ -169,7 +170,7 @@ class TestExactnessAgainstBruteForce:
     @settings(max_examples=60, deadline=None)
     def test_presolve_preserves_optimum_and_postsolve_restores(self, instance):
         form = _build(instance).to_matrix_form()
-        result = presolve_root(form, PresolvePolicy())
+        result = presolve_root(form, PRESOLVE_ROUNDS)
         best, _ = _brute_force(form)
         if result.status == "infeasible":
             assert best is None, "presolve declared a feasible model infeasible"
@@ -213,9 +214,7 @@ class TestEndToEndOnDesigns:
         presolved = design(problem, cache=False)
         plain = design(
             problem,
-            policy=SolvePolicy(
-                solver=SolverOptions(root_presolve=PresolvePolicy.disabled())
-            ),
+            policy=SolvePolicy(solver=SolverOptions(presolve_rounds=0)),
             cache=False,
         )
         oracle = design(problem, backend="scipy", cache=False)

@@ -19,7 +19,6 @@ from repro.ilp import branch_and_bound
 from repro.ilp.cuts import Cut
 from repro.ilp.lp import LpResult
 from repro.ilp.simplex import IN_BASIS, NB_FREE, NB_LOWER, NB_UPPER, Basis, RevisedSimplex
-from repro.obs import CutPolicy
 from repro.soc import build_s3
 from repro.tam import TamArchitecture
 
@@ -549,7 +548,7 @@ class TestResidualCheck:
         m.add_constr(x0 + x1 <= 4)
         m.add_constr(x1 + x2 == 3)
         m.minimize(x0 + x1 + x2)
-        solver = BranchAndBoundSolver(m, cut_policy=CutPolicy())
+        solver = BranchAndBoundSolver(m)
         solver._bind_form(solver._orig_form)
         if with_cut:
             solver._cuts.append(Cut(cols=(0, 2), coefs=(-1.0, 1.0), rhs=0.5))

@@ -16,12 +16,13 @@ from repro.core import (
     build_assignment_ilp,
     build_schedule,
     design,
+    lpt_assignment,
     schedule_with_power_cap,
 )
 from repro.ilp import Status
+from repro.ilp.branch_and_bound import CUT_ROUNDS, PRESOLVE_ROUNDS
 from repro.ilp.lpformat import parse_lp, write_lp
 from repro.layout import grid_place
-from repro.obs import CutPolicy, PresolvePolicy
 from repro.soc import generate_synthetic_soc
 from repro.tam import TamArchitecture, ate_vector_memory, exhaustive_optimal, tam_utilization
 from repro.util.errors import InfeasibleError
@@ -85,8 +86,12 @@ class TestFiveWayAgreement:
         assert problem.validate(ours.assignment) == []
         assert problem.validate(highs.assignment) == []
 
-        # Warm-started solve agrees too.
-        warm = design(problem, backend="bnb", warm_start_heuristic=True)
+        # Warm-started solve agrees too (cold when the greedy finds nothing).
+        try:
+            start = lpt_assignment(problem).assignment
+        except InfeasibleError:
+            start = None
+        warm = design(problem, backend="bnb", incumbent=start)
         assert warm.makespan == pytest.approx(ours.makespan)
 
         # Power-capped rescheduling of the design stays cap-compliant.
@@ -121,22 +126,29 @@ class TestFiveWayAgreement:
 
 #: Every on/off combination of the branch-and-bound layers that have a switch.
 SWITCHES = [
-    {"cut_policy": cuts, "root_presolve": presolve}
-    for cuts in (CutPolicy(), CutPolicy.disabled())
-    for presolve in (PresolvePolicy(), PresolvePolicy.disabled())
+    {"cut_rounds": cut_rounds, "presolve_rounds": presolve_rounds}
+    for cut_rounds in (CUT_ROUNDS, 0)
+    for presolve_rounds in (PRESOLVE_ROUNDS, 0)
 ]
 
 #: Bus splits, most with identical buses (interchangeable in the ILP).
 SPLITS = ([16, 16], [8, 8], [32, 16], [8, 8, 16], [16, 16, 16], [8, 16, 8])
 
+#: Splits for 9-12 cores, past exhaustive search: one per seed, with and
+#: without identical buses.
+LARGE_SPLITS = ([16, 16], [32, 16, 8], [16, 16, 8], [16, 16, 16])
+
 MODES = ("catalog", "parametric", "itc02")
 VARIANTS = ("serial", "power", "layout", "fixed+power")
 
 
-def _switch_problem(mode: str, variant: str, seed: int) -> DesignProblem:
+def _switch_problem(
+    mode: str, variant: str, seed: int, cores=(3, 9), split=None
+) -> DesignProblem:
     rng = np.random.default_rng([seed, MODES.index(mode), VARIANTS.index(variant)])
-    soc = generate_synthetic_soc(int(rng.integers(3, 9)), seed=seed, mode=mode)
-    arch = TamArchitecture(SPLITS[int(rng.integers(len(SPLITS)))])
+    soc = generate_synthetic_soc(int(rng.integers(*cores)), seed=seed, mode=mode)
+    drawn = SPLITS[int(rng.integers(len(SPLITS)))]
+    arch = TamArchitecture(drawn if split is None else split)
     kwargs = {}
     if variant in ("power", "fixed+power"):
         powers = sorted(c.test_power for c in soc)
@@ -183,5 +195,28 @@ class TestSwitchMatrix:
                 if oracle is None:
                     continue
                 assert ours.objective == pytest.approx(oracle), label
+                assert ours.stats.best_bound <= ours.objective + 1e-6, label
+                assert model.check_solution(ours.rounded()) == [], label
+
+    @pytest.mark.parametrize("variant", ("serial", "power", "layout"))
+    @pytest.mark.parametrize("mode", ("catalog", "itc02"))
+    def test_every_switch_combination_agrees_with_highs_at_9_to_12_cores(
+        self, mode, variant
+    ):
+        # Past exhaustive search's reach, HiGHS is the oracle. It stops at
+        # its own relative gap, so its objective can sit just above the
+        # optimum: ours must lie between its proven bound and its answer.
+        for seed, split in enumerate(LARGE_SPLITS):
+            problem = _switch_problem(mode, variant, seed, cores=(9, 13), split=split)
+            model = build_assignment_ilp(problem).model
+            highs = model.solve(backend="scipy", cache=False)
+            for switches in SWITCHES:
+                label = (mode, variant, seed, switches)
+                ours = model.solve(cache=False, **switches)
+                assert ours.status is highs.status, label
+                if highs.status is Status.INFEASIBLE:
+                    continue
+                assert highs.stats.best_bound - 0.5 <= ours.objective, label
+                assert ours.objective <= highs.objective + 0.5, label
                 assert ours.stats.best_bound <= ours.objective + 1e-6, label
                 assert model.check_solution(ours.rounded()) == [], label

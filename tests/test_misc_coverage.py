@@ -66,13 +66,21 @@ class TestCliMore:
 
 class TestDesignerOptions:
     def test_sweep_with_warm_start(self, s1):
-        from repro.core import design_best_architecture
+        # Every split of the sweep, warm-started from its LPT assignment,
+        # reproduces the sweep's best makespan.
+        from repro.core import DesignProblem, design, design_best_architecture
+        from repro.core import lpt_assignment
 
         plain = design_best_architecture(s1, 16, 2, timing="serial")
-        warm = design_best_architecture(
-            s1, 16, 2, timing="serial", warm_start_heuristic=True
+        problems = [
+            DesignProblem(soc=s1, arch=arch, timing="serial")
+            for arch, _ in plain.per_architecture
+        ]
+        warm = min(
+            design(problem, incumbent=lpt_assignment(problem).assignment).makespan
+            for problem in problems
         )
-        assert warm.best_makespan == pytest.approx(plain.best_makespan)
+        assert warm == pytest.approx(plain.best_makespan)
 
     def test_report_gantt_width_parameter(self, s1, arch3):
         from repro.core import DesignProblem, design

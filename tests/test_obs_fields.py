@@ -2,16 +2,18 @@
 
 :class:`~repro.obs.policy.DerivedFields` derives ``cache_token``,
 ``as_dict``/``from_dict`` and ``with_overrides`` from the dataclass fields
-of the five policy classes and :class:`~repro.core.request.SolveRequest`.
+of the three policy classes and :class:`~repro.core.request.SolveRequest`.
 These properties pin what that derivation must keep true for every class:
 
 - the JSON round trip is exact (``as_payload``/``from_payload`` for the
   request, whose wire form drops defaults);
 - changing a cached field changes the token — no two requests that differ
   in what a solve returns may alias — and changing an opted-out field
-  (retries, fan-out, checkpoint I/O) does not;
+  (fallback ladder, fan-out, checkpoint I/O) does not;
 - the opted-out set of each class is pinned here, so moving a field out of
-  the key is a visible, reviewed change.
+  the key is a visible, reviewed change;
+- a non-integer (or bool) in an ``int`` field is rejected when the object
+  is built.
 """
 
 from __future__ import annotations
@@ -28,9 +30,7 @@ from repro.core.request import _REQUIRED as REQUIRED_BY_KIND
 from repro.obs import (
     FALLBACK_RUNGS,
     PORTFOLIO_ENTRANTS,
-    CutPolicy,
     PortfolioPolicy,
-    PresolvePolicy,
     SolvePolicy,
     SolverOptions,
 )
@@ -39,18 +39,18 @@ from repro.util.errors import ValidationError
 
 #: The fields each class keeps out of its cache token.
 OPTED_OUT = {
-    CutPolicy: set(),
-    PresolvePolicy: set(),
     PortfolioPolicy: {"jobs"},
-    SolverOptions: {"checkpoint_interval"},
-    SolvePolicy: {
-        "max_retries",
-        "retry_backoff",
-        "fallback",
-        "fallback_seed",
-        "checkpoint_dir",
-    },
+    SolverOptions: set(),
+    SolvePolicy: {"fallback", "checkpoint_dir"},
     SolveRequest: {"jobs"},
+}
+
+#: The fields each class holds integers in (``widths``: a tuple of them).
+INT_FIELDS = {
+    PortfolioPolicy: {"seed", "jobs"},
+    SolverOptions: {"cut_rounds", "presolve_rounds"},
+    SolvePolicy: {"node_budget"},
+    SolveRequest: {"widths", "total_width", "num_buses", "max_buses", "jobs"},
 }
 
 positive = st.integers(min_value=1, max_value=64)
@@ -81,30 +81,23 @@ def instances(cls, field_strategies):
 
 
 FIELDS: dict[type, dict] = {}
-FIELDS[CutPolicy] = {"rounds": st.integers(0, 8)}
-FIELDS[PresolvePolicy] = {"rounds": st.integers(0, 8)}
 FIELDS[PortfolioPolicy] = {
     "entrants": st.permutations(PORTFOLIO_ENTRANTS).flatmap(
         lambda order: st.integers(0, len(order)).map(lambda n: tuple(order[:n]))
     ),
     "seed": st.integers(0, 1000),
-    "sa_iterations": st.integers(0, 10_000),
     "jobs": positive,
 }
 FIELDS[SolverOptions] = {
-    "cuts": optional(instances(CutPolicy, FIELDS[CutPolicy])),
-    "root_presolve": optional(instances(PresolvePolicy, FIELDS[PresolvePolicy])),
-    "checkpoint_interval": optional(real),
+    "cut_rounds": optional(st.integers(0, 8)),
+    "presolve_rounds": optional(st.integers(0, 8)),
     "portfolio": optional(instances(PortfolioPolicy, FIELDS[PortfolioPolicy])),
 }
 FIELDS[SolvePolicy] = {
     "deadline": optional(real),
     "node_budget": optional(positive),
     "gap_tol": optional(st.floats(min_value=0.0, max_value=10.0)),
-    "max_retries": st.integers(0, 5),
-    "retry_backoff": st.floats(min_value=0.0, max_value=5.0),
     "fallback": st.lists(st.sampled_from(FALLBACK_RUNGS), max_size=3).map(tuple),
-    "fallback_seed": st.integers(0, 1000),
     "checkpoint_dir": optional(st.text(alphabet="abc/_", min_size=1, max_size=8)),
     "solver": optional(instances(SolverOptions, FIELDS[SolverOptions])),
 }
@@ -204,10 +197,22 @@ def test_nested_opted_out_fields_keep_the_token():
     # An opted-out field inside a cached block stays out of the parent key.
     base = SolvePolicy(solver=SolverOptions(portfolio=PortfolioPolicy()))
     changed = SolvePolicy(
-        solver=SolverOptions(checkpoint_interval=5.0, portfolio=PortfolioPolicy(jobs=4))
+        fallback=(), solver=SolverOptions(portfolio=PortfolioPolicy(jobs=4))
     )
     assert changed.cache_token() == base.cache_token()
     assert changed.cache_view() == base
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+@given(data=st.data())
+def test_int_fields_reject_non_integers(cls, data):
+    value = data.draw(instances(cls, FIELDS[cls]))
+    name = data.draw(st.sampled_from(sorted(INT_FIELDS[cls])))
+    bad = data.draw(st.sampled_from([2.5, 1.0, True]))
+    if name == "widths":
+        bad = (16, bad)
+    with pytest.raises((ValueError, ValidationError), match="must be .*integer"):
+        value.with_overrides(**{name: bad})
 
 
 def test_request_wire_form_keeps_its_layout():

@@ -1,27 +1,28 @@
-"""SolvePolicy semantics: budgets, retries, degradation, cache keying.
+"""SolvePolicy semantics: budgets, degradation, cache keying.
 
-Covers the resilient anytime-solve path end to end: policy validation and
-backend-option mapping, rejection of the removed legacy kwargs,
-transient-error retry via a fault-injection backend, heuristic fallback
-with provenance, the capped-solve cache-key regression, incumbent
-checkpointing, and the parallel metrics-equivalence invariant.
+Covers the anytime-solve path end to end: policy validation and
+backend-option mapping, rejection of the removed legacy kwargs, heuristic
+fallback with provenance, the capped-solve cache-key regression, incumbent
+checkpointing (including a resume after the solving process is killed),
+and the parallel metrics-equivalence invariant.
 """
 
 from __future__ import annotations
 
+import signal
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from repro.core import DesignProblem, design, lpt_assignment, width_sweep
-from repro.ilp import Model, quicksum
+from repro.ilp import Model, branch_and_bound, quicksum
 from repro.ilp.model import register_backend, unregister_backend
 from repro.ilp.solution import Status
 from repro.obs import (
-    DEFAULT_CUT_POLICY,
-    DEFAULT_PRESOLVE_POLICY,
     CheckpointStore,
-    CutPolicy,
     FallbackReport,
-    PresolvePolicy,
     SolvePolicy,
     SolverOptions,
     trace_solve,
@@ -29,7 +30,19 @@ from repro.obs import (
 )
 from repro.runtime import RunTelemetry, SolutionCache
 from repro.tam import TamArchitecture
-from repro.util.errors import SolverError, TransientSolverError
+from repro.util.errors import SolverError
+
+
+def clique_model() -> Model:
+    """Three pairwise-exclusive binaries: the root LP is fractional and one
+    clique cut closes it."""
+    model = Model("triangle")
+    xs = [model.add_binary(f"x{i}") for i in range(3)]
+    for i in range(3):
+        for j in range(i + 1, 3):
+            model.add_constr(xs[i] + xs[j] <= 1)
+    model.maximize(quicksum((3 + i) * x for i, x in enumerate(xs)))
+    return model
 
 
 def knapsack_model() -> Model:
@@ -48,8 +61,8 @@ class TestPolicyObject:
             SolvePolicy(deadline=0)
         with pytest.raises(ValueError):
             SolvePolicy(node_budget=-1)
-        with pytest.raises(ValueError):
-            SolvePolicy(max_retries=-1)
+        with pytest.raises(ValueError, match="node_budget must be an integer"):
+            SolvePolicy(node_budget=2.5)
         with pytest.raises(ValueError):
             SolvePolicy(fallback=("greedy",))
 
@@ -75,21 +88,14 @@ class TestPolicyObject:
         assert policy.backend_options("scipy") == {"time_limit": 2.0}
 
     def test_checkpoint_settings_travel_outside_backend_options(self):
-        policy = SolvePolicy(
-            node_budget=7,
-            checkpoint_dir="ckpt",
-            solver=SolverOptions(checkpoint_interval=2.0),
-        )
+        policy = SolvePolicy(node_budget=7, checkpoint_dir="ckpt")
         assert policy.backend_options("bnb") == {"node_limit": 7}
-        assert policy.checkpoint_options("bnb") == {
-            "checkpoint_dir": "ckpt",
-            "checkpoint_interval": 2.0,
-        }
+        assert policy.checkpoint_options("bnb") == {"checkpoint_dir": "ckpt"}
         assert policy.checkpoint_options("scipy") == {}
         assert SolvePolicy().checkpoint_options("bnb") == {}
 
     def test_cache_token_covers_only_effort_fields(self):
-        a = SolvePolicy(node_budget=5, max_retries=3, fallback=())
+        a = SolvePolicy(node_budget=5, checkpoint_dir="ckpt", fallback=())
         b = SolvePolicy(node_budget=5)
         c = SolvePolicy(node_budget=6)
         assert a.cache_token() == b.cache_token()
@@ -111,80 +117,104 @@ class TestPolicyObject:
 
 
 class TestCutPolicyObject:
+    """``SolverOptions.cut_rounds``: the root clique-cut rounds."""
+
     def test_validation_rejects_bad_fields(self):
-        with pytest.raises(ValueError):
-            CutPolicy(rounds=-1)
+        with pytest.raises(ValueError, match="cut_rounds cannot be negative"):
+            SolverOptions(cut_rounds=-1)
+        for bad in (2.5, True, "3"):
+            with pytest.raises(ValueError, match="cut_rounds must be an integer"):
+                SolverOptions(cut_rounds=bad)
 
     def test_enabled_flag(self):
-        assert DEFAULT_CUT_POLICY.enabled
-        assert not CutPolicy.disabled().enabled
-        assert CutPolicy(rounds=1).enabled
+        # Unset leaves the solver default on; 0 is forwarded and turns
+        # separation off.
+        assert branch_and_bound.CUT_ROUNDS > 0
+        assert SolverOptions().backend_options("bnb") == {}
+        assert SolverOptions(cut_rounds=0).backend_options("bnb") == {"cut_rounds": 0}
+        off = clique_model().solve(cut_rounds=0, cache=False)
+        on = clique_model().solve(cache=False)
+        assert off.stats.cut_rounds == 0 and on.stats.cut_rounds >= 1
+        assert off.objective == pytest.approx(on.objective)
 
     def test_root_cuts_is_not_a_cut_field(self):
-        # The retired root_cuts=N spelling has no policy mapping any more:
-        # it is an unknown field wherever a payload names it.
+        # The retired root_cuts=N spelling and the retired nested cuts
+        # block have no policy mapping: each is an unknown field.
         with pytest.raises(ValueError, match="root_cuts"):
-            CutPolicy.from_dict({"root_cuts": 2})
-        with pytest.raises(ValueError, match="root_cuts"):
-            SolverOptions.from_dict({"cuts": {"root_cuts": 2}})
+            SolverOptions.from_dict({"root_cuts": 2})
+        with pytest.raises(ValueError, match="unknown SolverOptions field.*cuts"):
+            SolverOptions.from_dict({"cuts": {"rounds": 2}})
+        with pytest.raises(TypeError, match="cut_policy"):
+            clique_model().solve(cut_policy=None, cache=False)
 
     def test_dict_round_trip_and_unknown_keys(self):
-        policy = CutPolicy(rounds=5)
-        assert CutPolicy.from_dict(policy.as_dict()) == policy
+        block = SolverOptions(cut_rounds=5)
+        assert block.as_dict()["cut_rounds"] == 5
+        assert SolverOptions.from_dict(block.as_dict()) == block
         with pytest.raises(ValueError, match="gomory"):
-            CutPolicy.from_dict({"gomory": True})
-        with pytest.raises(ValueError, match="max_depth"):
-            CutPolicy.from_dict({"max_depth": 2})
+            SolverOptions.from_dict({"gomory": True})
 
     def test_cache_token_distinguishes_every_field(self):
-        base = CutPolicy()
-        tokens = {base.cache_token(), base.with_overrides(rounds=9).cache_token()}
-        assert len(tokens) == 2
+        tokens = {
+            SolverOptions(cut_rounds=rounds).cache_token() for rounds in (None, 0, 3, 9)
+        }
+        assert len(tokens) == 4
 
 
 class TestPresolvePolicyObject:
+    """``SolverOptions.presolve_rounds``: the root model presolve passes."""
+
     def test_validation_rejects_bad_rounds(self):
-        with pytest.raises(ValueError):
-            PresolvePolicy(rounds=-1)
+        with pytest.raises(ValueError, match="presolve_rounds cannot be negative"):
+            SolverOptions(presolve_rounds=-1)
+        for bad in (1.5, False):
+            with pytest.raises(ValueError, match="presolve_rounds must be an integer"):
+                SolverOptions(presolve_rounds=bad)
 
     def test_enabled_flag(self):
-        assert DEFAULT_PRESOLVE_POLICY.enabled
-        assert not PresolvePolicy.disabled().enabled
-        assert PresolvePolicy(rounds=1).enabled
+        assert branch_and_bound.PRESOLVE_ROUNDS > 0
+        assert SolverOptions(presolve_rounds=0).backend_options("bnb") == {
+            "presolve_rounds": 0
+        }
+        off = knapsack_model().solve(presolve_rounds=0, cache=False)
+        on = knapsack_model().solve(cache=False)
+        assert off.stats.root_presolve_rounds == 0
+        assert on.stats.root_presolve_rounds >= 1
+        assert off.objective == pytest.approx(on.objective)
 
     def test_dict_round_trip_and_unknown_keys(self):
-        policy = PresolvePolicy(rounds=2)
-        assert PresolvePolicy.from_dict(policy.as_dict()) == policy
+        block = SolverOptions(presolve_rounds=2)
+        assert SolverOptions.from_dict(block.as_dict()) == block
         with pytest.raises(ValueError, match="probing"):
-            PresolvePolicy.from_dict({"probing": True})
-        with pytest.raises(ValueError, match="singleton_cols"):
-            PresolvePolicy.from_dict({"singleton_cols": False})
+            SolverOptions.from_dict({"probing": True})
+        with pytest.raises(ValueError, match="root_presolve"):
+            SolverOptions.from_dict({"root_presolve": {"rounds": 2}})
 
     def test_cache_token_distinguishes_every_field(self):
-        base = PresolvePolicy()
-        tokens = {base.cache_token(), base.with_overrides(rounds=9).cache_token()}
-        assert len(tokens) == 2
+        tokens = {
+            SolverOptions(presolve_rounds=rounds).cache_token()
+            for rounds in (None, 0, 4, 9)
+        }
+        assert len(tokens) == 4
 
     def test_policy_is_picklable(self):
         import pickle
 
-        policy = PresolvePolicy(rounds=1)
+        policy = SolvePolicy(solver=SolverOptions(presolve_rounds=1))
         assert pickle.loads(pickle.dumps(policy)) == policy
 
 
 class TestSolverOptionsBlock:
     def test_validation(self):
         with pytest.raises(TypeError):
-            SolverOptions(cuts={"rounds": 3})
+            SolverOptions(portfolio={"seed": 3})
         with pytest.raises(TypeError):
-            SolverOptions(root_presolve={"rounds": 2})
-        with pytest.raises(ValueError):
-            SolverOptions(checkpoint_interval=0)
+            SolverOptions(checkpoint_interval=1.0)
 
     def test_presolve_and_warm_start_forwarding(self):
-        block = SolverOptions(root_presolve=PresolvePolicy.disabled())
+        block = SolverOptions(presolve_rounds=0)
         options = block.backend_options("bnb")
-        assert options == {"root_presolve": PresolvePolicy.disabled()}
+        assert options == {"presolve_rounds": 0}
         assert block.backend_options("scipy") == {}
         # Node LPs always start warm: the block has no LP-basis switch, and
         # never sets the solver's own `warm_start` (an incumbent hint).
@@ -193,63 +223,66 @@ class TestSolverOptionsBlock:
 
     def test_presolve_and_warm_start_shape_cache_token(self):
         bare = SolverOptions()
-        presolve_off = SolverOptions(root_presolve=PresolvePolicy.disabled())
-        one_round = SolverOptions(root_presolve=PresolvePolicy(rounds=1))
+        presolve_off = SolverOptions(presolve_rounds=0)
+        one_round = SolverOptions(presolve_rounds=1)
         tokens = {b.cache_token() for b in (bare, presolve_off, one_round)}
         assert len(tokens) == 3
 
     def test_nested_presolve_dict_round_trip(self):
-        block = SolverOptions(root_presolve=PresolvePolicy(rounds=2))
+        block = SolverOptions(presolve_rounds=2)
         assert SolverOptions.from_dict(block.as_dict()) == block
 
     def test_backend_options_forwarding(self):
-        block = SolverOptions(cuts=CutPolicy(rounds=2))
+        block = SolverOptions(cut_rounds=2, presolve_rounds=1)
         options = block.backend_options("bnb")
-        assert options == {"cut_policy": CutPolicy(rounds=2)}
+        assert options == {"cut_rounds": 2, "presolve_rounds": 1}
         # non-bnb backends understand none of these knobs
         assert block.backend_options("scipy") == {}
 
     def test_policy_carries_solver_block_to_backend(self):
-        policy = SolvePolicy(node_budget=7, solver=SolverOptions(cuts=CutPolicy()))
+        policy = SolvePolicy(node_budget=7, solver=SolverOptions(cut_rounds=3))
         options = policy.backend_options("bnb")
         assert options["node_limit"] == 7
-        assert options["cut_policy"] == CutPolicy()
+        assert options["cut_rounds"] == 3
         assert policy.backend_options("scipy") == {}
 
     def test_cache_token_covers_the_block(self):
         bare = SolvePolicy(node_budget=5)
-        cuts_on = SolvePolicy(node_budget=5, solver=SolverOptions(cuts=CutPolicy()))
-        cuts_off = SolvePolicy(
-            node_budget=5, solver=SolverOptions(cuts=CutPolicy.disabled())
-        )
+        cuts_on = SolvePolicy(node_budget=5, solver=SolverOptions(cut_rounds=3))
+        cuts_off = SolvePolicy(node_budget=5, solver=SolverOptions(cut_rounds=0))
         tokens = {p.cache_token() for p in (bare, cuts_on, cuts_off)}
         assert len(tokens) == 3
 
     def test_nested_dict_round_trip(self):
         policy = SolvePolicy(
-            deadline=1.5,
-            solver=SolverOptions(
-                cuts=CutPolicy(rounds=1), root_presolve=PresolvePolicy(rounds=2)
-            ),
+            deadline=1.5, solver=SolverOptions(cut_rounds=1, presolve_rounds=2)
         )
         assert SolvePolicy.from_dict(policy.as_dict()) == policy
 
     def test_flat_keys_are_unknown_fields(self):
-        for key in ("presolve", "branching", "root_cuts", "checkpoint_interval"):
+        for key in (
+            "presolve",
+            "branching",
+            "root_cuts",
+            "cut_rounds",
+            "checkpoint_interval",
+            "max_retries",
+            "fallback_seed",
+        ):
             with pytest.raises(ValueError, match=f"unknown SolvePolicy field.*{key}"):
                 SolvePolicy.from_dict({"node_budget": 3, key: 1})
 
     def test_flat_key_beside_nested_block_rejected(self):
-        payload = {"cuts": {"rounds": 2}, "solver": {"cuts": {"rounds": 1}}}
-        with pytest.raises(ValueError, match="unknown SolvePolicy field.*cuts"):
+        payload = {"cut_rounds": 2, "solver": {"cut_rounds": 1}}
+        with pytest.raises(ValueError, match="unknown SolvePolicy field.*cut_rounds"):
             SolvePolicy.from_dict(payload)
-        nested = SolvePolicy.from_dict({"solver": {"cuts": {"rounds": 1}}})
-        assert nested.solver == SolverOptions(cuts=CutPolicy(rounds=1))
+        nested = SolvePolicy.from_dict({"solver": {"cut_rounds": 1}})
+        assert nested.solver == SolverOptions(cut_rounds=1)
 
     def test_block_is_picklable(self):
         import pickle
 
-        policy = SolvePolicy(solver=SolverOptions(cuts=CutPolicy(rounds=1)))
+        policy = SolvePolicy(solver=SolverOptions(cut_rounds=1))
         assert pickle.loads(pickle.dumps(policy)) == policy
 
 
@@ -270,76 +303,24 @@ class TestLegacyKwargRemoval:
             model.solve(policy=SolvePolicy(node_budget=5), node_limit=3, cache=False)
 
 
-class FlakyBackend:
-    """Fault-injection backend: transient failures for the first N calls."""
-
-    def __init__(self, failures: int):
-        self.failures = failures
-        self.calls = 0
-
-    def __call__(self, model, **options):
-        from repro.ilp.model import _solve_bnb
-
-        self.calls += 1
-        if self.calls <= self.failures:
-            raise TransientSolverError(f"injected fault #{self.calls}")
-        return _solve_bnb(model, **options)
-
-
 class TestRetries:
-    def test_retry_recovers_from_transient_errors(self):
-        flaky = FlakyBackend(failures=2)
-        register_backend("flaky", flaky)
-        try:
-            solution = knapsack_model().solve(
-                backend="flaky",
-                cache=False,
-                policy=SolvePolicy(max_retries=2, retry_backoff=0.0),
-            )
-        finally:
-            unregister_backend("flaky")
-        assert solution.status is Status.OPTIMAL
-        assert flaky.calls == 3
-        assert solution.stats.retries == 2
-
-    def test_exhausted_retries_reraise(self):
-        flaky = FlakyBackend(failures=3)
-        register_backend("flaky", flaky)
-        try:
-            with pytest.raises(TransientSolverError):
-                knapsack_model().solve(
-                    backend="flaky",
-                    cache=False,
-                    policy=SolvePolicy(max_retries=1, retry_backoff=0.0),
-                )
-        finally:
-            unregister_backend("flaky")
-        assert flaky.calls == 2
+    """There is no retry loop: ``Model.solve`` calls a backend once."""
 
     def test_no_policy_means_no_retry(self):
-        flaky = FlakyBackend(failures=1)
-        register_backend("flaky", flaky)
-        try:
-            with pytest.raises(TransientSolverError):
-                knapsack_model().solve(backend="flaky", cache=False)
-        finally:
-            unregister_backend("flaky")
-        assert flaky.calls == 1
+        calls = []
 
-    def test_retry_metrics_are_counted(self):
-        flaky = FlakyBackend(failures=1)
-        register_backend("flaky", flaky)
+        def failing(model, **options):
+            calls.append(options)
+            raise SolverError("injected fault")
+
+        register_backend("failing", failing)
         try:
-            with use_metrics() as metrics:
-                knapsack_model().solve(
-                    backend="flaky",
-                    cache=False,
-                    policy=SolvePolicy(max_retries=1, retry_backoff=0.0),
-                )
+            for policy in (None, SolvePolicy(node_budget=5)):
+                with pytest.raises(SolverError, match="injected fault"):
+                    knapsack_model().solve(backend="failing", cache=False, policy=policy)
         finally:
-            unregister_backend("flaky")
-        assert metrics.counter("solve.transient_errors").value == 1
-        assert metrics.counter("solve.retries").value == 1
+            unregister_backend("failing")
+        assert len(calls) == 2
 
 
 class TestDegradation:
@@ -394,11 +375,13 @@ class TestDegradation:
         assert "1 fallbacks" in telemetry.render()
 
     def test_fallback_report_renders_provenance(self):
-        report = FallbackReport(source="sa", reason="budget", retries=1)
+        report = FallbackReport(source="sa", reason="budget")
         report.record_step("exact", "no_incumbent")
         report.record_step("sa", "ok")
         text = report.render()
-        assert "source=sa" in text and "retries=1" in text and "exact:no_incumbent" in text
+        assert "source=sa" in text and "reason=budget" in text
+        assert "exact:no_incumbent" in text
+        assert FallbackReport().render() == "exact solve"
 
 
 class TestCacheKeying:
@@ -426,9 +409,7 @@ class TestCacheKeying:
         problem = DesignProblem(soc=s1, arch=arch3, timing="serial")
         cache = SolutionCache()
         design(problem, cache=cache)
-        replay = design(
-            problem, policy=SolvePolicy(max_retries=2), cache=cache
-        )
+        replay = design(problem, policy=SolvePolicy(fallback=()), cache=cache)
         assert replay.stats.cache_hit
 
 
@@ -452,17 +433,6 @@ class TestCacheKeyLeavesOutUncachedFields:
             cache=cache,
         )
         assert replay.stats.cache_hit
-        assert (cache.hits, cache.misses) == (1, 1)
-
-    def test_checkpoint_interval_shares_the_key(self, problem):
-        cache = SolutionCache()
-        for interval in (1.0, 2.0):
-            result = design(
-                problem,
-                policy=SolvePolicy(solver=SolverOptions(checkpoint_interval=interval)),
-                cache=cache,
-            )
-        assert result.stats.cache_hit
         assert (cache.hits, cache.misses) == (1, 1)
 
     def test_flat_design_kwarg_is_an_ad_hoc_option_in_the_key(self, problem):
@@ -500,17 +470,60 @@ class TestCheckpointing:
         ]
         assert resumed, "expected the warm incumbent to be resumed"
 
+    @pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
+    def test_resume_after_the_solving_process_is_killed(
+        self, tmp_path, s1, arch3, child_env
+    ):
+        # The child solves with checkpoints on and SIGKILLs itself as soon
+        # as its first checkpoint write has completed.
+        child = textwrap.dedent(
+            """
+            import os, signal, sys
+            from repro.core import DesignProblem, design
+            from repro.obs import CheckpointStore, SolvePolicy
+            from repro.soc import build_s1
+            from repro.tam import TamArchitecture
+
+            save = CheckpointStore.save
+
+            def save_then_die(self, *args):
+                save(self, *args)
+                os.kill(os.getpid(), signal.SIGKILL)
+
+            CheckpointStore.save = save_then_die
+            problem = DesignProblem(
+                soc=build_s1(), arch=TamArchitecture([16, 16, 16]), timing="serial"
+            )
+            design(problem, policy=SolvePolicy(checkpoint_dir=sys.argv[1]), cache=False)
+            """
+        )
+        killed = subprocess.run(
+            [sys.executable, "-c", child, str(tmp_path)], env=child_env, timeout=300
+        )
+        assert killed.returncode == -signal.SIGKILL
+
+        # The store the killed solve left behind is one whole checkpoint.
+        stored = sorted(tmp_path.iterdir())
+        assert [path.suffix for path in stored] == [".json"]
+        fingerprint = stored[0].stem.removeprefix("incumbent-")
+        assert CheckpointStore(tmp_path).load(fingerprint) is not None
+
+        problem = DesignProblem(soc=s1, arch=arch3, timing="serial")
+        with trace_solve() as tracer:
+            resumed = design(
+                problem, policy=SolvePolicy(checkpoint_dir=str(tmp_path)), cache=False
+            )
+        events = [e["name"] for span in tracer.spans for e in span.events]
+        assert "checkpoint_resume" in events
+        assert resumed.status is Status.OPTIMAL
+        assert resumed.makespan == pytest.approx(design(problem, cache=False).makespan)
+
 
 class TestCheckpointDebounce:
-    def _solver(self, tmp_path, interval):
-        from repro.ilp.branch_and_bound import BranchAndBoundSolver
-
-        model = knapsack_model()
-        return BranchAndBoundSolver(
-            model,
-            dive=False,
-            checkpoint_dir=str(tmp_path),
-            checkpoint_interval=interval,
+    def _solver(self, tmp_path, monkeypatch, interval):
+        monkeypatch.setattr(branch_and_bound, "CHECKPOINT_INTERVAL", interval)
+        return branch_and_bound.BranchAndBoundSolver(
+            knapsack_model(), dive=False, checkpoint_dir=str(tmp_path)
         )
 
     def _count_saves(self, monkeypatch):
@@ -528,7 +541,7 @@ class TestCheckpointDebounce:
         self, tmp_path, monkeypatch
     ):
         calls = self._count_saves(monkeypatch)
-        solver = self._solver(tmp_path, interval=3600.0)
+        solver = self._solver(tmp_path, monkeypatch, interval=3600.0)
         solution = solver.solve()
         assert solution.status is Status.OPTIMAL
         assert solution.stats.incumbent_updates >= 2
@@ -541,7 +554,7 @@ class TestCheckpointDebounce:
 
     def test_zero_interval_saves_every_improvement(self, tmp_path, monkeypatch):
         calls = self._count_saves(monkeypatch)
-        solver = self._solver(tmp_path, interval=0.0)
+        solver = self._solver(tmp_path, monkeypatch, interval=0.0)
         solution = solver.solve()
         assert solution.status is Status.OPTIMAL
         assert len(calls) == solution.stats.incumbent_updates

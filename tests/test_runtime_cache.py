@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from repro.core import DesignProblem, design
@@ -16,6 +20,7 @@ from repro.runtime import (
     solve_fingerprint,
     use_cache,
 )
+from repro.runtime.cache import CacheRecord
 from repro.tam import TamArchitecture
 
 
@@ -126,6 +131,58 @@ class TestSolutionCache:
         assert len(cache) == 0
         solve_cached(knapsack_model(), cache=cache)
         assert cache.misses == 2
+
+
+class TestConcurrentWriters:
+    # Each child stores its own record under the shared key, over and over.
+    WRITER = textwrap.dedent(
+        """
+        import json, sys
+        from repro.runtime.cache import CacheRecord, SolutionCache
+
+        directory, key, payload = sys.argv[1:4]
+        record = CacheRecord.from_json(json.loads(payload))
+        cache = SolutionCache(directory=directory)
+        for _ in range(400):
+            cache.store(key, record)
+        """
+    )
+
+    def test_readers_see_a_miss_or_a_whole_record(self, tmp_path, child_env):
+        import json
+
+        model = knapsack_model()
+        records = [
+            CacheRecord.from_solution(model.solve(backend=backend, cache=False), model.num_vars)
+            for backend in ("bnb", "scipy")
+        ]
+        reader = SolutionCache(directory=tmp_path)
+        key = reader.fingerprint(model.to_matrix_form())
+        writers = [
+            subprocess.Popen(
+                [sys.executable, "-c", self.WRITER, str(tmp_path), key,
+                 json.dumps(record.to_json())],
+                env=child_env,
+            )
+            for record in records
+        ]
+        seen = set()
+        try:
+            while any(writer.poll() is None for writer in writers):
+                reader.clear()  # memory only: every lookup reads the file
+                record = reader.lookup(key)
+                if record is None:
+                    continue
+                solution = record.to_solution(model)
+                assert model.check_solution(solution.values) == []
+                seen.add(record.backend)
+        finally:
+            for writer in writers:
+                writer.wait(timeout=300)
+        assert [writer.returncode for writer in writers] == [0, 0]
+        assert seen and seen <= {"bnb", "scipy"}
+        assert reader.lookup(key) in records
+        assert list(tmp_path.rglob("*.tmp")) == []
 
 
 class TestActiveCacheContext:

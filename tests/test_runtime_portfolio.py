@@ -61,8 +61,8 @@ class TestPortfolioPolicy:
             PortfolioPolicy(entrants=("bnb", "tabu"))
         with pytest.raises(ValueError, match="duplicate"):
             PortfolioPolicy(entrants=("lpt", "lpt"))
-        with pytest.raises(ValueError, match="sa_iterations"):
-            PortfolioPolicy(sa_iterations=-1)
+        with pytest.raises(ValueError, match="jobs must be an integer"):
+            PortfolioPolicy(jobs=1.5)
 
     def test_cache_token_excludes_jobs(self):
         assert (

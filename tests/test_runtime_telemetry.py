@@ -135,6 +135,4 @@ class TestPublishedMetrics:
                 assert metrics.counter(f"solve.{spec.name}").value == getattr(stats, spec.name)
             elif kind == "histogram":
                 assert metrics.histogram(f"solve.{spec.name}").count == 1
-        # retries are counted by Model.solve itself, once per re-run.
-        assert metrics.counter("solve.retries").value == 0
         assert metrics.gauge("solve.best_bound").value == pytest.approx(stats.best_bound)

@@ -20,7 +20,6 @@ from __future__ import annotations
 import pytest
 
 from repro.api import (
-    CutPolicy,
     DesignProblem,
     MetricsRegistry,
     PortfolioPolicy,
@@ -36,6 +35,7 @@ from repro.api import (
     use_metrics,
     width_sweep,
 )
+from repro.ilp.branch_and_bound import CUT_ROUNDS
 
 #: A node count may exceed its recorded baseline by at most this share.
 NODE_TOLERANCE = 0.20
@@ -80,7 +80,7 @@ def sweep_telemetry(s1) -> RunTelemetry:
     return telemetry
 
 
-def _layout_counts(soc, cuts: CutPolicy) -> dict[str, int]:
+def _layout_counts(soc, cut_rounds: int) -> dict[str, int]:
     """Solve counters of the layout-constrained sweep.
 
     They come from a metrics registry, not sweep telemetry: the tight
@@ -89,7 +89,7 @@ def _layout_counts(soc, cuts: CutPolicy) -> dict[str, int]:
     the per-solve metrics.
     """
     floorplan = grid_place(soc)
-    policy = SolvePolicy(solver=SolverOptions(cuts=cuts))
+    policy = SolvePolicy(solver=SolverOptions(cut_rounds=cut_rounds))
     registry = MetricsRegistry()
     with use_cache(None), use_metrics(registry):
         for width in LAYOUT_WIDTHS:
@@ -102,12 +102,12 @@ def _layout_counts(soc, cuts: CutPolicy) -> dict[str, int]:
 
 @pytest.fixture(scope="module")
 def cuts_off(s1) -> dict[str, int]:
-    return _layout_counts(s1, CutPolicy.disabled())
+    return _layout_counts(s1, 0)
 
 
 @pytest.fixture(scope="module")
 def cuts_on(s1) -> dict[str, int]:
-    return _layout_counts(s1, CutPolicy())
+    return _layout_counts(s1, CUT_ROUNDS)
 
 
 def _top2_power(soc) -> float:

@@ -279,6 +279,17 @@ class TestHttpRoundTrip:
             client.submit(make_request(backend="bnb").as_payload(), lane="express")
         assert excinfo.value.status == 400
 
+    def test_non_integer_setting_rejected_at_submit(self, service):
+        # Built into a request, 2.5 rounds would only fail inside the job,
+        # as a 500 at /result; it must be a 400 before anything is queued.
+        client = ServiceClient(service)
+        payload = make_request(backend="bnb").as_payload()
+        payload["policy"] = {"solver": {"cut_rounds": 2.5}}
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(payload)
+        assert excinfo.value.status == 400
+        assert "cut_rounds must be an integer" in str(excinfo.value)
+
     def test_unknown_job_is_404(self, service):
         client = ServiceClient(service)
         with pytest.raises(ServiceError) as excinfo:
@@ -330,10 +341,10 @@ class TestHttpRoundTrip:
         assert objectives == sorted(objectives)
 
     def test_cut_policy_request_round_trips(self, service):
-        from repro.obs import CutPolicy, SolverOptions
+        from repro.obs import SolverOptions
 
         client = ServiceClient(service)
-        policy = SolvePolicy(solver=SolverOptions(cuts=CutPolicy(rounds=2)))
+        policy = SolvePolicy(solver=SolverOptions(cut_rounds=2))
         request = make_request(backend="bnb", policy=policy)
         # The wire form carries the solver block: a reconstructed request
         # fingerprints identically, and cuts-off is a different job.
@@ -341,7 +352,7 @@ class TestHttpRoundTrip:
         assert rebuilt.fingerprint() == request.fingerprint()
         off = make_request(
             backend="bnb",
-            policy=SolvePolicy(solver=SolverOptions(cuts=CutPolicy.disabled())),
+            policy=SolvePolicy(solver=SolverOptions(cut_rounds=0)),
         )
         assert off.fingerprint() != request.fingerprint()
         submitted = client.submit(request)

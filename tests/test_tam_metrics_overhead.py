@@ -123,7 +123,7 @@ class TestWarmStart:
     def test_same_optimum_and_incumbent_installed(self, s1, arch3):
         problem = DesignProblem(soc=s1, arch=arch3, timing="serial")
         cold = design(problem)
-        warm = design(problem, warm_start_heuristic=True)
+        warm = design(problem, incumbent=lpt_assignment(problem).assignment)
         assert warm.makespan == pytest.approx(cold.makespan)
         assert warm.stats.incumbent_updates >= 1
 
