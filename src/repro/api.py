@@ -16,9 +16,7 @@ The surface groups into:
   :func:`distance_budget_sweep`), the duals (:func:`min_width`,
   :func:`bus_count_curve`), baselines and schedules;
 - **runtime** — :func:`solve_cached`, :class:`SolutionCache`,
-  :func:`use_cache`, :func:`run_parallel`, :class:`RunTelemetry`, and the
-  racing portfolio :func:`run_portfolio` (:class:`PortfolioPolicy`,
-  :class:`PortfolioReport`);
+  :func:`use_cache`, :func:`run_parallel`, :class:`RunTelemetry`;
 - **observability & resilience** — :func:`trace_solve` (span tracing with
   a text flame summary), :class:`MetricsRegistry` with :func:`get_metrics`
   / :func:`use_metrics`, and the anytime-solve controls
@@ -90,11 +88,9 @@ from repro.ilp.model import register_backend, unregister_backend
 from repro.ilp.solution import Solution, SolveStats, Status
 from repro.layout import Floorplan, anneal_place, bus_wirelength, grid_place, tam_wirelength
 from repro.obs import (
-    DEFAULT_PORTFOLIO_POLICY,
     CheckpointStore,
     FallbackReport,
     MetricsRegistry,
-    PortfolioPolicy,
     SolvePolicy,
     SolverOptions,
     Span,
@@ -106,12 +102,9 @@ from repro.obs import (
 from repro.power import budget_sweep_points, max_clique_power, power_groups
 from repro.runtime import (
     DEFAULT_CACHE_DIR,
-    EntrantRecord,
-    PortfolioReport,
     RunTelemetry,
     SolutionCache,
     run_parallel,
-    run_portfolio,
     solve_cached,
     use_cache,
 )
@@ -250,12 +243,6 @@ __all__ = [
     "run_parallel",
     "RunTelemetry",
     "DEFAULT_CACHE_DIR",
-    # racing portfolio
-    "run_portfolio",
-    "PortfolioPolicy",
-    "DEFAULT_PORTFOLIO_POLICY",
-    "PortfolioReport",
-    "EntrantRecord",
     # observability & resilience
     "trace_solve",
     "Tracer",
@@ -323,12 +310,7 @@ _SINCE_PR: dict[str, int] = {
     "render_facade_manifest": 7,
     # PR 8: branch-and-cut + structured solver options
     "SolverOptions": 8,
-    # PR 10: scale corpus + racing portfolio
-    "PortfolioPolicy": 10,
-    "DEFAULT_PORTFOLIO_POLICY": 10,
-    "PortfolioReport": 10,
-    "EntrantRecord": 10,
-    "run_portfolio": 10,
+    # the stress corpus
     "build_p93791": 10,
     "build_t512505": 10,
     "corpus_names": 10,
@@ -338,7 +320,6 @@ _SINCE_PR: dict[str, int] = {
 #: Defining module for exports that are plain values (no ``__module__``).
 _CONSTANT_MODULES: dict[str, str] = {
     "DEFAULT_CACHE_DIR": "repro.runtime.cache",
-    "DEFAULT_PORTFOLIO_POLICY": "repro.obs.policy",
     "EXPERIMENTS": "repro.experiments",
     "REQUEST_KINDS": "repro.core.request",
     "BLESSED_ALIASES": "repro.api",

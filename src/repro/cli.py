@@ -51,7 +51,6 @@ import sys
 from repro.api import (
     DEFAULT_CACHE_DIR,
     DesignProblem,
-    PortfolioPolicy,
     ReproError,
     Soc,
     SolutionCache,
@@ -99,18 +98,6 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
                              "coefficient tightening, row cleanup "
                              "(default: on; --no-root-presolve searches the "
                              "original model; bnb backend only)")
-    parser.add_argument("--portfolio", action=argparse.BooleanOptionalAction,
-                        default=None,
-                        help="race exact B&B against the lpt/sa heuristic rungs "
-                             "under the shared budget, cross-feeding the best "
-                             "heuristic incumbent as the B&B starting cutoff "
-                             "(bnb backend only)")
-    parser.add_argument("--portfolio-entrants", default=None, metavar="A,B,...",
-                        help="portfolio entrants, comma-separated out of "
-                             "lpt/sa/bnb (implies --portfolio; default lpt,sa,bnb)")
-    parser.add_argument("--portfolio-seed", type=int, default=None, metavar="N",
-                        help="seed for the stochastic portfolio entrants "
-                             "(implies --portfolio)")
 
 
 def _solver_block_from_args(args) -> SolverOptions | None:
@@ -135,37 +122,16 @@ def _solver_block_from_args(args) -> SolverOptions | None:
     presolve_rounds = None
     if getattr(args, "root_presolve", None) is not None:
         presolve_rounds = PRESOLVE_ROUNDS if args.root_presolve else 0
-    portfolio = None
-    entrants = getattr(args, "portfolio_entrants", None)
-    seed = getattr(args, "portfolio_seed", None)
-    if getattr(args, "portfolio", None) is False:
-        if entrants is not None or seed is not None:
-            raise ValidationError(
-                "--no-portfolio contradicts --portfolio-entrants/--portfolio-seed"
-            )
-        portfolio = PortfolioPolicy.disabled()
-    elif getattr(args, "portfolio", None) or entrants is not None or seed is not None:
-        overrides = {"jobs": max(1, getattr(args, "jobs", 1) or 1)}
-        if entrants is not None:
-            overrides["entrants"] = tuple(
-                name.strip() for name in entrants.split(",") if name.strip()
-            )
-        if seed is not None:
-            overrides["seed"] = seed
-        portfolio = PortfolioPolicy(**overrides)
     block = {}
     if cut_rounds is not None:
         block["cut_rounds"] = cut_rounds
     if presolve_rounds is not None:
         block["presolve_rounds"] = presolve_rounds
-    if portfolio is not None:
-        block["portfolio"] = portfolio
     if not block:
         return None
     if args.backend != "bnb":
         flags = {"cut_rounds": "--cuts/--no-cuts/--cut-rounds",
-                 "presolve_rounds": "--root-presolve/--no-root-presolve",
-                 "portfolio": "--portfolio/--portfolio-entrants/--portfolio-seed"}
+                 "presolve_rounds": "--root-presolve/--no-root-presolve"}
         listed = "/".join(flags[key] for key in block)
         raise ValidationError(
             f"{listed} only apply to the bnb backend, not {args.backend!r}"

@@ -14,12 +14,13 @@ much of the design space a tight budget kills.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.baselines import lpt_assignment, simulated_annealing
 from repro.core.formulation import build_assignment_ilp
 from repro.core.problem import DesignProblem
 from repro.ilp.solution import SolveStats, Status
@@ -33,9 +34,6 @@ from repro.tam.assignment import Assignment
 from repro.tam.timing import TimingModel
 from repro.util.errors import InfeasibleError, SolverError
 
-if TYPE_CHECKING:  # pragma: no cover - runtime.portfolio imports back into core
-    from repro.runtime.portfolio import PortfolioReport
-
 
 @dataclass
 class TamDesign:
@@ -45,9 +43,7 @@ class TamDesign:
     (:class:`~repro.obs.FallbackReport`): ``None``/``"exact"`` for a proven
     optimum, ``"incumbent"`` for a budget-truncated best-so-far, and
     ``"lpt"``/``"sa"`` when the exact search found nothing and a heuristic
-    stood in. ``portfolio`` is the race provenance
-    (:class:`~repro.runtime.portfolio.PortfolioReport`) when the design
-    came out of the racing portfolio, ``None`` otherwise.
+    stood in.
     """
 
     problem: DesignProblem
@@ -59,7 +55,6 @@ class TamDesign:
     backend: str
     wirelength: float | None = None
     fallback: FallbackReport | None = None
-    portfolio: "PortfolioReport | None" = None
 
     @property
     def arch(self) -> TamArchitecture:
@@ -89,8 +84,6 @@ class TamDesign:
         )
         if self.fallback is not None and self.fallback.degraded:
             lines.append(f"  resilience: {self.fallback.render()}")
-        if self.portfolio is not None:
-            lines.append(f"  {self.portfolio.render()}")
         return "\n".join(lines)
 
 
@@ -107,14 +100,14 @@ def design(
 
     Solver knobs travel on ``policy.solver``
     (:class:`~repro.obs.SolverOptions`: root ``cut_rounds`` and
-    ``presolve_rounds``, the portfolio); the round counts only reach the
-    bnb backend. Left unset, the solver runs its own defaults,
-    ``CUT_ROUNDS`` rounds of root clique cuts and ``PRESOLVE_ROUNDS``
-    passes of root presolve (:mod:`repro.ilp.branch_and_bound`, DESIGN.md
-    §12–§13); ``SolverOptions(cut_rounds=0)`` or
-    ``SolverOptions(presolve_rounds=0)`` turns either off. Any other
-    keyword (``gap_tol``, ``dive``, …) is forwarded to the backend as an
-    ad-hoc option and hashed into the cache key.
+    ``presolve_rounds``); they only reach the bnb backend. Left unset, the
+    solver runs its own defaults, ``CUT_ROUNDS`` rounds of root clique cuts
+    and ``PRESOLVE_ROUNDS`` passes of root presolve
+    (:mod:`repro.ilp.branch_and_bound`, DESIGN.md §12–§13);
+    ``SolverOptions(cut_rounds=0)`` or ``SolverOptions(presolve_rounds=0)``
+    turns either off. Any other keyword (``gap_tol``, ``dive``, …) is
+    forwarded to the backend as an ad-hoc option and hashed into the cache
+    key.
 
     Without a ``policy`` the solve is exact: :class:`InfeasibleError` when
     the constraints admit no assignment, :class:`SolverError` if the backend
@@ -126,47 +119,16 @@ def design(
     :class:`~repro.obs.FallbackReport` and the process metrics. A policy
     with an empty ladder restores the strict behavior under a budget.
 
-    ``incumbent`` feeds a known-good
-    :class:`~repro.tam.assignment.Assignment` (an LPT greedy solution, say)
-    to the branch & bound as its initial incumbent (bnb backend only): the
-    optimum is unchanged, pruning just starts earlier. It is the channel
-    the racing portfolio cross-feeds heuristic winners through.
-
-    When ``policy.solver.portfolio`` is an enabled
-    :class:`~repro.obs.PortfolioPolicy` (and the backend is ``bnb``), the
-    solve is dispatched to :func:`repro.runtime.portfolio.run_portfolio`:
-    the heuristic rungs race on the process pool, their best incumbent is
-    cross-fed to the exact search, and the returned design carries a
-    :class:`~repro.runtime.portfolio.PortfolioReport` in ``.portfolio``.
+    The bnb backend starts from an incumbent: ``incumbent`` when given (a
+    known-good :class:`~repro.tam.assignment.Assignment`), otherwise the
+    LPT greedy assignment (:func:`~repro.core.baselines.lpt_assignment`;
+    none when LPT cannot place every core). The optimum is unchanged,
+    pruning just starts earlier (DESIGN.md §14).
 
     ``cache`` is forwarded to :meth:`Model.solve`: a
     :class:`~repro.runtime.cache.SolutionCache` memoizes this solve, ``None``
     defers to the active context cache, ``False`` bypasses caching.
     """
-    portfolio = (
-        policy.solver.portfolio
-        if policy is not None and policy.solver is not None
-        else None
-    )
-    if portfolio is not None and portfolio.enabled:
-        if backend != "bnb":
-            raise ValueError(
-                f"portfolio racing only applies to the bnb backend, got {backend!r}"
-            )
-        if incumbent is not None:
-            raise ValueError(
-                "incumbent= cannot be combined with an enabled portfolio "
-                "(the race supplies its own cross-fed incumbent)"
-            )
-        from repro.runtime.portfolio import run_portfolio
-
-        return run_portfolio(
-            problem,
-            policy,
-            cache=cache,
-            wirelength_method=wirelength_method,
-            **solver_options,
-        )
     contradictions = problem.contradictions()
     if contradictions:
         names = problem.soc.core_names
@@ -184,19 +146,26 @@ def design(
         # Test times are integral cycle counts: stop once the bound is
         # within one cycle of the incumbent.
         solver_options["gap_tol"] = 1.0 - 1e-6
-    if incumbent is not None and backend == "bnb" and "warm_start" not in solver_options:
-        violations = problem.validate(incumbent)
-        if violations:
-            raise ValueError(
-                "incumbent= must be feasible for the problem; violations: "
-                + "; ".join(violations)
-            )
-        values = {
-            var: 1.0 if incumbent.bus_of[i] == j else 0.0
-            for (i, j), var in formulation.x.items()
-        }
-        values[formulation.makespan_var] = incumbent.makespan(problem.timing)
-        solver_options["warm_start"] = values
+    if backend == "bnb" and "warm_start" not in solver_options:
+        if incumbent is None:
+            # LPT is the cheapest upper bound there is: the search prunes
+            # against it from the first node.
+            with contextlib.suppress(InfeasibleError):
+                incumbent = lpt_assignment(problem).assignment
+        else:
+            violations = problem.validate(incumbent)
+            if violations:
+                raise ValueError(
+                    "incumbent= must be feasible for the problem; violations: "
+                    + "; ".join(violations)
+                )
+        if incumbent is not None:
+            values = {
+                var: 1.0 if incumbent.bus_of[i] == j else 0.0
+                for (i, j), var in formulation.x.items()
+            }
+            values[formulation.makespan_var] = incumbent.makespan(problem.timing)
+            solver_options["warm_start"] = values
     with span("solve", backend=backend):
         solution = formulation.model.solve(
             backend=backend, cache=cache, policy=policy, **solver_options
@@ -271,12 +240,8 @@ def _degrade(
         for rung in ladder:
             try:
                 if rung == "lpt":
-                    from repro.core.baselines import lpt_assignment
-
                     candidate = lpt_assignment(problem)
                 else:  # "sa" — the only other registered rung
-                    from repro.core.baselines import simulated_annealing
-
                     candidate = simulated_annealing(problem, seed=0)
             except InfeasibleError as exc:
                 report.record_step(rung, "infeasible", detail=str(exc.reason or exc))
@@ -422,7 +387,6 @@ def design_best_architecture(
         solved[table] = candidate.makespan
         result.telemetry.record(candidate.stats)
         result.telemetry.record_fallback(candidate.fallback)
-        result.telemetry.record_portfolio(candidate.portfolio)
         result.per_architecture.append((arch, candidate.makespan))
         if result.best is None or candidate.makespan < result.best.makespan:
             result.best = candidate

@@ -59,8 +59,6 @@ def design_report(result: TamDesign, gantt_width: int = 64) -> str:
         )
     if result.wirelength is not None:
         lines.append(f"routing:   {result.wirelength:.1f} wire-mm (width-weighted, chain estimator)")
-    if result.portfolio is not None:
-        lines.append(f"race:      {result.portfolio.render()}")
     if problem.forbidden_pairs or problem.forced_pairs:
         lines.append("")
         lines.append(

@@ -101,7 +101,7 @@ class SolveRequest(DerivedFields):
     ``options`` holds extra JSON-scalar solver kwargs (``gap_tol``, ...)
     as a sorted tuple of pairs so equal requests compare and hash equal
     regardless of construction order; the solver settings (root
-    ``cut_rounds`` and ``presolve_rounds``, the portfolio) belong on
+    ``cut_rounds`` and ``presolve_rounds``) belong on
     ``policy.solver`` (:class:`~repro.obs.SolverOptions`), which serializes
     with the policy and reaches the fingerprint through its cache token.
 
@@ -111,8 +111,6 @@ class SolveRequest(DerivedFields):
     integers (not bools) when the request is built, ``jobs`` opts out of
     the token, and ``options`` travels as a JSON object.
     """
-
-    _error = ValidationError
 
     kind: str
     soc: str
@@ -331,8 +329,6 @@ class SolveRequest(DerivedFields):
         }
         if result.fallback is not None:
             payload["fallback"] = result.fallback.as_dict()
-        if result.portfolio is not None:
-            payload["portfolio"] = result.portfolio.as_dict()
         return payload
 
     # ------------------------------------------------------------- transport

@@ -12,9 +12,8 @@ Everything time- and effort-related flows through this package:
   counters / gauges / histograms the solver stack writes into;
 - :mod:`repro.obs.policy` — :class:`SolvePolicy` (deadline, node budget,
   gap tolerance, degradation ladder, incumbent checkpointing), its
-  :class:`SolverOptions` block (root cut and presolve rounds, the
-  :class:`PortfolioPolicy`), and the :class:`FallbackReport` provenance
-  record.
+  :class:`SolverOptions` block (root cut and presolve rounds), and the
+  :class:`FallbackReport` provenance record.
 
 The blessed public names (re-exported by :mod:`repro.api`): ``SolvePolicy``,
 ``FallbackReport``, ``MetricsRegistry``, ``trace_solve``, ``get_metrics``.
@@ -32,12 +31,9 @@ from repro.obs.metrics import (
 )
 from repro.obs.policy import (
     DEFAULT_FALLBACK,
-    DEFAULT_PORTFOLIO_POLICY,
     FALLBACK_RUNGS,
-    PORTFOLIO_ENTRANTS,
     CheckpointStore,
     FallbackReport,
-    PortfolioPolicy,
     SolvePolicy,
     SolverOptions,
 )
@@ -56,14 +52,11 @@ __all__ = [
     "CheckpointStore",
     "Counter",
     "DEFAULT_FALLBACK",
-    "DEFAULT_PORTFOLIO_POLICY",
     "FALLBACK_RUNGS",
     "FallbackReport",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "PORTFOLIO_ENTRANTS",
-    "PortfolioPolicy",
     "SolvePolicy",
     "SolverOptions",
     "Span",

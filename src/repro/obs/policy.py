@@ -36,11 +36,14 @@ import json
 import numbers
 import os
 import tempfile
+import types
 import typing
 from collections.abc import Mapping
 from dataclasses import MISSING, Field, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, ClassVar, TypeVar
+
+from repro.util.errors import ValidationError
 
 #: Escalation rungs the designer knows how to run, in the order tried.
 FALLBACK_RUNGS = ("lpt", "sa")
@@ -86,26 +89,43 @@ def _nested_blocks(cls: type["DerivedFields"]) -> dict[str, type["DerivedFields"
     return blocks
 
 
+def _is_integer(value: Any) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+#: The scalar types a settings field may be declared with: the check a
+#: value must pass, and what an error calls one value and a list of them.
+_SCALARS: dict[type, tuple[typing.Callable[[Any], bool], str, str]] = {
+    int: (_is_integer, "an integer", "a list of integers"),
+    float: (_is_number, "a number", "a list of numbers"),
+    str: (lambda value: isinstance(value, str), "a string", "a list of strings"),
+}
+
+
 @functools.lru_cache(maxsize=None)
-def _integer_fields(cls: type["DerivedFields"]) -> tuple[tuple[str, bool], ...]:
-    """Fields of ``cls`` typed as an int (or None), each with a flag that
-    is True for a tuple of ints."""
+def _scalar_fields(cls: type["DerivedFields"]) -> tuple[tuple[str, type, bool], ...]:
+    """Fields of ``cls`` typed as a scalar of :data:`_SCALARS` (or None),
+    each with its type and a flag that is True for a tuple of them."""
     hints = typing.get_type_hints(cls)
     found = []
     for spec in fields(cls):
-        options = (hints[spec.name], *typing.get_args(hints[spec.name]))
-        if int in options:
-            found.append((spec.name, False))
-        elif any(
-            typing.get_origin(option) is tuple and typing.get_args(option)[:1] == (int,)
-            for option in options
-        ):
-            found.append((spec.name, True))
+        hint = hints[spec.name]
+        # ``X | None`` offers each member; ``tuple[X, ...]`` is one option.
+        union = typing.get_origin(hint) in (typing.Union, types.UnionType)
+        options = typing.get_args(hint) if union else (hint,)
+        for kind in _SCALARS:
+            if kind in options:
+                found.append((spec.name, kind, False))
+            elif any(
+                typing.get_origin(option) is tuple and typing.get_args(option)[:1] == (kind,)
+                for option in options
+            ):
+                found.append((spec.name, kind, True))
     return tuple(found)
-
-
-def _is_integer(value: Any) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class DerivedFields:
@@ -114,37 +134,38 @@ class DerivedFields:
     :meth:`cache_token`, :meth:`as_dict`, :meth:`from_dict` and
     :meth:`with_overrides` all read :func:`dataclasses.fields`, so a new
     field reaches the cache key, the JSON wire form and overrides where it
-    is declared, with no second list to update. Every field typed ``int``
-    (or a tuple of them) must hold integers that are not bools; the check
-    runs when the object is built, so a payload with ``2.5`` rounds fails
-    there, not deep inside a solve. A field that changes how a solve runs
-    but never what it returns (the fallback ladder, worker fan-out,
-    checkpoint I/O) opts out of the cache key next to its definition with
-    ``metadata={"cache": False}``; :meth:`cache_view` resets exactly those
-    fields, nested blocks included. A field stored in one shape and sent in
-    another names its wire converter with ``metadata={"wire": dict}``.
-    Flow rule D001 rejects a hand-written ``cache_token`` on any class that
-    produces solver options, and an options producer that reads a field
-    opted out of the key.
+    is declared, with no second list to update. Every field typed ``int``,
+    ``float`` or ``str`` (or a tuple of them) must hold values of that type,
+    and no bools in a number field; the check runs when the object is
+    built, so a payload with ``2.5`` rounds fails there with a
+    :class:`~repro.util.errors.ValidationError`, not deep inside a solve.
+    Every other malformed payload raises that error too. A field that
+    changes how a solve runs but never what it returns (the fallback
+    ladder, worker fan-out, checkpoint I/O) opts out of the cache key next
+    to its definition with ``metadata={"cache": False}``;
+    :meth:`cache_view` resets exactly those fields, nested blocks included.
+    A field stored in one shape and sent in another names its wire
+    converter with ``metadata={"wire": dict}``. Flow rule D001 rejects a
+    hand-written ``cache_token`` on any class that produces solver options,
+    and an options producer that reads a field opted out of the key.
     """
 
     __dataclass_fields__: ClassVar[dict[str, Any]]
 
-    #: Exception raised for a malformed :meth:`from_dict` payload.
-    _error: ClassVar[type[Exception]] = ValueError
-
     def __post_init__(self) -> None:
-        for name, sequence in _integer_fields(type(self)):
+        for name, kind, sequence in _scalar_fields(type(self)):
             value = getattr(self, name)
             if value is None:
                 continue
+            check, one, many = _SCALARS[kind]
             if sequence:
-                ok = isinstance(value, (list, tuple)) and all(map(_is_integer, value))
+                ok = isinstance(value, (list, tuple)) and all(map(check, value))
             else:
-                ok = _is_integer(value)
+                ok = check(value)
             if not ok:
-                kind = "a list of integers" if sequence else "an integer"
-                raise self._error(f"{name} must be {kind}, got {value!r}")
+                raise ValidationError(
+                    f"{name} must be {many if sequence else one}, got {value!r}"
+                )
 
     def cache_token(self) -> str:
         """Canonical text of every field that shapes the result."""
@@ -192,20 +213,20 @@ class DerivedFields:
         built from their own mappings, and JSON lists become tuples.
         """
         if not isinstance(payload, Mapping):
-            raise cls._error(
+            raise ValidationError(
                 f"{cls.__name__} payload must be a JSON object, got {type(payload).__name__}"
             )
         declared = {spec.name: spec for spec in fields(cls)}
         unknown = sorted(set(payload) - set(declared))
         if unknown:
-            raise cls._error(f"unknown {cls.__name__} field(s): {', '.join(unknown)}")
+            raise ValidationError(f"unknown {cls.__name__} field(s): {', '.join(unknown)}")
         missing = [
             repr(name)
             for name, spec in declared.items()
             if name not in payload and field_default(spec) is MISSING
         ]
         if missing:
-            raise cls._error(f"{cls.__name__} payload requires {', '.join(missing)}")
+            raise ValidationError(f"{cls.__name__} payload requires {', '.join(missing)}")
         blocks = _nested_blocks(cls)
         data: dict[str, Any] = {}
         for name, value in payload.items():
@@ -217,75 +238,6 @@ class DerivedFields:
         return cls(**data)
 
 
-#: Entrant names the portfolio racer knows how to run. Heuristic rungs
-#: come first (they are the cheap incumbents); ``"bnb"`` is the exact
-#: search they cross-feed.
-PORTFOLIO_ENTRANTS = ("lpt", "sa", "bnb")
-
-
-@dataclass(frozen=True)
-class PortfolioPolicy(DerivedFields):
-    """How (and whether) the racing portfolio runs a design solve.
-
-    The portfolio (:func:`repro.runtime.portfolio.run_portfolio`) races the
-    entrants under one shared :class:`SolvePolicy` budget: the heuristic
-    rungs (``"lpt"``, ``"sa"``) run first — concurrently on the persistent
-    process pool when ``jobs > 1`` — and their best incumbent is cross-fed
-    to the exact ``"bnb"`` entrant as its starting cutoff, with the wall
-    time the heuristics spent subtracted from the shared deadline. The best
-    solution wins, with per-entrant provenance recorded in a
-    :class:`~repro.runtime.portfolio.PortfolioReport`.
-
-    ``seed`` seeds the stochastic entrants, so it shapes the combined
-    result and contributes to :meth:`cache_token`. ``jobs`` only fans the
-    heuristic race out across workers — every entrant always runs to
-    completion, so fan-out changes wall time but never the answer, and
-    ``jobs`` stays out of the token (the same rule
-    :class:`~repro.core.request.SolveRequest` applies).
-    """
-
-    entrants: tuple[str, ...] = PORTFOLIO_ENTRANTS
-    seed: int = 0
-    jobs: int = field(default=1, metadata={"cache": False})
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        ladder = tuple(self.entrants or ())
-        object.__setattr__(self, "entrants", ladder)
-        unknown = [name for name in ladder if name not in PORTFOLIO_ENTRANTS]
-        if unknown:
-            raise ValueError(
-                f"unknown portfolio entrant(s) {unknown}; known: {list(PORTFOLIO_ENTRANTS)}"
-            )
-        if len(set(ladder)) != len(ladder):
-            raise ValueError(f"duplicate portfolio entrant(s) in {ladder}")
-
-    # ------------------------------------------------------------ derivations
-    @property
-    def enabled(self) -> bool:
-        """True when any entrant at all may run."""
-        return bool(self.entrants)
-
-    @property
-    def exact(self) -> bool:
-        """True when the exact B&B entrant is in the race."""
-        return "bnb" in self.entrants
-
-    @property
-    def heuristics(self) -> tuple[str, ...]:
-        """The heuristic entrants, in rung order."""
-        return tuple(name for name in self.entrants if name != "bnb")
-
-    @classmethod
-    def disabled(cls) -> "PortfolioPolicy":
-        """An explicit portfolio-off policy (distinct from *unset*)."""
-        return cls(entrants=())
-
-
-#: The portfolio the racer runs when asked for one without details.
-DEFAULT_PORTFOLIO_POLICY = PortfolioPolicy()
-
-
 @dataclass(frozen=True)
 class SolverOptions(DerivedFields):
     """B&B solver settings, riding on :class:`SolvePolicy`.
@@ -293,28 +245,19 @@ class SolverOptions(DerivedFields):
     ``cut_rounds`` caps the rounds of root clique cuts and
     ``presolve_rounds`` the passes of root model presolve; 0 turns either
     off. ``None`` leaves the solver's own default (``CUT_ROUNDS`` and
-    ``PRESOLVE_ROUNDS`` in :mod:`repro.ilp.branch_and_bound`). Both, and
-    the ``portfolio`` dispatch, change what a solve returns, so all three
-    are in the cache token.
+    ``PRESOLVE_ROUNDS`` in :mod:`repro.ilp.branch_and_bound`). Both change
+    what a solve returns, so both are in the cache token.
     """
 
     cut_rounds: int | None = None
     presolve_rounds: int | None = None
-    portfolio: PortfolioPolicy | None = None
 
     def __post_init__(self) -> None:
         super().__post_init__()
         for name in ("cut_rounds", "presolve_rounds"):
             value = getattr(self, name)
             if value is not None and value < 0:
-                raise ValueError(f"{name} cannot be negative, got {value}")
-        if self.portfolio is not None and not isinstance(
-            self.portfolio, PortfolioPolicy
-        ):
-            raise TypeError(
-                "portfolio must be a PortfolioPolicy or None, "
-                f"got {type(self.portfolio).__name__}"
-            )
+                raise ValidationError(f"{name} cannot be negative, got {value}")
 
     def backend_options(self, backend: str = "bnb") -> dict[str, Any]:
         """The solver kwargs this block implies for ``backend``."""
@@ -325,10 +268,6 @@ class SolverOptions(DerivedFields):
             options["cut_rounds"] = self.cut_rounds
         if self.presolve_rounds is not None:
             options["presolve_rounds"] = self.presolve_rounds
-        # `portfolio` is deliberately NOT a backend kwarg: the racer is a
-        # designer-level dispatch (repro.runtime.portfolio), not a solver
-        # knob — the B&B backend never sees it. It still shapes the result,
-        # so it stays in the cache token.
         return options
 
 
@@ -353,20 +292,20 @@ class SolvePolicy(DerivedFields):
     def __post_init__(self) -> None:
         super().__post_init__()
         if self.solver is not None and not isinstance(self.solver, SolverOptions):
-            raise TypeError(
+            raise ValidationError(
                 f"solver must be a SolverOptions or None, got {type(self.solver).__name__}"
             )
         if self.deadline is not None and self.deadline <= 0:
-            raise ValueError(f"deadline must be positive, got {self.deadline}")
+            raise ValidationError(f"deadline must be positive, got {self.deadline}")
         if self.node_budget is not None and self.node_budget <= 0:
-            raise ValueError(f"node_budget must be positive, got {self.node_budget}")
+            raise ValidationError(f"node_budget must be positive, got {self.node_budget}")
         if self.gap_tol is not None and self.gap_tol < 0:
-            raise ValueError(f"gap_tol cannot be negative, got {self.gap_tol}")
+            raise ValidationError(f"gap_tol cannot be negative, got {self.gap_tol}")
         ladder = tuple(self.fallback or ())
         object.__setattr__(self, "fallback", ladder)
         unknown = [rung for rung in ladder if rung not in FALLBACK_RUNGS]
         if unknown:
-            raise ValueError(
+            raise ValidationError(
                 f"unknown fallback rung(s) {unknown}; known: {list(FALLBACK_RUNGS)}"
             )
 

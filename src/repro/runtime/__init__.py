@@ -16,10 +16,6 @@ changing a single answer:
 - :mod:`repro.runtime.telemetry` — :class:`RunTelemetry` aggregates the
   per-solve :class:`~repro.ilp.solution.SolveStats` records (nodes, LP
   iterations, wall time, cache hits) for reports and ``--json`` output.
-- :mod:`repro.runtime.portfolio` — :func:`run_portfolio` races exact B&B
-  against the heuristic ladder under one shared
-  :class:`~repro.obs.SolvePolicy` budget, cross-feeding the best heuristic
-  incumbent to the exact search as its starting cutoff.
 """
 
 from repro.runtime.cache import (
@@ -34,20 +30,16 @@ from repro.runtime.cache import (
 )
 from repro.runtime.fingerprint import cache_token_of, token_digest
 from repro.runtime.parallel import run_parallel
-from repro.runtime.portfolio import EntrantRecord, PortfolioReport, run_portfolio
 from repro.runtime.telemetry import RunTelemetry
 
 __all__ = [
     "DEFAULT_CACHE_DIR",
-    "EntrantRecord",
-    "PortfolioReport",
     "SolutionCache",
     "RunTelemetry",
     "cache_token_of",
     "get_solve_cache",
     "matrix_fingerprint",
     "run_parallel",
-    "run_portfolio",
     "set_solve_cache",
     "solve_cached",
     "solve_fingerprint",

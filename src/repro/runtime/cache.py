@@ -75,7 +75,9 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 # node-presolve and warm-LP switches are gone from records and keys.
 # v8: records lose the retries counter, and design() no longer hashes a
 # cut_policy into every key (the cut default moved into the solver).
-_FORMAT_VERSION = 8
+# v9: design() seeds bnb with the LPT assignment (B&B keeps it on a tie, so
+# tie-broken assignments change), and the SolverOptions token loses a field.
+_FORMAT_VERSION = 9
 
 
 def _hash_array(h: "hashlib._Hash", label: str, array: np.ndarray) -> None:

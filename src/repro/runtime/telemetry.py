@@ -24,8 +24,8 @@ class RunTelemetry(SolveCounters):
     solves — a cache hit re-reports the original solve's counters on its
     own :class:`SolveStats`, but folding them in again would double-count
     work that never re-ran. The run's own fields below count solves, cache
-    traffic, degradations and portfolio races; ``jobs`` records the
-    worker count and is never summed.
+    traffic and degradations; ``jobs`` records the worker count and is
+    never summed.
     """
 
     solves: int = 0
@@ -33,9 +33,6 @@ class RunTelemetry(SolveCounters):
     cache_misses: int = 0
     jobs: int = field(default=1, metadata={"sum": False})
     fallbacks: int = 0
-    portfolio_runs: int = 0
-    portfolio_heuristic_wins: int = 0
-    portfolio_cross_fed: int = 0
 
     def record(self, stats: SolveStats) -> None:
         """Fold one solve's stats into the run counters."""
@@ -51,19 +48,6 @@ class RunTelemetry(SolveCounters):
         """Count one degraded design (see :class:`repro.obs.FallbackReport`)."""
         if report is not None and getattr(report, "degraded", False):
             self.fallbacks += 1
-
-    def record_portfolio(self, report) -> None:
-        """Count one portfolio race (see
-        :class:`repro.runtime.portfolio.PortfolioReport`): the race itself,
-        whether a heuristic entrant won the attribution, and whether an
-        incumbent was cross-fed to the exact search."""
-        if report is None:
-            return
-        self.portfolio_runs += 1
-        if getattr(report, "winner", "bnb") != "bnb":
-            self.portfolio_heuristic_wins += 1
-        if getattr(report, "cross_fed", False):
-            self.portfolio_cross_fed += 1
 
     def merge(self, other: "RunTelemetry | None") -> None:
         """Fold another run's counters into this one (``jobs`` keeps ours)."""
@@ -97,6 +81,4 @@ class RunTelemetry(SolveCounters):
         )
         if self.fallbacks:
             line += f", {self.fallbacks} fallbacks"
-        if self.portfolio_runs:
-            line += f", {self.portfolio_runs} portfolio races"
         return line

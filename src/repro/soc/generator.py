@@ -17,8 +17,8 @@ count with controlled statistics. Three generation modes:
 Generation is a pure function of ``(num_cores, seed, mode)``: the RNG is a
 seeded PCG64 stream and nothing reads ambient state, so the same call is
 byte-identical across repeated runs and across worker processes (the
-portfolio's fingerprint/dedupe path depends on this — see
-``tests/test_generator_determinism.py``). Canonical scale points are
+solve cache and the service's fingerprint/dedupe path depend on this —
+see ``tests/test_generator_determinism.py``). Canonical scale points are
 registered in the stress corpus as ``scale32`` … ``scale256``
 (:func:`repro.soc.catalog.corpus_soc`).
 """

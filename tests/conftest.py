@@ -10,6 +10,7 @@ import pytest
 
 import repro
 
+from repro.core import DesignProblem
 from repro.layout import grid_place
 from repro.soc import build_s1, build_s2, generate_synthetic_soc
 from repro.tam import TamArchitecture, make_timing_model
@@ -74,6 +75,19 @@ def flexible_timing():
 @pytest.fixture(scope="session")
 def s1_floorplan(s1):
     return grid_place(s1)
+
+
+@pytest.fixture(scope="session")
+def lpt_unplaceable(s2):
+    """S2 on its grid floorplan with a 13 mm layout budget over [15, 9] buses.
+
+    LPT cannot place every core, so ``design()`` starts the search with no
+    incumbent; the ILP optimum is 70,777 cycles, proven in 7 nodes.
+    """
+    return DesignProblem(
+        soc=s2, arch=TamArchitecture([15, 9]), timing="serial",
+        floorplan=grid_place(s2), max_pair_distance=13.0,
+    )
 
 
 @pytest.fixture(scope="session")

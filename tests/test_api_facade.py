@@ -108,22 +108,19 @@ class TestFacadeManifest:
 
     def test_pr10_scale_surface(self):
         rows = {row["name"]: row for row in api.facade_table()}
+        for name in ("build_p93791", "build_t512505", "corpus_names", "corpus_soc"):
+            assert name in api.__all__
+            assert rows[name]["since"] == 10
+        # design() seeds every bnb search with LPT, so the race of
+        # heuristics against B&B left the facade with its names.
         for name in (
             "PortfolioPolicy",
             "DEFAULT_PORTFOLIO_POLICY",
             "PortfolioReport",
             "EntrantRecord",
             "run_portfolio",
-            "build_p93791",
-            "build_t512505",
-            "corpus_names",
-            "corpus_soc",
         ):
-            assert name in api.__all__
-            assert rows[name]["since"] == 10
-        assert isinstance(api.DEFAULT_PORTFOLIO_POLICY, api.PortfolioPolicy)
-        assert api.DEFAULT_PORTFOLIO_POLICY.enabled
-        assert api.DEFAULT_PORTFOLIO_POLICY.exact
+            assert name not in api.__all__ and not hasattr(api, name)
 
     def test_checked_in_manifest_matches_live_facade(self):
         manifest = REPO_ROOT / "API.md"

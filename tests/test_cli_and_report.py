@@ -56,6 +56,21 @@ class TestCliCommands:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--cut-rounds", "-1", "cut_rounds cannot be negative"),
+            ("--node-budget", "0", "node_budget must be positive"),
+            ("--deadline", "0", "deadline must be positive"),
+        ],
+    )
+    def test_out_of_range_setting_is_a_usage_error(self, capsys, flag, value, message):
+        code = main(["design", "S1", "--widths", "16,16", flag, value])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}, got ")
+        assert err.count("\n") == 1
+
     def test_sweep(self, capsys):
         assert main(["sweep", "S1", "--total-width", "12", "--buses", "2"]) == 0
         out = capsys.readouterr().out

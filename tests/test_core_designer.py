@@ -106,11 +106,14 @@ class TestDesignConstrained:
         ).makespan
         assert constrained >= base - 1e-9
 
-    def test_exhausted_strict_policy_raises_solver_error(self, s2):
-        arch = TamArchitecture([32, 16, 16])
-        problem = DesignProblem(soc=s2, arch=arch, timing="serial")
+    def test_exhausted_strict_policy_raises_solver_error(self, lpt_unplaceable):
         with pytest.raises(SolverError):
-            design(problem, policy=SolvePolicy(node_budget=1, fallback=()), dive=False)
+            design(
+                lpt_unplaceable,
+                policy=SolvePolicy(node_budget=1, fallback=()),
+                dive=False,
+                cache=False,
+            )
 
     def test_legacy_limit_kwargs_are_rejected(self, s2):
         arch = TamArchitecture([32, 16, 16])

@@ -65,18 +65,38 @@ class TestValidation:
             ({"kind": "sweep", "total_width": 16, "num_buses": 2.5}, ValidationError),
             ({"kind": "bus_count", "total_width": 16, "max_buses": 3.0}, ValidationError),
             ({"kind": "design", "widths": [16, 8], "jobs": 1.5}, ValidationError),
-            ({"policy": {"node_budget": 2.5}}, ValueError),
-            ({"policy": {"solver": {"cut_rounds": 2.5}}}, ValueError),
-            ({"policy": {"solver": {"cut_rounds": True}}}, ValueError),
-            ({"policy": {"solver": {"presolve_rounds": 1.5}}}, ValueError),
-            ({"policy": {"solver": {"portfolio": {"seed": 0.5}}}}, ValueError),
-            ({"policy": {"solver": {"portfolio": {"jobs": 1.5}}}}, ValueError),
+            ({"policy": {"node_budget": 2.5}}, ValidationError),
+            ({"policy": {"solver": {"cut_rounds": 2.5}}}, ValidationError),
+            ({"policy": {"solver": {"cut_rounds": True}}}, ValidationError),
+            ({"policy": {"solver": {"presolve_rounds": 1.5}}}, ValidationError),
         ],
     )
     def test_non_integer_settings_rejected_when_built(self, payload, error):
         # Each of these used to build, then fail (or run truncated) in run().
         wire = {"kind": "design", "soc": "S1", "widths": [16, 8], **payload}
         with pytest.raises(error, match="must be .*integer"):
+            SolveRequest.from_payload(wire)
+
+    @pytest.mark.parametrize(
+        "policy, message",
+        [
+            ({"deadline": 0}, "deadline must be positive"),
+            ({"deadline": "soon"}, "deadline must be a number"),
+            ({"node_budget": 0}, "node_budget must be positive"),
+            ({"gap_tol": -0.5}, "gap_tol cannot be negative"),
+            ({"fallback": ["tabu"]}, "unknown fallback rung"),
+            ({"fallback": "lpt"}, "fallback must be a list of strings"),
+            ({"checkpoint_dir": 7}, "checkpoint_dir must be a string"),
+            ({"solver": 3}, "solver must be a SolverOptions"),
+            ({"solver": {"cut_rounds": -1}}, "cut_rounds cannot be negative"),
+            ({"solver": {"presolve_rounds": -1}}, "presolve_rounds cannot be negative"),
+            ({"solver": {"portfolio": {}}}, "unknown SolverOptions field.*portfolio"),
+            ({"retries": 2}, "unknown SolvePolicy field.*retries"),
+        ],
+    )
+    def test_bad_nested_policy_is_a_validation_error(self, policy, message):
+        wire = {"kind": "design", "soc": "S1", "widths": [16, 8], "policy": policy}
+        with pytest.raises(ValidationError, match=message):
             SolveRequest.from_payload(wire)
 
     def test_widths_and_options_are_canonicalized(self):

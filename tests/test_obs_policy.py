@@ -19,7 +19,7 @@ import pytest
 from repro.core import DesignProblem, design, lpt_assignment, width_sweep
 from repro.ilp import Model, branch_and_bound, quicksum
 from repro.ilp.model import register_backend, unregister_backend
-from repro.ilp.solution import Status
+from repro.ilp.solution import Solution, Status
 from repro.obs import (
     CheckpointStore,
     FallbackReport,
@@ -30,7 +30,7 @@ from repro.obs import (
 )
 from repro.runtime import RunTelemetry, SolutionCache
 from repro.tam import TamArchitecture
-from repro.util.errors import SolverError
+from repro.util.errors import SolverError, ValidationError
 
 
 def clique_model() -> Model:
@@ -57,13 +57,13 @@ def knapsack_model() -> Model:
 
 class TestPolicyObject:
     def test_validation_rejects_bad_budgets(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             SolvePolicy(deadline=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             SolvePolicy(node_budget=-1)
-        with pytest.raises(ValueError, match="node_budget must be an integer"):
+        with pytest.raises(ValidationError, match="node_budget must be an integer"):
             SolvePolicy(node_budget=2.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             SolvePolicy(fallback=("greedy",))
 
     def test_fallback_coerced_to_tuple(self):
@@ -106,7 +106,7 @@ class TestPolicyObject:
         assert SolvePolicy.from_dict(policy.as_dict()) == policy
 
     def test_from_dict_rejects_unknown_fields(self):
-        with pytest.raises(ValueError, match="node_limit"):
+        with pytest.raises(ValidationError, match="node_limit"):
             SolvePolicy.from_dict({"node_limit": 3})
 
     def test_policy_is_picklable(self):
@@ -120,10 +120,10 @@ class TestCutPolicyObject:
     """``SolverOptions.cut_rounds``: the root clique-cut rounds."""
 
     def test_validation_rejects_bad_fields(self):
-        with pytest.raises(ValueError, match="cut_rounds cannot be negative"):
+        with pytest.raises(ValidationError, match="cut_rounds cannot be negative"):
             SolverOptions(cut_rounds=-1)
         for bad in (2.5, True, "3"):
-            with pytest.raises(ValueError, match="cut_rounds must be an integer"):
+            with pytest.raises(ValidationError, match="cut_rounds must be an integer"):
                 SolverOptions(cut_rounds=bad)
 
     def test_enabled_flag(self):
@@ -140,9 +140,9 @@ class TestCutPolicyObject:
     def test_root_cuts_is_not_a_cut_field(self):
         # The retired root_cuts=N spelling and the retired nested cuts
         # block have no policy mapping: each is an unknown field.
-        with pytest.raises(ValueError, match="root_cuts"):
+        with pytest.raises(ValidationError, match="root_cuts"):
             SolverOptions.from_dict({"root_cuts": 2})
-        with pytest.raises(ValueError, match="unknown SolverOptions field.*cuts"):
+        with pytest.raises(ValidationError, match="unknown SolverOptions field.*cuts"):
             SolverOptions.from_dict({"cuts": {"rounds": 2}})
         with pytest.raises(TypeError, match="cut_policy"):
             clique_model().solve(cut_policy=None, cache=False)
@@ -151,7 +151,7 @@ class TestCutPolicyObject:
         block = SolverOptions(cut_rounds=5)
         assert block.as_dict()["cut_rounds"] == 5
         assert SolverOptions.from_dict(block.as_dict()) == block
-        with pytest.raises(ValueError, match="gomory"):
+        with pytest.raises(ValidationError, match="gomory"):
             SolverOptions.from_dict({"gomory": True})
 
     def test_cache_token_distinguishes_every_field(self):
@@ -165,10 +165,10 @@ class TestPresolvePolicyObject:
     """``SolverOptions.presolve_rounds``: the root model presolve passes."""
 
     def test_validation_rejects_bad_rounds(self):
-        with pytest.raises(ValueError, match="presolve_rounds cannot be negative"):
+        with pytest.raises(ValidationError, match="presolve_rounds cannot be negative"):
             SolverOptions(presolve_rounds=-1)
         for bad in (1.5, False):
-            with pytest.raises(ValueError, match="presolve_rounds must be an integer"):
+            with pytest.raises(ValidationError, match="presolve_rounds must be an integer"):
                 SolverOptions(presolve_rounds=bad)
 
     def test_enabled_flag(self):
@@ -185,9 +185,9 @@ class TestPresolvePolicyObject:
     def test_dict_round_trip_and_unknown_keys(self):
         block = SolverOptions(presolve_rounds=2)
         assert SolverOptions.from_dict(block.as_dict()) == block
-        with pytest.raises(ValueError, match="probing"):
+        with pytest.raises(ValidationError, match="probing"):
             SolverOptions.from_dict({"probing": True})
-        with pytest.raises(ValueError, match="root_presolve"):
+        with pytest.raises(ValidationError, match="root_presolve"):
             SolverOptions.from_dict({"root_presolve": {"rounds": 2}})
 
     def test_cache_token_distinguishes_every_field(self):
@@ -207,9 +207,9 @@ class TestPresolvePolicyObject:
 class TestSolverOptionsBlock:
     def test_validation(self):
         with pytest.raises(TypeError):
-            SolverOptions(portfolio={"seed": 3})
-        with pytest.raises(TypeError):
             SolverOptions(checkpoint_interval=1.0)
+        with pytest.raises(ValidationError, match="solver must be a SolverOptions"):
+            SolvePolicy(solver={"cut_rounds": 1})
 
     def test_presolve_and_warm_start_forwarding(self):
         block = SolverOptions(presolve_rounds=0)
@@ -218,7 +218,7 @@ class TestSolverOptionsBlock:
         assert block.backend_options("scipy") == {}
         # Node LPs always start warm: the block has no LP-basis switch, and
         # never sets the solver's own `warm_start` (an incumbent hint).
-        with pytest.raises(ValueError, match="warm_start"):
+        with pytest.raises(ValidationError, match="warm_start"):
             SolverOptions.from_dict({"warm_start": False})
 
     def test_presolve_and_warm_start_shape_cache_token(self):
@@ -269,12 +269,12 @@ class TestSolverOptionsBlock:
             "max_retries",
             "fallback_seed",
         ):
-            with pytest.raises(ValueError, match=f"unknown SolvePolicy field.*{key}"):
+            with pytest.raises(ValidationError, match=f"unknown SolvePolicy field.*{key}"):
                 SolvePolicy.from_dict({"node_budget": 3, key: 1})
 
     def test_flat_key_beside_nested_block_rejected(self):
         payload = {"cut_rounds": 2, "solver": {"cut_rounds": 1}}
-        with pytest.raises(ValueError, match="unknown SolvePolicy field.*cut_rounds"):
+        with pytest.raises(ValidationError, match="unknown SolvePolicy field.*cut_rounds"):
             SolvePolicy.from_dict(payload)
         nested = SolvePolicy.from_dict({"solver": {"cut_rounds": 1}})
         assert nested.solver == SolverOptions(cut_rounds=1)
@@ -334,11 +334,22 @@ class TestDegradation:
         assert not problem.validate(result.assignment)
 
     def test_no_incumbent_falls_back_to_lpt(self, s1, arch3):
+        # On bnb the LPT seed is the first incumbent, so LPT's rung is
+        # reached only through a backend that stops with nothing.
         problem = DesignProblem(soc=s1, arch=arch3, timing="serial")
-        with use_metrics() as metrics:
-            result = design(
-                problem, policy=SolvePolicy(node_budget=1), dive=False, cache=False
-            )
+
+        def stopped(model, **options):
+            return Solution(status=Status.NODE_LIMIT, backend="stopped")
+
+        register_backend("stopped", stopped)
+        try:
+            with use_metrics() as metrics:
+                result = design(
+                    problem, backend="stopped", policy=SolvePolicy(node_budget=1),
+                    cache=False,
+                )
+        finally:
+            unregister_backend("stopped")
         assert result.status is Status.FEASIBLE
         assert result.provenance == "lpt"
         assert result.makespan == pytest.approx(lpt_assignment(problem).makespan)
@@ -346,11 +357,10 @@ class TestDegradation:
         assert steps[0] == "exact" and "lpt" in steps
         assert metrics.counter("design.fallbacks").value == 1
 
-    def test_empty_ladder_raises_like_legacy(self, s1, arch3):
-        problem = DesignProblem(soc=s1, arch=arch3, timing="serial")
+    def test_empty_ladder_raises_like_legacy(self, lpt_unplaceable):
         with pytest.raises(SolverError):
             design(
-                problem,
+                lpt_unplaceable,
                 policy=SolvePolicy(node_budget=1, fallback=()),
                 dive=False,
                 cache=False,

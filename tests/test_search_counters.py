@@ -2,8 +2,8 @@
 
 Every assertion reads a counter or a makespan: B&B node counts, the share
 of node LPs answered warm, root presolve reductions, the node reduction
-cuts buy, cross-feed pruning, and the portfolio's makespan against its
-single entrants. No wall clock is read, so the gates hold on any host;
+cuts buy, the stress-corpus proofs, and that ``design()`` seeds the search
+with the LPT assignment. No wall clock is read, so the gates hold on any host;
 timing lives in ``perfbench/``, which repeats runs and attributes them to
 layers.
 
@@ -22,14 +22,15 @@ import pytest
 from repro.api import (
     DesignProblem,
     MetricsRegistry,
-    PortfolioPolicy,
     RunTelemetry,
     SolvePolicy,
     SolverOptions,
     TamArchitecture,
     design,
+    build_s3,
     design_best_architecture,
     grid_place,
+    lpt_assignment,
     resolve_soc,
     use_cache,
     use_metrics,
@@ -42,7 +43,7 @@ NODE_TOLERANCE = 0.20
 
 # --- S1 F1 width sweep: NB=2, W in {8, 16, 24}, serial timing, defaults.
 SWEEP_WIDTHS = [8, 16, 24]
-SWEEP_BASELINE_NODES = 44
+SWEEP_BASELINE_NODES = 32
 #: Share of node LPs the warm dual simplex must answer (the rest re-solve cold).
 WARM_MIN_LP_SHARE = 0.90
 
@@ -58,17 +59,16 @@ CUTS_MIN_NODE_REDUCTION = 1.5
 PRESOLVE_ARCHS = ((16, 8, 4), (32, 16, 8), (32, 16, 4))
 PRESOLVE_POWER_BUDGET = 100.0
 
-# --- Stress corpus: (soc, power-constrained, node budget) per instance.
+# --- Stress corpus, power-capped at the sum of the two largest core powers.
 SCALE_WIDTHS = (32, 16, 16, 8)
-SCALE_INSTANCES = {
-    "d695-pw": ("d695", True, 3000),
-    "p93791-pw": ("p93791", True, 3000),
-    "scale64": ("scale64", False, 500),
-}
-#: The portfolio may trail the best single leg by at most this share.
-PORTFOLIO_TOLERANCE = 0.05
-#: 1.2x the 3,233 nodes the cold tree needs to prove p93791-pw optimal.
+D695_BASELINE_NODES = 78
+D695_NODE_BUDGET = 3000
+P93791_OPTIMUM = 818552.0
+#: 1.2x the 3,233 nodes the default tree needs to prove p93791-pw optimal.
 PROOF_NODE_BUDGET = 3880
+
+# --- An S3 split whose tree the LPT incumbent shrinks (244 -> 206 nodes).
+SEED_SPLIT = (16, 16)
 
 
 @pytest.fixture(scope="module")
@@ -116,38 +116,16 @@ def _top2_power(soc) -> float:
     return round(powers[-1] + powers[-2], 1)
 
 
-def _scale_problem(name: str) -> DesignProblem:
-    spec, power_constrained, _ = SCALE_INSTANCES[name]
+def _scale_problem(spec: str) -> DesignProblem:
     soc = resolve_soc(spec)
     return DesignProblem(
-        soc, TamArchitecture(SCALE_WIDTHS), timing="serial",
-        power_budget=_top2_power(soc) if power_constrained else None,
+        soc, TamArchitecture(SCALE_WIDTHS), timing="serial", power_budget=_top2_power(soc)
     )
 
 
-def _solve(problem: DesignProblem, node_budget: int, portfolio: PortfolioPolicy | None = None):
-    """One leg under a node budget: B&B alone, or the ``portfolio`` race."""
-    solver = None if portfolio is None else SolverOptions(portfolio=portfolio)
+def _solve(problem: DesignProblem, node_budget: int):
     with use_cache(None):
-        return design(
-            problem, policy=SolvePolicy(node_budget=node_budget, solver=solver)
-        )
-
-
-@pytest.fixture(scope="module")
-def scale_legs() -> dict[str, dict]:
-    """Per instance: B&B alone, the lpt+sa heuristics, the full portfolio."""
-    legs = {}
-    for name, (_, _, node_budget) in SCALE_INSTANCES.items():
-        problem = _scale_problem(name)
-        legs[name] = {
-            "bnb": _solve(problem, node_budget),
-            "heuristic": _solve(
-                problem, node_budget, PortfolioPolicy(entrants=("lpt", "sa"))
-            ),
-            "portfolio": _solve(problem, node_budget, PortfolioPolicy()),
-        }
-    return legs
+        return design(problem, policy=SolvePolicy(node_budget=node_budget))
 
 
 class TestWidthSweep:
@@ -193,26 +171,25 @@ def test_root_presolve_removes_rows_or_columns(s1):
     assert removed > 0
 
 
-class TestPortfolio:
-    @pytest.mark.parametrize("name", sorted(SCALE_INSTANCES))
-    def test_never_worse_than_best_single_leg(self, scale_legs, name):
-        legs = scale_legs[name]
-        best_single = min(legs["bnb"].makespan, legs["heuristic"].makespan)
-        limit = best_single * (1.0 + PORTFOLIO_TOLERANCE)
-        assert legs["portfolio"].makespan <= limit
+class TestScaleCorpus:
+    def test_p93791_proven_optimal_within_budget(self):
+        result = _solve(_scale_problem("p93791"), PROOF_NODE_BUDGET)
+        assert result.is_proven_optimal
+        assert result.makespan == pytest.approx(P93791_OPTIMUM)
 
-    def test_cross_feed_prunes_d695_tree(self, scale_legs):
-        legs = scale_legs["d695-pw"]
-        report = legs["portfolio"].portfolio
-        assert report.cross_fed
-        assert report.entrant("bnb").nodes < legs["bnb"].stats.nodes
+    def test_d695_nodes_within_baseline(self):
+        result = _solve(_scale_problem("d695"), D695_NODE_BUDGET)
+        assert result.is_proven_optimal
+        assert result.stats.nodes <= D695_BASELINE_NODES * (1.0 + NODE_TOLERANCE)
 
-    def test_cross_fed_race_proves_p93791_optimum(self):
-        problem = _scale_problem("p93791-pw")
-        cold = _solve(problem, PROOF_NODE_BUDGET)
-        race = _solve(problem, PROOF_NODE_BUDGET, PortfolioPolicy())
-        assert cold.is_proven_optimal and race.is_proven_optimal
-        assert race.makespan == pytest.approx(cold.makespan)
-        report = race.portfolio
-        assert report.cross_fed
-        assert report.entrant("bnb").nodes <= cold.stats.nodes
+
+def test_design_seeds_the_search_with_lpt():
+    # With no incumbent= the bnb backend starts from LPT's assignment, so
+    # passing that assignment explicitly changes nothing.
+    problem = DesignProblem(build_s3(), TamArchitecture(SEED_SPLIT), timing="serial")
+    with use_cache(None):
+        plain = design(problem)
+        seeded = design(problem, incumbent=lpt_assignment(problem).assignment)
+    assert plain.is_proven_optimal
+    assert plain.assignment.bus_of == seeded.assignment.bus_of
+    assert plain.stats.nodes == seeded.stats.nodes
