@@ -92,7 +92,6 @@ from repro.obs import (
     FallbackReport,
     MetricsRegistry,
     SolvePolicy,
-    SolverOptions,
     Span,
     Tracer,
     get_metrics,
@@ -251,7 +250,6 @@ __all__ = [
     "get_metrics",
     "use_metrics",
     "SolvePolicy",
-    "SolverOptions",
     "FallbackReport",
     "CheckpointStore",
     "register_backend",
@@ -308,8 +306,6 @@ _SINCE_PR: dict[str, int] = {
     "BLESSED_ALIASES": 7,
     "facade_table": 7,
     "render_facade_manifest": 7,
-    # PR 8: branch-and-cut + structured solver options
-    "SolverOptions": 8,
     # the stress corpus
     "build_p93791": 10,
     "build_t512505": 10,

@@ -25,20 +25,14 @@ The solver commands share the runtime flags ``--jobs N`` (parallel sweep
 fan-out), ``--cache [DIR]`` (memoize solved instances, in memory or on
 disk), and ``--no-cache`` — plus the anytime-solve flags ``--deadline`` /
 ``--node-budget`` / ``--no-fallback`` that build a
-:class:`~repro.api.SolvePolicy`, and the bnb solver knobs
-``--cuts`` / ``--no-cuts`` / ``--cut-rounds`` / ``--root-presolve`` /
-``--no-root-presolve`` that set ``cut_rounds`` / ``presolve_rounds`` on its
-:class:`~repro.api.SolverOptions` block (root clique cuts and root model
-presolve are both on by default; the ``--no-*`` forms set 0 rounds).
-``design --trace [FILE]`` additionally records a span trace and prints
-its flame summary.
+:class:`~repro.api.SolvePolicy`. ``design --trace [FILE]`` additionally
+records a span trace and prints its flame summary.
 
 The SOC argument accepts the builtin names ``S1``/``S2``/``S3``,
 ``SYN<n>[:seed]`` for a synthetic system, or a path to a ``.soc`` file.
 
 Everything here goes through :mod:`repro.api` — the CLI is a consumer of
-the public facade, not of the internal layering — apart from the solver's
-default round counts, which ``--cuts`` and ``--root-presolve`` name.
+the public facade, not of the internal layering.
 """
 
 from __future__ import annotations
@@ -56,7 +50,6 @@ from repro.api import (
     SolutionCache,
     SolvePolicy,
     SolveRequest,
-    SolverOptions,
     TamArchitecture,
     design_report,
     format_table,
@@ -85,60 +78,6 @@ def _add_common_constraints(parser: argparse.ArgumentParser) -> None:
                         help="exact solver backend (default: our branch & bound)")
 
 
-def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--cuts", action=argparse.BooleanOptionalAction, default=None,
-                        help="conflict-graph clique cuts at the root node "
-                             "(default: on; --no-cuts disables; bnb backend only)")
-    parser.add_argument("--cut-rounds", type=int, default=None, metavar="N",
-                        help="separation rounds at the root node (implies --cuts; "
-                             "bnb backend only)")
-    parser.add_argument("--root-presolve", action=argparse.BooleanOptionalAction,
-                        default=None,
-                        help="root model presolve: bound tightening, dual fixing, "
-                             "coefficient tightening, row cleanup "
-                             "(default: on; --no-root-presolve searches the "
-                             "original model; bnb backend only)")
-
-
-def _solver_block_from_args(args) -> SolverOptions | None:
-    """The structured SolverOptions block the flags explicitly set.
-
-    Solver knobs ride on ``SolvePolicy.solver`` — not on flat request
-    options — so CLI, library, and service requests fingerprint
-    identically for identical settings.
-    """
-    from repro.api import ValidationError
-    from repro.ilp.branch_and_bound import CUT_ROUNDS, PRESOLVE_ROUNDS
-
-    if getattr(args, "cuts", None) is False and getattr(args, "cut_rounds", None):
-        raise ValidationError("--no-cuts and --cut-rounds contradict each other")
-    cut_rounds = None
-    if getattr(args, "cuts", None) is False:
-        cut_rounds = 0
-    elif getattr(args, "cut_rounds", None) is not None:
-        cut_rounds = args.cut_rounds
-    elif getattr(args, "cuts", None) is True:
-        cut_rounds = CUT_ROUNDS
-    presolve_rounds = None
-    if getattr(args, "root_presolve", None) is not None:
-        presolve_rounds = PRESOLVE_ROUNDS if args.root_presolve else 0
-    block = {}
-    if cut_rounds is not None:
-        block["cut_rounds"] = cut_rounds
-    if presolve_rounds is not None:
-        block["presolve_rounds"] = presolve_rounds
-    if not block:
-        return None
-    if args.backend != "bnb":
-        flags = {"cut_rounds": "--cuts/--no-cuts/--cut-rounds",
-                 "presolve_rounds": "--root-presolve/--no-root-presolve"}
-        listed = "/".join(flags[key] for key in block)
-        raise ValidationError(
-            f"{listed} only apply to the bnb backend, not {args.backend!r}"
-        )
-    return SolverOptions(**block)
-
-
 def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker processes for sweep fan-out (default: 1, serial)")
@@ -162,15 +101,12 @@ def _add_policy_flags(parser: argparse.ArgumentParser) -> None:
 
 def _policy_from_args(args) -> SolvePolicy | None:
     """Build the SolvePolicy the flags describe (None = exact, uncapped)."""
-    solver = _solver_block_from_args(args)
-    if (args.deadline is None and args.node_budget is None
-            and not args.no_fallback and solver is None):
+    if args.deadline is None and args.node_budget is None and not args.no_fallback:
         return None
     return SolvePolicy(
         deadline=args.deadline,
         node_budget=args.node_budget,
         fallback=() if args.no_fallback else SolvePolicy().fallback,
-        solver=solver,
     )
 
 
@@ -454,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="trace the solve: print a flame summary (and include "
                         "spans in --json); with FILE, also write the span JSON")
     _add_common_constraints(p)
-    _add_solver_flags(p)
     _add_runtime_flags(p)
     _add_policy_flags(p)
     p.set_defaults(func=cmd_design)
@@ -464,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--total-width", type=int, required=True)
     p.add_argument("--buses", type=int, required=True)
     _add_common_constraints(p)
-    _add_solver_flags(p)
     _add_runtime_flags(p)
     _add_policy_flags(p)
     p.set_defaults(func=cmd_sweep)
@@ -474,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--buses", type=int, required=True)
     p.add_argument("--time-budget", type=float, required=True, metavar="CYCLES")
     _add_common_constraints(p)
-    _add_solver_flags(p)
     _add_runtime_flags(p)
     _add_policy_flags(p)
     p.set_defaults(func=cmd_minwidth)
@@ -484,7 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--total-width", type=int, required=True)
     p.add_argument("--max-buses", type=int, default=4)
     _add_common_constraints(p)
-    _add_solver_flags(p)
     _add_runtime_flags(p)
     _add_policy_flags(p)
     p.set_defaults(func=cmd_buscount)

@@ -54,16 +54,6 @@ def _pair_maps(problem: DesignProblem) -> tuple[list[set[int]], list[set[int]]]:
     return forbid, force
 
 
-def _merge_power_groups(problem: DesignProblem) -> list[list[int]]:
-    """Treat each forced component as one super-core for greedy purposes."""
-    import networkx as nx
-
-    graph = nx.Graph()
-    graph.add_nodes_from(range(len(problem.soc)))
-    graph.add_edges_from(problem.forced_pairs)
-    return [sorted(c) for c in nx.connected_components(graph)]
-
-
 def _finish(problem: DesignProblem, name: str, bus_of: list[int], start: float, evaluations: int) -> BaselineResult:
     assignment = Assignment(problem.soc, problem.arch, tuple(bus_of))
     violations = problem.validate(assignment)
@@ -92,7 +82,7 @@ def lpt_assignment(problem: DesignProblem) -> BaselineResult:
     start = now()
     times = problem.times
     forbid, _ = _pair_maps(problem)
-    groups = _merge_power_groups(problem)
+    groups = problem.forced_groups
 
     def group_time_on(group: list[int], bus: int) -> float:
         return float(sum(times[i][bus] for i in group))
@@ -145,7 +135,7 @@ def random_assignment(
     start = now()
     rng = make_rng(seed)
     times = problem.times
-    groups = _merge_power_groups(problem)
+    groups = problem.forced_groups
     forbid, _ = _pair_maps(problem)
     num_buses = problem.arch.num_buses
 
@@ -235,7 +225,7 @@ def local_search(
     """
     start = now()
     times = problem.times
-    groups = _merge_power_groups(problem)
+    groups = problem.forced_groups
     forbid, _ = _pair_maps(problem)
     num_buses = problem.arch.num_buses
     feasible = [
@@ -282,7 +272,7 @@ def simulated_annealing(
     start = now()
     rng = make_rng(seed)
     times = problem.times
-    groups = _merge_power_groups(problem)
+    groups = problem.forced_groups
     forbid, _ = _pair_maps(problem)
     num_buses = problem.arch.num_buses
     feasible = [

@@ -14,14 +14,13 @@ much of the design space a tight budget kills.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.baselines import lpt_assignment, simulated_annealing
-from repro.core.formulation import build_assignment_ilp
+from repro.core.formulation import IlpFormulation, build_assignment_ilp
 from repro.core.problem import DesignProblem
 from repro.ilp.solution import SolveStats, Status
 from repro.layout.floorplan import Floorplan
@@ -98,16 +97,10 @@ def design(
 ) -> TamDesign:
     """Solve ``problem`` — to proven optimality, or as far as a policy allows.
 
-    Solver knobs travel on ``policy.solver``
-    (:class:`~repro.obs.SolverOptions`: root ``cut_rounds`` and
-    ``presolve_rounds``); they only reach the bnb backend. Left unset, the
-    solver runs its own defaults, ``CUT_ROUNDS`` rounds of root clique cuts
-    and ``PRESOLVE_ROUNDS`` passes of root presolve
-    (:mod:`repro.ilp.branch_and_bound`, DESIGN.md §12–§13);
-    ``SolverOptions(cut_rounds=0)`` or ``SolverOptions(presolve_rounds=0)``
-    turns either off. Any other keyword (``gap_tol``, ``dive``, …) is
-    forwarded to the backend as an ad-hoc option and hashed into the cache
-    key.
+    Any keyword (``gap_tol``, ``dive``, ``cut_rounds``, …) is forwarded to
+    the backend as an ad-hoc option and hashed into the cache key; left
+    unset, the bnb solver runs its own defaults (:mod:`repro.ilp.
+    branch_and_bound`, DESIGN.md §12–§13).
 
     Without a ``policy`` the solve is exact: :class:`InfeasibleError` when
     the constraints admit no assignment, :class:`SolverError` if the backend
@@ -120,10 +113,12 @@ def design(
     with an empty ladder restores the strict behavior under a budget.
 
     The bnb backend starts from an incumbent: ``incumbent`` when given (a
-    known-good :class:`~repro.tam.assignment.Assignment`), otherwise the
-    LPT greedy assignment (:func:`~repro.core.baselines.lpt_assignment`;
-    none when LPT cannot place every core). The optimum is unchanged,
-    pruning just starts earlier (DESIGN.md §14).
+    known-good :class:`~repro.tam.assignment.Assignment`, keyed by its
+    values), otherwise the LPT greedy assignment
+    (:func:`~repro.core.baselines.lpt_assignment`; none when LPT cannot
+    place every core), built only when the solve runs and keyed by name,
+    since it is a function of the model. The optimum is unchanged, pruning
+    just starts earlier (DESIGN.md §14).
 
     ``cache`` is forwarded to :meth:`Model.solve`: a
     :class:`~repro.runtime.cache.SolutionCache` memoizes this solve, ``None``
@@ -150,8 +145,7 @@ def design(
         if incumbent is None:
             # LPT is the cheapest upper bound there is: the search prunes
             # against it from the first node.
-            with contextlib.suppress(InfeasibleError):
-                incumbent = lpt_assignment(problem).assignment
+            solver_options["warm_start"] = _LptSeed(formulation)
         else:
             violations = problem.validate(incumbent)
             if violations:
@@ -159,13 +153,7 @@ def design(
                     "incumbent= must be feasible for the problem; violations: "
                     + "; ".join(violations)
                 )
-        if incumbent is not None:
-            values = {
-                var: 1.0 if incumbent.bus_of[i] == j else 0.0
-                for (i, j), var in formulation.x.items()
-            }
-            values[formulation.makespan_var] = incumbent.makespan(problem.timing)
-            solver_options["warm_start"] = values
+            solver_options["warm_start"] = _warm_start(formulation, incumbent)
     with span("solve", backend=backend):
         solution = formulation.model.solve(
             backend=backend, cache=cache, policy=policy, **solver_options
@@ -212,6 +200,39 @@ def design(
         wirelength=wirelength,
         fallback=report,
     )
+
+
+def _warm_start(formulation: IlpFormulation, incumbent: Assignment) -> dict:
+    """``incumbent`` as the bnb warm start: a value for every variable."""
+    values = {
+        var: 1.0 if incumbent.bus_of[i] == j else 0.0
+        for (i, j), var in formulation.x.items()
+    }
+    values[formulation.makespan_var] = incumbent.makespan(formulation.problem.timing)
+    return values
+
+
+class _LptSeed:
+    """The LPT assignment as a deferred warm start.
+
+    :meth:`Model.solve <repro.ilp.model.Model.solve>` calls it only once
+    the cache has missed, so a hit never pays for LPT. Its cache token
+    names the seed instead of hashing its values: LPT is a function of the
+    model, so the name says everything the values would.
+    """
+
+    def __init__(self, formulation: IlpFormulation):
+        self.formulation = formulation
+
+    def cache_token(self) -> str:
+        return "lpt"
+
+    def __call__(self) -> dict | None:
+        try:
+            incumbent = lpt_assignment(self.formulation.problem).assignment
+        except InfeasibleError:
+            return None
+        return _warm_start(self.formulation, incumbent)
 
 
 def _degrade(

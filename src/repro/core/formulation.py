@@ -1,8 +1,8 @@
 """The DAC 2000 integer linear program.
 
 Decision variables: binary ``x[i][j]`` — core *i* is assigned to test bus
-*j* — created only for the (i, j) pairs the timing model allows, and the
-continuous makespan ``T``.
+*j* — created only for the (i, j) pairs the timing model allows for every
+core of *i*'s power-forced group, and the continuous makespan ``T``.
 
     minimize   T
     subject to sum_j x[i][j] = 1                      (every core gets a bus)
@@ -14,7 +14,9 @@ The forced-pair equalities are the paper's conservative power encoding; the
 forbidden-pair inequalities are its place-and-route encoding. Both are
 linear, so the augmented problem remains an ILP. Width-infeasible (i, j)
 combinations simply have no variable, which both shrinks the model and makes
-the fixed-width rule unviolable by construction.
+the fixed-width rule unviolable by construction. A forced group must share
+one bus, so a bus that one member cannot use gets no variable for any of
+them: the power rows never need an ``x == 0`` row.
 """
 
 from __future__ import annotations
@@ -68,9 +70,10 @@ class IlpFormulation:
 def build_assignment_ilp(problem: DesignProblem) -> IlpFormulation:
     """Encode ``problem`` as the paper's ILP.
 
-    Raises :class:`InfeasibleError` immediately when some core has no
-    width-feasible bus at all (no variable could be created for it) — the
-    one infeasibility mode detectable before solving.
+    Raises :class:`InfeasibleError` immediately when some core has no bus
+    that it and every core of its power-forced group can use (no variable
+    could be created for it) — the one infeasibility mode detectable
+    before solving.
     """
     soc = problem.soc
     arch = problem.arch
@@ -78,13 +81,25 @@ def build_assignment_ilp(problem: DesignProblem) -> IlpFormulation:
     num_cores = len(soc)
     num_buses = arch.num_buses
 
+    fits = np.isfinite(times)
+    usable = fits.copy()
+    for group in problem.forced_groups:
+        usable[list(group)] = fits[list(group)].all(axis=0)
+
     model = Model(f"tam-{soc.name}-{arch}")
     x: dict[tuple[int, int], Variable] = {}
     for i in range(num_cores):
-        feasible_buses = [j for j in range(num_buses) if np.isfinite(times[i][j])]
+        feasible_buses = np.flatnonzero(usable[i]).tolist()
         if not feasible_buses:
+            core = soc.cores[i]
+            if fits[i].any():
+                raise InfeasibleError(
+                    f"core {core.name!r} shares no width-feasible bus of {arch} "
+                    "with the cores the power budget forces onto its bus",
+                    reason="width-infeasible power group",
+                )
             raise InfeasibleError(
-                f"core {soc.cores[i].name!r} (width {soc.cores[i].test_width}) fits no bus of {arch}",
+                f"core {core.name!r} (width {core.test_width}) fits no bus of {arch}",
                 reason="width-infeasible core",
             )
         for j in feasible_buses:
@@ -114,23 +129,12 @@ def build_assignment_ilp(problem: DesignProblem) -> IlpFormulation:
                     x[a, j] + x[b, j] <= 1, name=f"far_{a}_{b}_b{j}"
                 )
 
-    # Power: incompatible cores must serialize on a common bus. Where one
-    # core of the pair cannot use bus j at all, the other must avoid j too.
-    # Zero-fixes are deduplicated: two forced pairs sharing a core would
-    # otherwise emit identical x == 0 rows (flagged by model-lint M004).
-    zero_fixed: set[tuple[int, int]] = set()
+    # Power: incompatible cores must serialize on a common bus. Both cores
+    # of a forced pair have a variable on exactly their group's buses.
     for a, b in problem.forced_pairs:
         for j in range(num_buses):
-            a_has = (a, j) in x
-            b_has = (b, j) in x
-            if a_has and b_has:
+            if (a, j) in x:
                 model.add_constr(x[a, j] == x[b, j], name=f"pow_{a}_{b}_b{j}")
-            elif a_has and (a, j) not in zero_fixed:
-                zero_fixed.add((a, j))
-                model.add_constr(x[a, j] == 0, name=f"pow_{a}_{b}_b{j}")
-            elif b_has and (b, j) not in zero_fixed:
-                zero_fixed.add((b, j))
-                model.add_constr(x[b, j] == 0, name=f"pow_{a}_{b}_b{j}")
 
     model.minimize(makespan)
     return IlpFormulation(problem, model, x, makespan)

@@ -113,26 +113,28 @@ class DesignProblem:
             pairs.extend(conflict_pairs(self.soc, self.power_budget))
         return _normalize_pairs(pairs, len(self.soc), "forced")
 
-    def contradictions(self) -> list[Pair]:
-        """Pairs that are simultaneously forced and forbidden.
-
-        Any such pair makes the instance infeasible outright: the power
-        budget demands the cores serialize on one bus while the layout
-        budget forbids them from sharing one. (Forced pairs are also closed
-        transitively before intersecting, since sharing is transitive.)
-        """
+    @cached_property
+    def forced_groups(self) -> tuple[tuple[int, ...], ...]:
+        """Cores that must share one bus: the connected components of the
+        forced pairs, singletons included, each sorted, in order of their
+        lowest core (sharing a bus is transitive)."""
         import networkx as nx
 
         graph = nx.Graph()
         graph.add_nodes_from(range(len(self.soc)))
         graph.add_edges_from(self.forced_pairs)
-        closure = set()
-        for component in nx.connected_components(graph):
-            members = sorted(component)
-            for idx, a in enumerate(members):
-                for b in members[idx + 1 :]:
-                    closure.add((a, b))
-        return sorted(closure & set(self.forbidden_pairs))
+        return tuple(tuple(sorted(c)) for c in nx.connected_components(graph))
+
+    def contradictions(self) -> list[Pair]:
+        """Pairs that are simultaneously forced and forbidden.
+
+        Any such pair makes the instance infeasible outright: the power
+        budget demands the cores serialize on one bus while the layout
+        budget forbids them from sharing one. Forced pairs count through
+        :attr:`forced_groups`, since sharing is transitive.
+        """
+        group_of = {core: g for g, group in enumerate(self.forced_groups) for core in group}
+        return [(a, b) for a, b in self.forbidden_pairs if group_of[a] == group_of[b]]
 
     def lint(self):
         """Static pre-formulation checks (rules ``P0xx``); returns a

@@ -100,10 +100,9 @@ class SolveRequest(DerivedFields):
     requests must be picklable, serializable, and content-addressable.
     ``options`` holds extra JSON-scalar solver kwargs (``gap_tol``, ...)
     as a sorted tuple of pairs so equal requests compare and hash equal
-    regardless of construction order; the solver settings (root
-    ``cut_rounds`` and ``presolve_rounds``) belong on
-    ``policy.solver`` (:class:`~repro.obs.SolverOptions`), which serializes
-    with the policy and reaches the fingerprint through its cache token.
+    regardless of construction order; the effort settings belong on
+    ``policy`` (:class:`~repro.obs.SolvePolicy`), which serializes with the
+    request and reaches the fingerprint through its cache token.
 
     The token, the wire form, overrides and the integer checks derive from
     the fields (:class:`~repro.obs.policy.DerivedFields`): ``widths``,

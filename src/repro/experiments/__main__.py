@@ -8,6 +8,7 @@ import sys
 from repro.experiments import ExperimentConfig, REGISTRY, run_all, run_experiment
 from repro.obs import SolvePolicy, now
 from repro.runtime import DEFAULT_CACHE_DIR
+from repro.util.errors import ValidationError
 
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -53,7 +54,12 @@ def main(argv: list[str]) -> int:
     )
     args = parser.parse_args(argv)
 
-    config = build_config(args)
+    try:
+        config = build_config(args)
+    except ValidationError as exc:
+        # A bad setting is a usage error, reported like `repro design`'s.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     start = now()
     if args.target.lower() == "all":
         results = run_all(config=config)

@@ -3,14 +3,13 @@
 The solver operates on the dense :class:`~repro.ilp.model.MatrixForm` of a
 model through a precomputed :class:`~repro.ilp.lp.LpWorkspace`, so the
 scipy constraint handles are derived once, not per node. Before the search
-starts, **root presolve** (:mod:`repro.ilp.presolve_root`, up to
-``presolve_rounds`` passes) shrinks the model itself —
-bound tightening, dual fixing, coefficient tightening, row cleanup —
-and the whole search then runs in the reduced space; every incumbent is
-mapped back through the recorded ``Postsolve`` before it is stored, so
-cache records, checkpoints, and fingerprints stay in original variable
-space and are presolve-independent. The search runs a fast path on every
-node:
+starts, **root presolve** (:mod:`repro.ilp.presolve_root`) shrinks the
+model once — bound propagation to a fixed point, then the columns it fixed
+and the rows that can no longer bind are removed — and the whole search
+runs in the reduced space; every incumbent is mapped back through the
+recorded ``Postsolve`` before it is stored, so cache records, checkpoints,
+and fingerprints stay in original variable space and are
+presolve-independent. The search runs a fast path on every node:
 
 - **delta-bound nodes** — heap entries carry only the chain of bound
   changes along their tree path (a shared-tail linked list of
@@ -66,9 +65,6 @@ _INT_TOL = 1e-6
 #: Rounds of root clique-cut separation a solve runs unless told otherwise.
 CUT_ROUNDS = 3
 
-#: Passes of root model presolve a solve runs unless told otherwise.
-PRESOLVE_ROUNDS = 4
-
 #: Minimum seconds between two incumbent checkpoint writes during a search;
 #: the final incumbent is written when the solve ends, whatever the gap.
 CHECKPOINT_INTERVAL = 1.0
@@ -109,11 +105,6 @@ class BranchAndBoundSolver:
         Rounds of maximal-clique cuts from the conflict graph separated at
         the root (0 = none). Every cut is valid for the integer hull, so
         the cut rows stay in the LP for every node.
-    presolve_rounds:
-        Passes of the one-time model reduction before the search (0 =
-        search the original model). Exact for the integer program;
-        incumbents are postsolved back to original variable space before
-        they are stored anywhere.
     warm_start:
         Optional feasible assignment ``{Variable: value}`` used as the
         initial incumbent (e.g. a greedy heuristic's solution). Validated
@@ -136,7 +127,6 @@ class BranchAndBoundSolver:
         time_limit: float | None = None,
         dive: bool = True,
         cut_rounds: int = CUT_ROUNDS,
-        presolve_rounds: int = PRESOLVE_ROUNDS,
         warm_start: dict | None = None,
         checkpoint_dir: str | None = None,
     ):
@@ -146,14 +136,12 @@ class BranchAndBoundSolver:
         self.time_limit = time_limit
         self.dive = dive
         self.cut_rounds = cut_rounds
-        self.presolve_rounds = presolve_rounds
         # Cut rows in the working LP, in the order root separation added them.
         self._cuts: list[Cut] = []
         # The original form anchors everything that outlives this solve:
         # checkpoint fingerprints, incumbents, the returned values. The
         # *search* arrays are bound by _bind_form once root presolve has
-        # settled the form (reduced or not); _postsolve maps between the
-        # two spaces.
+        # reduced the form; _postsolve maps between the two spaces.
         self._orig_form = model.to_matrix_form()
         self._orig_int_indices = np.flatnonzero(self._orig_form.integer_mask)
         self._int_indices = self._orig_int_indices  # until _bind_form
@@ -180,7 +168,7 @@ class BranchAndBoundSolver:
             self._resume_from_checkpoint()
 
     def _bind_form(self, form: MatrixForm) -> None:
-        """Point the search machinery at ``form`` (original or reduced).
+        """Point the search machinery at the reduced ``form``.
 
         Cuts append rows to a rebuilt ``self._form``; ``self._base_form``
         stays at the bound form so separation always derives from uncut
@@ -216,8 +204,6 @@ class BranchAndBoundSolver:
         self._workspace = LpWorkspace(form)
         rows: list[np.ndarray] = []
         rhs: list[np.ndarray] = []
-        # Row counts, not .size: on a form without columns every row is a
-        # constant the check must still read.
         if form.a_ub.shape[0]:
             rows.append(form.a_ub)
             rhs.append(form.b_ub)
@@ -571,43 +557,25 @@ class BranchAndBoundSolver:
         return root
 
     def _search(self, start: float) -> Status:
-        form = self._orig_form
-        if self.presolve_rounds > 0:
-            with span("ilp.presolve_root.reduce") as model_span:
-                reduction = presolve_root(self._orig_form, self.presolve_rounds)
-                self._stats.root_presolve_rounds = reduction.stats["rounds"]
-                self._stats.root_cols_removed = reduction.stats["cols_removed"]
-                self._stats.root_rows_removed = reduction.stats["rows_removed"]
-                self._stats.root_coeffs_tightened = reduction.stats["coeffs_tightened"]
-                model_span.attrs.update(reduction.stats)
-            if reduction.status == "infeasible":
-                return Status.INFEASIBLE
-            self._postsolve = reduction.postsolve
-            reduced = reduction.form
-            if reduced.num_vars == 0:
-                # Everything was fixed; validate any leftover constant rows
-                # and restore the point.
-                if not reduced.constant_rows_hold():
-                    return Status.INFEASIBLE
-                x = reduction.postsolve.restore(np.zeros(0))
-                objective = float(self._orig_form.c @ x) + self._orig_form.c0
-                self._try_update_incumbent(x, objective)
-                self._stats.best_bound = objective
-                return Status.OPTIMAL
-            # Search the reduced form even on an identity column mapping:
-            # bound tightening and row cleanup change the form without
-            # touching any column.
-            form = reduced
-        self._bind_form(form)
-
-        with span("ilp.presolve.propagate") as presolve_span:
-            feasible, changes = propagate_bounds(
-                self._workspace.propagation, self._base_lb, self._base_ub
-            )
-            self._stats.presolve_fixings += len(changes)
-            presolve_span.attrs["fixings"] = len(changes)
-        if not feasible:
+        with span("ilp.presolve_root.reduce") as model_span:
+            reduction = presolve_root(self._orig_form)
+            self._stats.root_cols_removed = reduction.stats["cols_removed"]
+            self._stats.root_rows_removed = reduction.stats["rows_removed"]
+            model_span.attrs.update(reduction.stats)
+        if reduction.status == "infeasible":
             return Status.INFEASIBLE
+        self._postsolve = reduction.postsolve
+        form = reduction.form
+        if form.num_vars == 0:
+            # Presolve fixed every column, and dropped every row with them.
+            x = reduction.postsolve.restore(np.zeros(0))
+            objective = float(self._orig_form.c @ x) + self._orig_form.c0
+            self._try_update_incumbent(x, objective)
+            self._stats.best_bound = objective
+            return Status.OPTIMAL
+        # Root propagation already ran to its fixed point inside presolve,
+        # so the root LP solves the reduced form's bounds as they stand.
+        self._bind_form(form)
 
         with span("ilp.simplex.root_lp"):
             root = self._solve_node(

@@ -305,14 +305,16 @@ class Model:
         BranchAndBoundSolver`; ``backend="scipy"`` uses HiGHS via
         ``scipy.optimize.milp``; other names resolve through
         :func:`register_backend`. Options are forwarded to the backend
-        (``gap_tol``, ``dive``, ``cut_rounds``, ``presolve_rounds``,
-        ``warm_start`` for bnb); the bnb solver separates up to
-        ``CUT_ROUNDS`` rounds of root clique cuts and runs up to
-        ``PRESOLVE_ROUNDS`` root presolve passes unless told otherwise.
+        (``gap_tol``, ``dive``, ``cut_rounds``, ``warm_start`` for bnb);
+        the bnb solver separates up to ``CUT_ROUNDS`` rounds of root clique
+        cuts unless told otherwise. A ``warm_start`` may also be a
+        zero-argument callable returning the values (or None): it is
+        called only when the backend runs, and keys the cache by its own
+        ``cache_token()``.
 
         ``policy`` is a :class:`~repro.obs.SolvePolicy` bounding the solve:
         its deadline / node budget / gap tolerance map onto the backend's
-        limits, and its solver block onto the kwargs above. A capped
+        limits. A capped
         solve can return ``Status.FEASIBLE`` (best incumbent) or
         ``Status.NODE_LIMIT`` (no incumbent found); the degradation ladder
         for the latter lives one level up in :func:`repro.core.design`.
@@ -386,6 +388,10 @@ class Model:
             raise ValueError(
                 f"unknown backend {backend!r}; expected one of {sorted(_BACKENDS)}"
             )
+        if callable(effective.get("warm_start")):
+            # A deferred warm start (design()'s LPT seed) is built only now
+            # that the cache has missed.
+            effective["warm_start"] = effective["warm_start"]()
         solution = solver(self, **effective)
         if store is not None and key is not None:
             store.put_solution(key, solution, self.num_vars)

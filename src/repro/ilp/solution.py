@@ -59,10 +59,8 @@ class SolveCounters:
     presolve_fixings: int = _counter()
     presolve_pruned: int = _counter()
     pseudocost_branches: int = _counter()
-    root_presolve_rounds: int = _counter()
     root_cols_removed: int = _counter()
     root_rows_removed: int = _counter()
-    root_coeffs_tightened: int = _counter()
     warm_lp_solves: int = _counter()
     warm_lp_fallbacks: int = _counter()
 
@@ -87,21 +85,18 @@ class SolveStats(SolveCounters):
     rather than the most-fractional fallback.
 
     The cut counters describe root clique-cut separation (see
-    ``cut_rounds`` on :class:`~repro.obs.policy.SolverOptions`): ``cuts``
-    is the number of
-    cutting planes added to the LP, and ``cut_rounds`` counts the
-    separation rounds that added them.
+    ``cut_rounds`` on :class:`~repro.ilp.branch_and_bound.
+    BranchAndBoundSolver`): ``cuts`` is the number of cutting planes added
+    to the LP, and ``cut_rounds`` counts the separation rounds that added
+    them.
 
-    The root-presolve counters describe the model reductions applied once
-    before the search (see ``presolve_rounds`` on
-    :class:`~repro.obs.policy.SolverOptions`):
-    ``root_presolve_rounds`` passes ran, removing
-    ``root_cols_removed`` columns and ``root_rows_removed`` rows and
-    tightening ``root_coeffs_tightened`` coefficients. The warm-start
-    counters split ``lp_solves`` by engine: ``warm_lp_solves`` node LPs
-    were answered by the dual simplex reoptimizing from a parent basis
-    (including proven ``cutoff`` prunes), and ``warm_lp_fallbacks`` bailed
-    to the cold engine on numerical trouble.
+    The root-presolve counters describe the one model reduction before the
+    search (:func:`~repro.ilp.presolve_root.presolve_root`): it removed
+    ``root_cols_removed`` columns and ``root_rows_removed`` rows. The
+    warm-start counters split ``lp_solves`` by engine: ``warm_lp_solves``
+    node LPs were answered by the dual simplex reoptimizing from a parent
+    basis (including proven ``cutoff`` prunes), and ``warm_lp_fallbacks``
+    bailed to the cold engine on numerical trouble.
 
     ``best_bound`` is the bound on the optimal objective that the search
     proved, in the model's sense: no feasible solution is better than it

@@ -11,8 +11,7 @@ Everything time- and effort-related flows through this package:
 - :mod:`repro.obs.metrics` — a process-wide :class:`MetricsRegistry` of
   counters / gauges / histograms the solver stack writes into;
 - :mod:`repro.obs.policy` — :class:`SolvePolicy` (deadline, node budget,
-  gap tolerance, degradation ladder, incumbent checkpointing), its
-  :class:`SolverOptions` block (root cut and presolve rounds), and the
+  gap tolerance, degradation ladder, incumbent checkpointing) and the
   :class:`FallbackReport` provenance record.
 
 The blessed public names (re-exported by :mod:`repro.api`): ``SolvePolicy``,
@@ -35,7 +34,6 @@ from repro.obs.policy import (
     CheckpointStore,
     FallbackReport,
     SolvePolicy,
-    SolverOptions,
 )
 from repro.obs.tracing import (
     Span,
@@ -58,7 +56,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "SolvePolicy",
-    "SolverOptions",
     "Span",
     "Stopwatch",
     "Tracer",

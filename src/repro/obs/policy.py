@@ -22,10 +22,9 @@ travel to parallel workers, and expose a canonical :meth:`cache_token`
 cache can key on the *effective* budget — a truncated solve must never be
 replayed for an uncapped request.
 
-Every settings class here (and :class:`~repro.core.request.SolveRequest`)
-derives its token, its JSON form, its overrides and its integer checks
-from its dataclass fields through :class:`DerivedFields`, so each field is
-written once.
+:class:`SolvePolicy` and :class:`~repro.core.request.SolveRequest` derive
+their tokens, JSON forms, overrides and type checks from their dataclass
+fields through :class:`DerivedFields`, so each field is written once.
 """
 
 from __future__ import annotations
@@ -239,47 +238,14 @@ class DerivedFields:
 
 
 @dataclass(frozen=True)
-class SolverOptions(DerivedFields):
-    """B&B solver settings, riding on :class:`SolvePolicy`.
-
-    ``cut_rounds`` caps the rounds of root clique cuts and
-    ``presolve_rounds`` the passes of root model presolve; 0 turns either
-    off. ``None`` leaves the solver's own default (``CUT_ROUNDS`` and
-    ``PRESOLVE_ROUNDS`` in :mod:`repro.ilp.branch_and_bound`). Both change
-    what a solve returns, so both are in the cache token.
-    """
-
-    cut_rounds: int | None = None
-    presolve_rounds: int | None = None
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        for name in ("cut_rounds", "presolve_rounds"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ValidationError(f"{name} cannot be negative, got {value}")
-
-    def backend_options(self, backend: str = "bnb") -> dict[str, Any]:
-        """The solver kwargs this block implies for ``backend``."""
-        options: dict[str, Any] = {}
-        if backend != "bnb":
-            return options
-        if self.cut_rounds is not None:
-            options["cut_rounds"] = self.cut_rounds
-        if self.presolve_rounds is not None:
-            options["presolve_rounds"] = self.presolve_rounds
-        return options
-
-
-@dataclass(frozen=True)
 class SolvePolicy(DerivedFields):
     """Effort budget + degradation behavior for one (or many) solves.
 
-    The effort budget and the solver block shape what a solve returns and
-    form the cache token. The fallback ladder replaces a solve that found
-    nothing but never alters what a completed solve would have produced,
-    and the checkpoint directory only persists incumbents, so those fields
-    stay out of it.
+    The effort budget shapes what a solve returns and forms the cache
+    token. The fallback ladder replaces a solve that found nothing but
+    never alters what a completed solve would have produced, and the
+    checkpoint directory only persists incumbents, so those fields stay
+    out of it.
     """
 
     deadline: float | None = None
@@ -287,14 +253,9 @@ class SolvePolicy(DerivedFields):
     gap_tol: float | None = None
     fallback: tuple[str, ...] = field(default=DEFAULT_FALLBACK, metadata={"cache": False})
     checkpoint_dir: str | None = field(default=None, metadata={"cache": False})
-    solver: SolverOptions | None = None
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.solver is not None and not isinstance(self.solver, SolverOptions):
-            raise ValidationError(
-                f"solver must be a SolverOptions or None, got {type(self.solver).__name__}"
-            )
         if self.deadline is not None and self.deadline <= 0:
             raise ValidationError(f"deadline must be positive, got {self.deadline}")
         if self.node_budget is not None and self.node_budget <= 0:
@@ -333,8 +294,6 @@ class SolvePolicy(DerivedFields):
                 options["time_limit"] = self.deadline
             if self.gap_tol is not None:
                 options["gap_tol"] = self.gap_tol
-        if self.solver is not None:
-            options.update(self.solver.backend_options(backend))
         return options
 
     def checkpoint_options(self, backend: str = "bnb") -> dict[str, Any]:

@@ -77,7 +77,10 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 # cut_policy into every key (the cut default moved into the solver).
 # v9: design() seeds bnb with the LPT assignment (B&B keeps it on a tie, so
 # tie-broken assignments change), and the SolverOptions token loses a field.
-_FORMAT_VERSION = 9
+# v10: SolverOptions and the root_presolve_rounds/root_coeffs_tightened
+# counters are gone, root presolve is one propagation step (tie-broken
+# assignments change), and a plain design() keys its LPT seed by name.
+_FORMAT_VERSION = 10
 
 
 def _hash_array(h: "hashlib._Hash", label: str, array: np.ndarray) -> None:

@@ -4,12 +4,11 @@ runtime.
 Every entry point funnels into the same unified
 :class:`~repro.core.request.SolveRequest` surface the library and the CLI
 use, so a request fingerprints, caches, and dedupes identically no matter
-which front-end produced it. The solver settings ride the
-``policy.solver`` object of the wire payload: ``cut_rounds`` and
-``presolve_rounds`` as JSON integers — see
-:meth:`repro.obs.SolverOptions.from_dict`. A malformed setting (a
-non-integer where an integer belongs, an unknown key) is rejected with a
-400 at submit. See DESIGN.md §11 for lanes,
+which front-end produced it. The solve settings ride the ``policy``
+object of the wire payload (see :meth:`repro.obs.SolvePolicy.from_dict`).
+A malformed setting (a non-integer where an integer belongs, an unknown
+key such as the retired ``solver`` block) is rejected with a 400 at
+submit. See DESIGN.md §11 for lanes,
 dedupe, tenancy, and failure semantics.
 
 - :class:`JobScheduler` — fair-share lanes, fingerprint dedupe, tenant

@@ -241,28 +241,20 @@ class TestD001SeededMutations:
         report = self.run_rules(tree)
         return [d for d in report.diagnostics if d.rule == "D001"]
 
-    def test_deleting_solver_block_token_contribution_fires(self, mutable_tree):
-        # PR-8 regression guard: SolvePolicy's token must keep the nested
-        # solver block; dropping it would alias cuts-on and cuts-off solves
-        # to one cache entry.
-        offenders = self.opt_out_field(mutable_tree, "solver", "SolverOptions | None")
-        assert offenders, "solver block dropped from the policy token undetected"
-        assert any("SolvePolicy.solver" in d.message for d in offenders)
+    def test_deleting_deadline_token_contribution_fires(self, mutable_tree):
+        # SolvePolicy's token must keep the deadline it forwards as the
+        # backend's time limit; dropping it would replay a solve cut short
+        # by one deadline for a request with another.
+        offenders = self.opt_out_field(mutable_tree, "deadline", "float | None")
+        assert offenders, "deadline dropped from the policy token undetected"
+        assert any("SolvePolicy.deadline" in d.message for d in offenders)
 
-    def test_deleting_cut_policy_token_contribution_fires(self, mutable_tree):
-        # Same guard one level down: SolverOptions' token must keep the
-        # cut_rounds field it forwards to the backend.
-        offenders = self.opt_out_field(mutable_tree, "cut_rounds", "int | None")
-        assert offenders, "cut_rounds dropped from the solver token undetected"
-        assert any("SolverOptions.cut_rounds" in d.message for d in offenders)
-
-    def test_deleting_root_presolve_token_contribution_fires(self, mutable_tree):
-        # PR-9 regression guard: SolverOptions' token must keep the
-        # presolve_rounds field; dropping it would alias presolve-on and
-        # presolve-off solves (different vertices, stats) to one cache entry.
-        offenders = self.opt_out_field(mutable_tree, "presolve_rounds", "int | None")
-        assert offenders, "presolve_rounds dropped from the solver token undetected"
-        assert any("SolverOptions.presolve_rounds" in d.message for d in offenders)
+    def test_deleting_gap_tol_token_contribution_fires(self, mutable_tree):
+        # Same guard for the optimality tolerance: a solve stopped at a
+        # loose gap must not answer a request for a tight one.
+        offenders = self.opt_out_field(mutable_tree, "gap_tol", "float | None")
+        assert offenders, "gap_tol dropped from the policy token undetected"
+        assert any("SolvePolicy.gap_tol" in d.message for d in offenders)
 
     def test_deleting_node_budget_token_contribution_fires(self, mutable_tree):
         # Same guard for an effort field: a solve truncated by its node
@@ -278,19 +270,19 @@ class TestD001SeededMutations:
         text = policy.read_text()
         anchor = (
             '    def backend_options(self, backend: str = "bnb") -> dict[str, Any]:\n'
-            '        """The solver kwargs this block implies for ``backend``."""'
+            '        """The solver kwargs this policy implies for ``backend``."""'
         )
-        assert text.count(anchor) == 1, "expected SolverOptions.backend_options to anchor on"
+        assert text.count(anchor) == 1, "expected SolvePolicy.backend_options to anchor on"
         hand_written = (
             "    def cache_token(self) -> str:\n"
-            '        return f"solver(cut_rounds={self.cut_rounds!r})"\n\n'
+            '        return f"policy(node_budget={self.node_budget!r})"\n\n'
         )
         policy.write_text(text.replace(anchor, hand_written + anchor))
         report = self.run_rules(mutable_tree)
         offenders = [d for d in report.diagnostics if d.rule == "D001"]
-        assert offenders, "hand-written SolverOptions.cache_token went undetected"
+        assert offenders, "hand-written SolvePolicy.cache_token went undetected"
         assert any(
-            "SolverOptions" in d.message and "by hand" in d.message for d in offenders
+            "SolvePolicy" in d.message and "by hand" in d.message for d in offenders
         )
 
     def test_inherited_token_is_clean(self, tmp_path):

@@ -370,7 +370,8 @@ class TestShippedFormulationIsClean:
 
     def test_shared_core_zero_fixes_deduplicated(self, s1):
         # Two forced pairs sharing a core once emitted duplicate x == 0 rows
-        # (caught by M004); the formulation now dedupes them.
+        # (caught by M004); the formulation now writes no x == 0 row at all:
+        # a forced group only gets variables on the buses it can share.
         problem = DesignProblem(
             soc=s1,
             arch=TamArchitecture([max(c.test_width for c in s1), 4]),
@@ -379,6 +380,8 @@ class TestShippedFormulationIsClean:
         )
         formulation = build_assignment_ilp(problem)
         assert not [d for d in lint_model(formulation.model) if d.rule == "M004"]
+        assert set(formulation.x) >= {(0, 0), (1, 0), (2, 0)}
+        assert not {(0, 1), (1, 1), (2, 1)} & set(formulation.x)
 
 
 def test_report_rendering_and_json():

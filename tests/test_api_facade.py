@@ -89,20 +89,19 @@ class TestFacadeManifest:
             assert 1 <= int(str(row["since"])) <= 10, row
 
     def test_pr8_solver_options_surface(self):
-        # SolverOptions stays; its cut setting is a plain int field now,
-        # and the wrapper class and its default constant are gone.
-        rows = {row["name"]: row for row in api.facade_table()}
-        assert "SolverOptions" in api.__all__
-        assert rows["SolverOptions"]["since"] == 8
-        assert rows["SolverOptions"]["module"] == "repro.obs.policy"
-        assert api.SolverOptions(cut_rounds=2).cut_rounds == 2
-        for name in ("CutPolicy", "DEFAULT_CUT_POLICY", "TransientSolverError"):
+        # The solver block left the facade with its class: the settings
+        # tree is SolvePolicy alone, and cut_rounds is a bnb solver kwarg.
+        # The cut wrapper class and its default constant went before it.
+        assert "SolvePolicy" in api.__all__
+        for name in ("SolverOptions", "CutPolicy", "DEFAULT_CUT_POLICY", "TransientSolverError"):
             assert name not in api.__all__ and not hasattr(api, name)
 
     def test_pr9_presolve_surface(self):
-        # Root presolve is SolverOptions.presolve_rounds: PR 9's wrapper
-        # class and default constant left the facade.
-        assert api.SolverOptions(presolve_rounds=0).presolve_rounds == 0
+        # Root presolve has no setting left: neither PR 9's wrapper class
+        # and default constant nor a presolve_rounds field.
+        from dataclasses import fields
+
+        assert "presolve_rounds" not in {spec.name for spec in fields(api.SolvePolicy)}
         for name in ("PresolvePolicy", "DEFAULT_PRESOLVE_POLICY"):
             assert name not in api.__all__ and not hasattr(api, name)
 

@@ -59,7 +59,6 @@ class TestCliCommands:
     @pytest.mark.parametrize(
         "flag, value, message",
         [
-            ("--cut-rounds", "-1", "cut_rounds cannot be negative"),
             ("--node-budget", "0", "node_budget must be positive"),
             ("--deadline", "0", "deadline must be positive"),
         ],
@@ -70,6 +69,22 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}, got ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            ("--node-budget", "node_budget must be positive"),
+            ("--deadline", "deadline must be positive"),
+        ],
+    )
+    def test_experiments_out_of_range_setting_is_a_usage_error(self, capsys, flag, message):
+        from repro.experiments.__main__ import main as experiments_main
+
+        assert experiments_main(["T1", flag, "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}, got ")
+        assert captured.err.count("\n") == 1
 
     def test_sweep(self, capsys):
         assert main(["sweep", "S1", "--total-width", "12", "--buses", "2"]) == 0

@@ -314,3 +314,29 @@ class TestBoundAndGap:
             assert sol.stats.gap == pytest.approx(
                 (sol.stats.best_bound - sol.objective) / abs(sol.objective)
             )
+
+
+def test_lpt_seed_is_built_only_on_a_cache_miss(s1, arch3, monkeypatch):
+    # The seed is a function of the model, so a plain design() keys its
+    # solve without it and a cache hit never pays for LPT.
+    from repro.core import designer, lpt_assignment
+    from repro.runtime import SolutionCache
+
+    calls = []
+
+    def counting_lpt(problem):
+        calls.append(problem)
+        return lpt_assignment(problem)
+
+    monkeypatch.setattr(designer, "lpt_assignment", counting_lpt)
+    problem = DesignProblem(soc=s1, arch=arch3, timing="serial")
+    cache = SolutionCache()
+    miss = design(problem, cache=cache)
+    hit = design(problem, cache=cache)
+    assert (miss.stats.cache_hit, hit.stats.cache_hit) == (False, True)
+    assert hit.assignment.bus_of == miss.assignment.bus_of
+    assert len(calls) == 1
+    # An explicit incumbent= still keys by its values: a new solve.
+    seeded = design(problem, cache=cache, incumbent=lpt_assignment(problem).assignment)
+    assert not seeded.stats.cache_hit
+    assert len(calls) == 1

@@ -52,6 +52,15 @@ class TestProblemResolution:
         )
         assert problem.contradictions() == [(0, 2)]
 
+    def test_forced_groups_are_the_components(self, s1, arch3):
+        problem = DesignProblem(
+            soc=s1, arch=arch3, extra_forced=[(4, 1), (1, 2), (3, 5)]
+        )
+        assert problem.forced_groups == ((0,), (1, 2, 4), (3, 5))
+        assert DesignProblem(soc=s1, arch=arch3).forced_groups == tuple(
+            (i,) for i in range(len(s1))
+        )
+
     def test_timing_accepts_name_or_instance(self, s1, arch3, serial_timing):
         by_name = DesignProblem(soc=s1, arch=arch3, timing="serial")
         by_instance = DesignProblem(soc=s1, arch=arch3, timing=serial_timing)
@@ -135,6 +144,49 @@ class TestFormulation:
         formulation = build_assignment_ilp(problem)
         # + 3 forbidden rows + 3 forced rows
         assert formulation.model.num_constraints == 9 + 3 + 3
+
+    @pytest.mark.parametrize("widths", [(16, 8, 4), (32, 16, 8), (32, 16, 4)])
+    def test_power_groups_need_no_zero_rows(self, s1, widths):
+        # At P_max = 100 mW every S1 core is in one forced group, and under
+        # fixed timing the 16-wide cores fit only the widest bus: the whole
+        # group gets variables on the buses they can all use, and no
+        # single-variable `x == 0` row pins the rest. The optimum is the
+        # one the zero rows gave.
+        problem = DesignProblem(
+            soc=s1, arch=TamArchitecture(list(widths)), timing="fixed", power_budget=100.0
+        )
+        assert problem.forced_groups == (tuple(range(len(s1))),)
+        formulation = build_assignment_ilp(problem)
+        usable = {j for (_, j) in formulation.x}
+        assert set(formulation.x) == {(i, j) for i in range(len(s1)) for j in usable}
+        form = formulation.model.to_matrix_form()
+        single = np.count_nonzero(form.a_eq, axis=1) == 1
+        assert not np.any(single & (form.b_eq == 0.0))
+        if len(usable) > 1:
+            assert not np.any(single)
+        from repro.core import design
+
+        result = design(problem, cache=False)
+        assert result.makespan == pytest.approx(15811.0)
+        assert result.makespan == pytest.approx(
+            design(problem, backend="scipy", cache=False).makespan
+        )
+
+    def test_power_group_shares_only_common_buses(self, s1):
+        # Under fixed timing c2670 (width 16) fits only the 16-wide bus, so
+        # c880 (width 4), forced onto its bus, gets no variable on the other.
+        arch = TamArchitecture([16, 4])
+        problem = DesignProblem(soc=s1, arch=arch, timing="fixed", extra_forced=[(0, 1)])
+        formulation = build_assignment_ilp(problem)
+        assert (0, 0) in formulation.x and (0, 1) not in formulation.x
+        assert (5, 0) in formulation.x and (5, 1) in formulation.x
+        # With no bus c2670 fits, its partner has none left either.
+        narrow = DesignProblem(
+            soc=s1, arch=TamArchitecture([8, 4]), timing="fixed", extra_forced=[(0, 1)]
+        )
+        with pytest.raises(InfeasibleError) as exc:
+            build_assignment_ilp(narrow)
+        assert exc.value.reason == "width-infeasible power group"
 
     def test_decode_roundtrip(self, s1, arch3):
         problem = DesignProblem(soc=s1, arch=arch3, timing="serial")

@@ -66,9 +66,9 @@ class TestValidation:
             ({"kind": "bus_count", "total_width": 16, "max_buses": 3.0}, ValidationError),
             ({"kind": "design", "widths": [16, 8], "jobs": 1.5}, ValidationError),
             ({"policy": {"node_budget": 2.5}}, ValidationError),
-            ({"policy": {"solver": {"cut_rounds": 2.5}}}, ValidationError),
-            ({"policy": {"solver": {"cut_rounds": True}}}, ValidationError),
-            ({"policy": {"solver": {"presolve_rounds": 1.5}}}, ValidationError),
+            ({"policy": {"node_budget": True}}, ValidationError),
+            ({"kind": "sweep", "total_width": True, "num_buses": 2}, ValidationError),
+            ({"kind": "bus_count", "total_width": 16.0, "max_buses": 3}, ValidationError),
         ],
     )
     def test_non_integer_settings_rejected_when_built(self, payload, error):
@@ -87,10 +87,12 @@ class TestValidation:
             ({"fallback": ["tabu"]}, "unknown fallback rung"),
             ({"fallback": "lpt"}, "fallback must be a list of strings"),
             ({"checkpoint_dir": 7}, "checkpoint_dir must be a string"),
-            ({"solver": 3}, "solver must be a SolverOptions"),
-            ({"solver": {"cut_rounds": -1}}, "cut_rounds cannot be negative"),
-            ({"solver": {"presolve_rounds": -1}}, "presolve_rounds cannot be negative"),
-            ({"solver": {"portfolio": {}}}, "unknown SolverOptions field.*portfolio"),
+            # The solver block is retired: a payload naming it, or one of
+            # its old knobs, has an unknown key.
+            ({"solver": 3}, "unknown SolvePolicy field.*solver"),
+            ({"solver": {"cut_rounds": 1}}, "unknown SolvePolicy field.*solver"),
+            ({"cut_rounds": 1}, "unknown SolvePolicy field.*cut_rounds"),
+            ({"presolve_rounds": 1}, "unknown SolvePolicy field.*presolve_rounds"),
             ({"retries": 2}, "unknown SolvePolicy field.*retries"),
         ],
     )
@@ -205,103 +207,18 @@ class TestCliConstructsRequests:
         assert request.policy is not None
         assert request.policy.node_budget == 7
 
-    def test_cut_flags_reach_the_policy_solver_block(self):
-        from repro.ilp.branch_and_bound import CUT_ROUNDS
-
-        args = build_parser().parse_args(["design", "S1", "--widths", "16,16", "--cuts"])
-        request = _request_from_args("design", args)
-        assert request.policy.solver.cut_rounds == CUT_ROUNDS
-
-        args = build_parser().parse_args(
-            ["design", "S1", "--widths", "16,16", "--no-cuts"]
-        )
-        request = _request_from_args("design", args)
-        assert request.policy.solver.cut_rounds == 0
-
-        args = build_parser().parse_args(
-            ["design", "S1", "--widths", "16,16", "--cut-rounds", "5"]
-        )
-        request = _request_from_args("design", args)
-        assert request.policy.solver.cut_rounds == 5
-        assert request.policy.solver.presolve_rounds is None
-
-    def test_presolve_and_warm_flags_reach_the_policy_solver_block(self):
-        from repro.ilp.branch_and_bound import PRESOLVE_ROUNDS
-
-        args = build_parser().parse_args(
-            ["design", "S1", "--widths", "16,16", "--no-root-presolve"]
-        )
-        request = _request_from_args("design", args)
-        assert request.policy.solver.presolve_rounds == 0
-
-        args = build_parser().parse_args(
-            ["design", "S1", "--widths", "16,16", "--root-presolve"]
-        )
-        request = _request_from_args("design", args)
-        assert request.policy.solver.presolve_rounds == PRESOLVE_ROUNDS
-        assert request.policy.solver.cut_rounds is None
-        # The retry loop is gone, and its flag with it.
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["design", "S1", "--widths", "16,16", "--retries", "2"])
-        # Node LPs always start warm: there is no flag to turn that off.
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["design", "S1", "--widths", "16,16", "--no-warm-lps"])
-
-    def test_presolve_and_warm_flags_are_fingerprint_stable_on_the_wire(self):
-        args = build_parser().parse_args(
-            ["design", "S1", "--widths", "16,16", "--no-root-presolve"]
-        )
-        request = _request_from_args("design", args)
-        rebuilt = SolveRequest.from_payload(request.as_payload())
-        assert rebuilt == request
-        assert rebuilt.fingerprint() == request.fingerprint()
-        plain = _request_from_args(
-            "design",
-            build_parser().parse_args(["design", "S1", "--widths", "16,16"]),
-        )
-        assert rebuilt.fingerprint() != plain.fingerprint()
-
-    def test_presolve_and_warm_flags_rejected_for_non_bnb_backend(self):
-        from repro.util.errors import ValidationError
-
-        args = build_parser().parse_args(
-            ["design", "S1", "--widths", "16,16", "--backend", "scipy",
-             "--no-root-presolve"]
-        )
-        with pytest.raises(ValidationError, match="bnb"):
-            _request_from_args("design", args)
-
-    def test_contradictory_cut_flags_rejected(self):
-        from repro.util.errors import ValidationError
-
-        args = build_parser().parse_args(
-            ["design", "S1", "--widths", "16,16", "--no-cuts", "--cut-rounds", "3"]
-        )
-        with pytest.raises(ValidationError, match="contradict"):
-            _request_from_args("design", args)
-
-    def test_cut_flags_rejected_for_non_bnb_backend(self):
-        from repro.util.errors import ValidationError
-
-        args = build_parser().parse_args(
-            ["design", "S1", "--widths", "16,16", "--backend", "scipy", "--cuts"]
-        )
-        with pytest.raises(ValidationError, match="bnb"):
-            _request_from_args("design", args)
-
-    def test_cut_flags_are_fingerprint_stable_on_the_wire(self):
-        args = build_parser().parse_args(
-            ["design", "S1", "--widths", "16,16", "--cut-rounds", "2"]
-        )
-        request = _request_from_args("design", args)
-        rebuilt = SolveRequest.from_payload(request.as_payload())
-        assert rebuilt == request
-        assert rebuilt.fingerprint() == request.fingerprint()
-        plain = _request_from_args(
-            "design",
-            build_parser().parse_args(["design", "S1", "--widths", "16,16"]),
-        )
-        assert plain.fingerprint() != request.fingerprint()
+    @pytest.mark.parametrize(
+        "flag",
+        ["--cuts", "--no-cuts", "--cut-rounds=2", "--root-presolve", "--no-root-presolve",
+         "--retries=2", "--no-warm-lps"],
+    )
+    def test_retired_solver_flags_are_usage_errors(self, flag, capsys):
+        # The solver block and its flags are gone, like the retry loop and
+        # the cold-LP switch before them.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["design", "S1", "--widths", "16,16", flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_sweep_args_fingerprint_identically_across_flag_order(self):
         a = build_parser().parse_args(

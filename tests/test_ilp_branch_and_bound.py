@@ -54,8 +54,7 @@ class TestExactness:
         m.maximize(x)
         sol = m.solve()
         assert sol.objective == pytest.approx(4.0)
-        # Root presolve dual-fixes the single column, so no node is ever
-        # expanded; without it the root relaxation is integral in one node.
+        # The root relaxation is integral, so the root is the only node.
         assert sol.stats.nodes <= 1
 
     def test_continuous_only_model(self):
@@ -65,15 +64,13 @@ class TestExactness:
         sol = m.solve()
         assert sol.objective == pytest.approx(2.5)
 
-    def test_empty_model_without_root_presolve(self):
-        # Root presolve answers a model without columns before any LP; with
-        # it disabled the warm engine solves the root LP on zero columns,
-        # and its residual check then sees empty arrays.
+    def test_empty_model_is_answered_by_root_presolve(self):
+        # A model without columns is settled before any LP is solved.
         model = Model("empty")
-        sol = BranchAndBoundSolver(model, presolve_rounds=0).solve()
+        sol = BranchAndBoundSolver(model).solve()
         assert sol.status is Status.OPTIMAL
         assert sol.objective == pytest.approx(0.0)
-        assert sol.stats.warm_lp_solves == 1
+        assert sol.stats.lp_solves == 0
 
     def test_unknown_branching_rejected(self):
         # Pseudocost branching is the only rule: a branching kwarg is an

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import SolvePolicy, SolverOptions, design
+from repro.api import design
 from repro.core import DesignProblem
 from repro.ilp import INTEGER, Model, quicksum
 from repro.ilp.conflict import ConflictGraph
@@ -178,8 +178,8 @@ class TestCutsNeverCutFeasiblePoints:
 
 
 def _design_makespan(problem, cut_rounds=None, backend="bnb"):
-    policy = SolvePolicy(solver=SolverOptions(cut_rounds=cut_rounds))
-    return design(problem, backend=backend, policy=policy).makespan
+    options = {} if cut_rounds is None else {"cut_rounds": cut_rounds}
+    return design(problem, backend=backend, **options).makespan
 
 
 class TestDesignExactnessWithCuts:
@@ -228,8 +228,8 @@ class TestDesignExactnessWithCuts:
 
     def test_unconstrained_design_unaffected(self, s1, arch3):
         problem = DesignProblem(soc=s1, arch=arch3, timing="serial")
-        on = design(problem, policy=SolvePolicy(solver=SolverOptions(cut_rounds=3)))
-        off = design(problem, policy=SolvePolicy(solver=SolverOptions(cut_rounds=0)))
+        on = design(problem, cut_rounds=3)
+        off = design(problem, cut_rounds=0)
         assert on.makespan == pytest.approx(off.makespan)
         # no conflict structure: nothing to separate
         assert on.stats.cuts == 0

@@ -121,7 +121,6 @@ class TestModelsWithoutColumns:
             m.solve_relaxation(),
             m.solve(backend="scipy", cache=False),
             m.solve(cache=False),
-            m.solve(cache=False, presolve_rounds=0),
         ]
         for sol in solutions:
             assert sol.status is status, sol

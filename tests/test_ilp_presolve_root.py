@@ -1,8 +1,8 @@
 """Tests for the root presolve engine and its postsolve mapping.
 
-The load-bearing property is *exactness in the original space*: every
-reduction must preserve the set of optimal solutions of the integer
-program, and ``Postsolve.restore`` must map any reduced-space point to an
+The load-bearing property is *exactness in the original space*: the one
+root step (propagate, remove fixed columns, drop rows that cannot bind)
+must keep every integer-feasible point of the program, and ``Postsolve.restore`` must map any reduced-space point to an
 original-space point with the same objective. The randomized classes pin
 ``presolve_root`` against brute-force enumeration on small pure-integer
 programs and against the scipy/HiGHS oracle on layout- and
@@ -17,9 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ilp import INTEGER, Model, Status, quicksum
-from repro.ilp.branch_and_bound import PRESOLVE_ROUNDS
-from repro.ilp.presolve_root import Postsolve, _Reducer, presolve_root
-from repro.obs import SolvePolicy, SolverOptions
+from repro.ilp.presolve_root import Postsolve, presolve_root
 
 _TOL = 1e-6
 
@@ -79,17 +77,33 @@ class TestPostsolveUnits:
 
 
 class TestReductionsOnHandBuiltModels:
-    def test_dual_fixing_removes_free_profit_column(self):
-        # Maximizing a column with no constraints fixes it at its ub.
+    def test_fixed_columns_are_removed(self):
+        # x + y == 2 over binaries fixes both columns; the row goes with them.
         m = Model()
-        x = m.add_var("x", ub=4, vartype=INTEGER)
-        m.maximize(x)
-        result = presolve_root(m.to_matrix_form(), PRESOLVE_ROUNDS)
+        x, y = m.add_binary("x"), m.add_binary("y")
+        m.add_constr(x + y == 2)
+        m.minimize(x - y)
+        result = presolve_root(m.to_matrix_form())
         assert result.status == "reduced"
         assert result.form.num_vars == 0
-        assert result.stats["cols_removed"] == 1
-        restored = result.postsolve.restore(np.zeros(0))
-        np.testing.assert_allclose(restored, [4.0])
+        assert result.stats["cols_removed"] == 2
+        assert result.stats["rows_removed"] == 1
+        assert result.form.c0 == pytest.approx(0.0)
+        np.testing.assert_allclose(result.postsolve.restore(np.zeros(0)), [1.0, 1.0])
+
+    def test_rows_that_cannot_bind_are_dropped(self):
+        # a + b <= 5 holds at every point of the box; a + 2b <= 2 binds.
+        m = Model()
+        a, b = m.add_binary("a"), m.add_binary("b")
+        m.add_constr(a + b <= 5)
+        m.add_constr(a + 2 * b <= 2)
+        m.maximize(a + b)
+        result = presolve_root(m.to_matrix_form())
+        assert result.status == "reduced"
+        assert result.form.num_vars == 2
+        assert result.form.a_ub.shape[0] == 1
+        assert result.stats["rows_removed"] == 1
+        assert result.postsolve.identity
 
     def test_bound_tightening_to_fixed_point_keeps_infeasibility(self):
         # 3x + 3y == 4 over integer [0,2]^2: propagation forces x = y = 1
@@ -100,7 +114,7 @@ class TestReductionsOnHandBuiltModels:
         x = m.add_var("x", ub=2, vartype=INTEGER)
         y = m.add_var("y", ub=2, vartype=INTEGER)
         m.add_constr(3 * x + 3 * y == 4)
-        result = presolve_root(m.to_matrix_form(), PRESOLVE_ROUNDS)
+        result = presolve_root(m.to_matrix_form())
         assert result.status == "infeasible"
 
     def test_infeasible_row_detected(self):
@@ -108,38 +122,25 @@ class TestReductionsOnHandBuiltModels:
         a, b = m.add_binary("a"), m.add_binary("b")
         m.add_constr(a + b >= 3)
         m.minimize(a + b)
-        result = presolve_root(m.to_matrix_form(), PRESOLVE_ROUNDS)
+        result = presolve_root(m.to_matrix_form())
         assert result.status == "infeasible"
 
-    def test_disabled_policy_is_identity(self):
+    def test_untouched_model_is_an_identity_reduction(self):
+        # A column in no row keeps its bounds: nothing to remove.
         m = Model()
         x = m.add_var("x", ub=4, vartype=INTEGER)
         m.maximize(x)
-        form = m.to_matrix_form()
-        result = presolve_root(form, 0)
-        assert result.form is form
+        result = presolve_root(m.to_matrix_form())
+        assert result.status == "reduced"
         assert result.postsolve.identity
-        assert result.stats["rounds"] == 0
-
-    def test_coefficient_tightening_keeps_integer_optimum(self):
-        # 3a + 3b <= 5 tightens to a + b <= 1 over binaries; optima agree.
-        m = Model()
-        a, b = m.add_binary("a"), m.add_binary("b")
-        m.add_constr(3 * a + 3 * b <= 5)
-        m.maximize(2 * a + b)
-        form = m.to_matrix_form()
-        result = presolve_root(form, PRESOLVE_ROUNDS)
-        assert result.stats["coeffs_tightened"] >= 1
-        best, _ = _brute_force(form)
-        best_reduced, x_reduced = _brute_force(result.form)
-        assert best_reduced == pytest.approx(best)
-        restored = result.postsolve.restore(x_reduced)
-        assert _feasible(form, restored)
+        assert result.form.num_vars == 1
+        assert result.stats == {"bounds_tightened": 0, "cols_removed": 0, "rows_removed": 0}
 
 
 @st.composite
 def random_integer_program(draw):
-    """Small bounded pure-integer programs exercising every reduction."""
+    """Small bounded pure-integer programs: fixed columns, loose and
+    infeasible rows all occur."""
     n = draw(st.integers(2, 5))
     coef = st.integers(-4, 6)
     c = [draw(st.integers(-5, 5)) for _ in range(n)]
@@ -170,7 +171,7 @@ class TestExactnessAgainstBruteForce:
     @settings(max_examples=60, deadline=None)
     def test_presolve_preserves_optimum_and_postsolve_restores(self, instance):
         form = _build(instance).to_matrix_form()
-        result = presolve_root(form, PRESOLVE_ROUNDS)
+        result = presolve_root(form)
         best, _ = _brute_force(form)
         if result.status == "infeasible":
             assert best is None, "presolve declared a feasible model infeasible"
@@ -185,40 +186,36 @@ class TestExactnessAgainstBruteForce:
         assert _feasible(form, restored)
         assert float(form.c @ restored) + form.c0 == pytest.approx(best, abs=1e-6)
 
-    @given(random_integer_program(), st.sampled_from(_Reducer.REDUCTIONS))
+    @given(random_integer_program())
     @settings(max_examples=30, deadline=None)
-    def test_single_reduction_policies_are_each_exact(self, instance, reduction):
+    def test_every_integer_feasible_point_survives(self, instance):
+        # Stronger than keeping the optimum: no feasible point is lost, and
+        # none is gained, so every objective sees the same set.
         form = _build(instance).to_matrix_form()
-        reducer = _Reducer(form)
-        getattr(reducer, reduction)()
-        best, _ = _brute_force(form)
-        if reducer.infeasible:
-            assert best is None
+        result = presolve_root(form)
+        feasible = [x for x in _enumerate_integer_points(form) if _feasible(form, x)]
+        if result.status == "infeasible":
+            assert not feasible
             return
-        postsolve = Postsolve(form.num_vars, kept=reducer.orig, records=reducer.records)
-        best_reduced, x_reduced = _brute_force(reducer.snapshot())
-        if best is None:
-            assert best_reduced is None
-            return
-        assert best_reduced == pytest.approx(best, abs=1e-6)
-        assert _feasible(form, postsolve.restore(x_reduced))
+        kept = result.postsolve.kept
+        reduced = {
+            tuple(x) for x in _enumerate_integer_points(result.form) if _feasible(result.form, x)
+        }
+        assert reduced == {tuple(x[kept]) for x in feasible}
+        for x in feasible:
+            np.testing.assert_allclose(result.postsolve.restore(x[kept]), x)
 
 
 class TestEndToEndOnDesigns:
-    """Presolved solves agree with no-presolve solves and the scipy oracle
-    on layout- and power-constrained TAM designs (the paper's instances)."""
+    """Presolved solves agree with the scipy oracle on layout- and
+    power-constrained TAM designs (the paper's instances)."""
 
     def _makespans(self, problem):
         from repro.core import design
 
         presolved = design(problem, cache=False)
-        plain = design(
-            problem,
-            policy=SolvePolicy(solver=SolverOptions(presolve_rounds=0)),
-            cache=False,
-        )
         oracle = design(problem, backend="scipy", cache=False)
-        return presolved, plain, oracle
+        return presolved, oracle
 
     def test_power_constrained_design(self, s1, arch3):
         from repro.core import DesignProblem
@@ -226,8 +223,7 @@ class TestEndToEndOnDesigns:
         problem = DesignProblem(
             soc=s1, arch=arch3, timing="serial", power_budget=3500.0
         )
-        presolved, plain, oracle = self._makespans(problem)
-        assert presolved.makespan == pytest.approx(plain.makespan)
+        presolved, oracle = self._makespans(problem)
         assert presolved.makespan == pytest.approx(oracle.makespan)
         assert not problem.validate(presolved.assignment)
 
@@ -241,19 +237,20 @@ class TestEndToEndOnDesigns:
             floorplan=s1_floorplan,
             max_pair_distance=28.0,
         )
-        presolved, plain, oracle = self._makespans(problem)
-        assert presolved.makespan == pytest.approx(plain.makespan)
+        presolved, oracle = self._makespans(problem)
         assert presolved.makespan == pytest.approx(oracle.makespan)
         assert not problem.validate(presolved.assignment)
 
     def test_stats_surface_the_reduction_counters(self):
         m = Model()
-        x = m.add_var("x", ub=4, vartype=INTEGER)  # in no row: dual-fixed at ub
+        x = m.add_var("x", ub=4, vartype=INTEGER)
         y = m.add_var("y", ub=4, vartype=INTEGER)
-        m.add_constr(y <= 3)
-        m.maximize(x + 2 * y)
+        z = m.add_var("z", ub=4, vartype=INTEGER)
+        m.add_constr(y <= 3)  # tightens y's bound, then cannot bind
+        m.add_constr(z >= 4)  # fixes z at its bound
+        m.maximize(x + 2 * y + z)
         sol = m.solve(cache=False)
         assert sol.status is Status.OPTIMAL
-        assert sol.objective == pytest.approx(10.0)
-        assert sol.stats.root_presolve_rounds >= 1
-        assert sol.stats.root_cols_removed >= 1
+        assert sol.objective == pytest.approx(14.0)
+        assert sol.stats.root_cols_removed == 1
+        assert sol.stats.root_rows_removed == 2

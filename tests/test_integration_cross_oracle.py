@@ -20,7 +20,7 @@ from repro.core import (
     schedule_with_power_cap,
 )
 from repro.ilp import Status
-from repro.ilp.branch_and_bound import CUT_ROUNDS, PRESOLVE_ROUNDS
+from repro.ilp.branch_and_bound import CUT_ROUNDS
 from repro.ilp.lpformat import parse_lp, write_lp
 from repro.layout import grid_place
 from repro.soc import generate_synthetic_soc
@@ -124,12 +124,9 @@ class TestFiveWayAgreement:
             assert constrained.makespan >= base_makespan - 1e-9
 
 
-#: Every on/off combination of the branch-and-bound layers that have a switch.
-SWITCHES = [
-    {"cut_rounds": cut_rounds, "presolve_rounds": presolve_rounds}
-    for cut_rounds in (CUT_ROUNDS, 0)
-    for presolve_rounds in (PRESOLVE_ROUNDS, 0)
-]
+#: Both settings of the one branch-and-bound layer that has a switch, root
+#: clique cuts; root presolve always runs.
+SWITCHES = [{"cut_rounds": cut_rounds} for cut_rounds in (CUT_ROUNDS, 0)]
 
 #: Bus splits, most with identical buses (interchangeable in the ILP).
 SPLITS = ([16, 16], [8, 8], [32, 16], [8, 8, 16], [16, 16, 16], [8, 16, 8])

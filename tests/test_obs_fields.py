@@ -2,7 +2,7 @@
 
 :class:`~repro.obs.policy.DerivedFields` derives ``cache_token``,
 ``as_dict``/``from_dict`` and ``with_overrides`` from the dataclass fields
-of the two policy classes and :class:`~repro.core.request.SolveRequest`.
+of :class:`~repro.obs.SolvePolicy` and :class:`~repro.core.request.SolveRequest`.
 These properties pin what that derivation must keep true for every class:
 
 - the JSON round trip is exact (``as_payload``/``from_payload`` for the
@@ -27,20 +27,18 @@ from hypothesis import strategies as st
 
 from repro.core import SolveRequest
 from repro.core.request import _REQUIRED as REQUIRED_BY_KIND
-from repro.obs import FALLBACK_RUNGS, SolvePolicy, SolverOptions
+from repro.obs import FALLBACK_RUNGS, SolvePolicy
 from repro.obs.policy import DerivedFields
 from repro.util.errors import ValidationError
 
 #: The fields each class keeps out of its cache token.
 OPTED_OUT = {
-    SolverOptions: set(),
     SolvePolicy: {"fallback", "checkpoint_dir"},
     SolveRequest: {"jobs"},
 }
 
 #: The fields each class holds integers in (``widths``: a tuple of them).
 INT_FIELDS = {
-    SolverOptions: {"cut_rounds", "presolve_rounds"},
     SolvePolicy: {"node_budget"},
     SolveRequest: {"widths", "total_width", "num_buses", "max_buses", "jobs"},
 }
@@ -73,17 +71,12 @@ def instances(cls, field_strategies):
 
 
 FIELDS: dict[type, dict] = {}
-FIELDS[SolverOptions] = {
-    "cut_rounds": optional(st.integers(0, 8)),
-    "presolve_rounds": optional(st.integers(0, 8)),
-}
 FIELDS[SolvePolicy] = {
     "deadline": optional(real),
     "node_budget": optional(positive),
     "gap_tol": optional(st.floats(min_value=0.0, max_value=10.0)),
     "fallback": st.lists(st.sampled_from(FALLBACK_RUNGS), max_size=3).map(tuple),
     "checkpoint_dir": optional(st.text(alphabet="abc/_", min_size=1, max_size=8)),
-    "solver": optional(instances(SolverOptions, FIELDS[SolverOptions])),
 }
 FIELDS[SolveRequest] = {
     "kind": st.sampled_from(["design", "sweep", "min_width", "bus_count"]),

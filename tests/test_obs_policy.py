@@ -24,11 +24,11 @@ from repro.obs import (
     CheckpointStore,
     FallbackReport,
     SolvePolicy,
-    SolverOptions,
     trace_solve,
     use_metrics,
 )
 from repro.runtime import RunTelemetry, SolutionCache
+from repro.runtime.cache import solve_fingerprint
 from repro.tam import TamArchitecture
 from repro.util.errors import SolverError, ValidationError
 
@@ -117,21 +117,11 @@ class TestPolicyObject:
 
 
 class TestCutPolicyObject:
-    """``SolverOptions.cut_rounds``: the root clique-cut rounds."""
-
-    def test_validation_rejects_bad_fields(self):
-        with pytest.raises(ValidationError, match="cut_rounds cannot be negative"):
-            SolverOptions(cut_rounds=-1)
-        for bad in (2.5, True, "3"):
-            with pytest.raises(ValidationError, match="cut_rounds must be an integer"):
-                SolverOptions(cut_rounds=bad)
+    """``cut_rounds``: the root clique-cut rounds, a bnb solver kwarg."""
 
     def test_enabled_flag(self):
-        # Unset leaves the solver default on; 0 is forwarded and turns
-        # separation off.
+        # Unset leaves the solver default on; 0 turns separation off.
         assert branch_and_bound.CUT_ROUNDS > 0
-        assert SolverOptions().backend_options("bnb") == {}
-        assert SolverOptions(cut_rounds=0).backend_options("bnb") == {"cut_rounds": 0}
         off = clique_model().solve(cut_rounds=0, cache=False)
         on = clique_model().solve(cache=False)
         assert off.stats.cut_rounds == 0 and on.stats.cut_rounds >= 1
@@ -140,124 +130,50 @@ class TestCutPolicyObject:
     def test_root_cuts_is_not_a_cut_field(self):
         # The retired root_cuts=N spelling and the retired nested cuts
         # block have no policy mapping: each is an unknown field.
-        with pytest.raises(ValidationError, match="root_cuts"):
-            SolverOptions.from_dict({"root_cuts": 2})
-        with pytest.raises(ValidationError, match="unknown SolverOptions field.*cuts"):
-            SolverOptions.from_dict({"cuts": {"rounds": 2}})
+        with pytest.raises(ValidationError, match="unknown SolvePolicy field.*root_cuts"):
+            SolvePolicy.from_dict({"root_cuts": 2})
+        with pytest.raises(ValidationError, match="unknown SolvePolicy field.*cuts"):
+            SolvePolicy.from_dict({"cuts": {"rounds": 2}})
         with pytest.raises(TypeError, match="cut_policy"):
             clique_model().solve(cut_policy=None, cache=False)
 
-    def test_dict_round_trip_and_unknown_keys(self):
-        block = SolverOptions(cut_rounds=5)
-        assert block.as_dict()["cut_rounds"] == 5
-        assert SolverOptions.from_dict(block.as_dict()) == block
-        with pytest.raises(ValidationError, match="gomory"):
-            SolverOptions.from_dict({"gomory": True})
-
     def test_cache_token_distinguishes_every_field(self):
-        tokens = {
-            SolverOptions(cut_rounds=rounds).cache_token() for rounds in (None, 0, 3, 9)
+        # cut_rounds changes what a solve returns, so as an ad-hoc solver
+        # option it is hashed into the solve key like any other.
+        form = clique_model().to_matrix_form()
+        keys = {
+            solve_fingerprint(form, backend="bnb", options=options)
+            for options in ({}, {"cut_rounds": 0}, {"cut_rounds": 3}, {"cut_rounds": 9})
         }
-        assert len(tokens) == 4
+        assert len(keys) == 4
 
 
 class TestPresolvePolicyObject:
-    """``SolverOptions.presolve_rounds``: the root model presolve passes."""
+    """Root presolve has no setting: it runs once on every bnb solve."""
 
     def test_validation_rejects_bad_rounds(self):
-        with pytest.raises(ValidationError, match="presolve_rounds cannot be negative"):
-            SolverOptions(presolve_rounds=-1)
-        for bad in (1.5, False):
-            with pytest.raises(ValidationError, match="presolve_rounds must be an integer"):
-                SolverOptions(presolve_rounds=bad)
+        # The retired presolve_rounds knob is no solver kwarg any more.
+        with pytest.raises(TypeError, match="presolve_rounds"):
+            knapsack_model().solve(presolve_rounds=0, cache=False)
 
     def test_enabled_flag(self):
-        assert branch_and_bound.PRESOLVE_ROUNDS > 0
-        assert SolverOptions(presolve_rounds=0).backend_options("bnb") == {
-            "presolve_rounds": 0
-        }
-        off = knapsack_model().solve(presolve_rounds=0, cache=False)
-        on = knapsack_model().solve(cache=False)
-        assert off.stats.root_presolve_rounds == 0
-        assert on.stats.root_presolve_rounds >= 1
-        assert off.objective == pytest.approx(on.objective)
+        with trace_solve() as trace:
+            solution = knapsack_model().solve(cache=False)
+        assert solution.status is Status.OPTIMAL
+        assert sum(1 for s in trace.spans if s.name == "ilp.presolve_root.reduce") == 1
 
     def test_dict_round_trip_and_unknown_keys(self):
-        block = SolverOptions(presolve_rounds=2)
-        assert SolverOptions.from_dict(block.as_dict()) == block
-        with pytest.raises(ValidationError, match="probing"):
-            SolverOptions.from_dict({"probing": True})
-        with pytest.raises(ValidationError, match="root_presolve"):
-            SolverOptions.from_dict({"root_presolve": {"rounds": 2}})
-
-    def test_cache_token_distinguishes_every_field(self):
-        tokens = {
-            SolverOptions(presolve_rounds=rounds).cache_token()
-            for rounds in (None, 0, 4, 9)
-        }
-        assert len(tokens) == 4
-
-    def test_policy_is_picklable(self):
-        import pickle
-
-        policy = SolvePolicy(solver=SolverOptions(presolve_rounds=1))
-        assert pickle.loads(pickle.dumps(policy)) == policy
+        for key in ("presolve_rounds", "root_presolve", "probing"):
+            with pytest.raises(ValidationError, match=f"unknown SolvePolicy field.*{key}"):
+                SolvePolicy.from_dict({key: 2})
 
 
 class TestSolverOptionsBlock:
+    """The retired ``solver`` block: no class, no field, no shim."""
+
     def test_validation(self):
-        with pytest.raises(TypeError):
-            SolverOptions(checkpoint_interval=1.0)
-        with pytest.raises(ValidationError, match="solver must be a SolverOptions"):
+        with pytest.raises(TypeError, match="solver"):
             SolvePolicy(solver={"cut_rounds": 1})
-
-    def test_presolve_and_warm_start_forwarding(self):
-        block = SolverOptions(presolve_rounds=0)
-        options = block.backend_options("bnb")
-        assert options == {"presolve_rounds": 0}
-        assert block.backend_options("scipy") == {}
-        # Node LPs always start warm: the block has no LP-basis switch, and
-        # never sets the solver's own `warm_start` (an incumbent hint).
-        with pytest.raises(ValidationError, match="warm_start"):
-            SolverOptions.from_dict({"warm_start": False})
-
-    def test_presolve_and_warm_start_shape_cache_token(self):
-        bare = SolverOptions()
-        presolve_off = SolverOptions(presolve_rounds=0)
-        one_round = SolverOptions(presolve_rounds=1)
-        tokens = {b.cache_token() for b in (bare, presolve_off, one_round)}
-        assert len(tokens) == 3
-
-    def test_nested_presolve_dict_round_trip(self):
-        block = SolverOptions(presolve_rounds=2)
-        assert SolverOptions.from_dict(block.as_dict()) == block
-
-    def test_backend_options_forwarding(self):
-        block = SolverOptions(cut_rounds=2, presolve_rounds=1)
-        options = block.backend_options("bnb")
-        assert options == {"cut_rounds": 2, "presolve_rounds": 1}
-        # non-bnb backends understand none of these knobs
-        assert block.backend_options("scipy") == {}
-
-    def test_policy_carries_solver_block_to_backend(self):
-        policy = SolvePolicy(node_budget=7, solver=SolverOptions(cut_rounds=3))
-        options = policy.backend_options("bnb")
-        assert options["node_limit"] == 7
-        assert options["cut_rounds"] == 3
-        assert policy.backend_options("scipy") == {}
-
-    def test_cache_token_covers_the_block(self):
-        bare = SolvePolicy(node_budget=5)
-        cuts_on = SolvePolicy(node_budget=5, solver=SolverOptions(cut_rounds=3))
-        cuts_off = SolvePolicy(node_budget=5, solver=SolverOptions(cut_rounds=0))
-        tokens = {p.cache_token() for p in (bare, cuts_on, cuts_off)}
-        assert len(tokens) == 3
-
-    def test_nested_dict_round_trip(self):
-        policy = SolvePolicy(
-            deadline=1.5, solver=SolverOptions(cut_rounds=1, presolve_rounds=2)
-        )
-        assert SolvePolicy.from_dict(policy.as_dict()) == policy
 
     def test_flat_keys_are_unknown_fields(self):
         for key in (
@@ -265,6 +181,7 @@ class TestSolverOptionsBlock:
             "branching",
             "root_cuts",
             "cut_rounds",
+            "presolve_rounds",
             "checkpoint_interval",
             "max_retries",
             "fallback_seed",
@@ -273,17 +190,12 @@ class TestSolverOptionsBlock:
                 SolvePolicy.from_dict({"node_budget": 3, key: 1})
 
     def test_flat_key_beside_nested_block_rejected(self):
+        for payload in ({"solver": {"cut_rounds": 1}}, {"deadline": 1.0, "solver": {}}):
+            with pytest.raises(ValidationError, match="unknown SolvePolicy field.*solver"):
+                SolvePolicy.from_dict(payload)
         payload = {"cut_rounds": 2, "solver": {"cut_rounds": 1}}
-        with pytest.raises(ValidationError, match="unknown SolvePolicy field.*cut_rounds"):
+        with pytest.raises(ValidationError, match="unknown SolvePolicy field"):
             SolvePolicy.from_dict(payload)
-        nested = SolvePolicy.from_dict({"solver": {"cut_rounds": 1}})
-        assert nested.solver == SolverOptions(cut_rounds=1)
-
-    def test_block_is_picklable(self):
-        import pickle
-
-        policy = SolvePolicy(solver=SolverOptions(cut_rounds=1))
-        assert pickle.loads(pickle.dumps(policy)) == policy
 
 
 class TestLegacyKwargRemoval:

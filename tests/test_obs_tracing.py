@@ -71,10 +71,10 @@ class TestPhaseTotals:
         # measured wall time of the traced region.
         assert sum(totals.values()) == pytest.approx(wall, rel=0.05)
         assert {"formulate", "solve", "ilp.branch_and_bound", "decode"} <= set(totals)
-        # The solver's spans carry perfbench's layer names.
+        # The solver's spans carry perfbench's layer names. Root propagation
+        # runs inside root presolve, so it has no span of its own.
         assert {
             "ilp.presolve_root.reduce",
-            "ilp.presolve.propagate",
             "ilp.simplex.root_lp",
             "ilp.conflict.graph",
             "ilp.cuts.separate",

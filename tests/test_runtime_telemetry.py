@@ -70,8 +70,8 @@ class TestRunTelemetry:
             "lp_time",
             "cut_rounds",
             "pseudocost_branches",
-            "root_presolve_rounds",
-            "root_coeffs_tightened",
+            "root_cols_removed",
+            "root_rows_removed",
         ):
             assert payload[name] == getattr(stats, name) != 0, name
 

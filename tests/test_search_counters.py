@@ -24,7 +24,6 @@ from repro.api import (
     MetricsRegistry,
     RunTelemetry,
     SolvePolicy,
-    SolverOptions,
     TamArchitecture,
     design,
     build_s3,
@@ -89,13 +88,12 @@ def _layout_counts(soc, cut_rounds: int) -> dict[str, int]:
     the per-solve metrics.
     """
     floorplan = grid_place(soc)
-    policy = SolvePolicy(solver=SolverOptions(cut_rounds=cut_rounds))
     registry = MetricsRegistry()
     with use_cache(None), use_metrics(registry):
         for width in LAYOUT_WIDTHS:
             design_best_architecture(
                 soc, width, 2, timing="serial", floorplan=floorplan,
-                max_pair_distance=LAYOUT_MAX_PAIR_DISTANCE, policy=policy,
+                max_pair_distance=LAYOUT_MAX_PAIR_DISTANCE, cut_rounds=cut_rounds,
             )
     return registry.counts()
 

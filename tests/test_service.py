@@ -284,11 +284,21 @@ class TestHttpRoundTrip:
         # as a 500 at /result; it must be a 400 before anything is queued.
         client = ServiceClient(service)
         payload = make_request(backend="bnb").as_payload()
-        payload["policy"] = {"solver": {"cut_rounds": 2.5}}
+        payload["policy"] = {"node_budget": 2.5}
         with pytest.raises(ServiceError) as excinfo:
             client.submit(payload)
         assert excinfo.value.status == 400
-        assert "cut_rounds must be an integer" in str(excinfo.value)
+        assert "node_budget must be an integer" in str(excinfo.value)
+
+    def test_retired_solver_block_rejected_at_submit(self, service):
+        # The policy has no solver block any more, and no shim reads one.
+        client = ServiceClient(service)
+        payload = make_request(backend="bnb").as_payload()
+        payload["policy"] = {"solver": {"cut_rounds": 1}}
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(payload)
+        assert excinfo.value.status == 400
+        assert "unknown SolvePolicy field(s): solver" in str(excinfo.value)
 
     def test_unknown_job_is_404(self, service):
         client = ServiceClient(service)
@@ -341,19 +351,13 @@ class TestHttpRoundTrip:
         assert objectives == sorted(objectives)
 
     def test_cut_policy_request_round_trips(self, service):
-        from repro.obs import SolverOptions
-
         client = ServiceClient(service)
-        policy = SolvePolicy(solver=SolverOptions(cut_rounds=2))
-        request = make_request(backend="bnb", policy=policy)
-        # The wire form carries the solver block: a reconstructed request
-        # fingerprints identically, and cuts-off is a different job.
+        request = make_request(backend="bnb", options={"cut_rounds": 2})
+        # cut_rounds rides the request's solver options: a reconstructed
+        # request fingerprints identically, and cuts-off is a different job.
         rebuilt = SolveRequest.from_payload(request.as_payload())
         assert rebuilt.fingerprint() == request.fingerprint()
-        off = make_request(
-            backend="bnb",
-            policy=SolvePolicy(solver=SolverOptions(cut_rounds=0)),
-        )
+        off = make_request(backend="bnb", options={"cut_rounds": 0})
         assert off.fingerprint() != request.fingerprint()
         submitted = client.submit(request)
         result = client.wait(submitted["job"]["id"], timeout=60)
