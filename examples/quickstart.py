@@ -8,7 +8,7 @@ Covers the 90% use case in ~20 lines: build a benchmark SOC, state the bus
 architecture and timing model, solve to proven optimality, and inspect the
 result (per-bus core lists, makespan, solver effort) — then the anytime
 variant: the same solve under a :class:`SolvePolicy` budget, which returns
-the best incumbent (or a heuristic stand-in) instead of failing.
+the best incumbent (or the LPT assignment) instead of failing.
 """
 
 from repro.api import (
@@ -47,13 +47,11 @@ def main() -> None:
     print()
 
     # Anytime mode: cap the solver's effort. On exhaustion you still get a
-    # design — the best incumbent found, or a heuristic fallback — with its
-    # provenance recorded instead of a SolverError.
+    # design — the best incumbent found, or the LPT assignment when there is
+    # none — and its provenance says which.
     capped = design(problem, policy=SolvePolicy(node_budget=5, deadline=10.0))
     print(f"capped solve: {capped.makespan:.0f} cycles "
           f"(status={capped.status.value}, provenance={capped.provenance})")
-    if capped.fallback is not None:
-        print(f"  resilience: {capped.fallback.render()}")
 
 
 if __name__ == "__main__":

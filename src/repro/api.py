@@ -19,9 +19,9 @@ The surface groups into:
   :func:`use_cache`, :func:`run_parallel`, :class:`RunTelemetry`;
 - **observability & resilience** — :func:`trace_solve` (span tracing with
   a text flame summary), :class:`MetricsRegistry` with :func:`get_metrics`
-  / :func:`use_metrics`, and the anytime-solve controls
-  :class:`SolvePolicy` / :class:`FallbackReport` with
-  :func:`register_backend` for pluggable (or fault-injected) solvers;
+  / :func:`use_metrics`, and the anytime-solve control
+  :class:`SolvePolicy` with :func:`register_backend` for pluggable (or
+  fault-injected) solvers;
 - **experiments** — :func:`run_experiment`/:func:`run_all` with
   :class:`ExperimentConfig`;
 - **reporting** — :func:`design_report`, :class:`Table`,
@@ -89,7 +89,6 @@ from repro.ilp.solution import Solution, SolveStats, Status
 from repro.layout import Floorplan, anneal_place, bus_wirelength, grid_place, tam_wirelength
 from repro.obs import (
     CheckpointStore,
-    FallbackReport,
     MetricsRegistry,
     SolvePolicy,
     Span,
@@ -250,7 +249,6 @@ __all__ = [
     "get_metrics",
     "use_metrics",
     "SolvePolicy",
-    "FallbackReport",
     "CheckpointStore",
     "register_backend",
     "unregister_backend",
@@ -290,7 +288,6 @@ _SINCE_PR: dict[str, int] = {
     "get_metrics": 3,
     "use_metrics": 3,
     "SolvePolicy": 3,
-    "FallbackReport": 3,
     "CheckpointStore": 3,
     "register_backend": 3,
     "unregister_backend": 3,

@@ -24,9 +24,9 @@ caches) identically no matter which front-end produced it.
 The solver commands share the runtime flags ``--jobs N`` (parallel sweep
 fan-out), ``--cache [DIR]`` (memoize solved instances, in memory or on
 disk), and ``--no-cache`` — plus the anytime-solve flags ``--deadline`` /
-``--node-budget`` / ``--no-fallback`` that build a
-:class:`~repro.api.SolvePolicy`. ``design --trace [FILE]`` additionally
-records a span trace and prints its flame summary.
+``--node-budget`` that build a :class:`~repro.api.SolvePolicy`.
+``design --trace [FILE]`` additionally records a span trace and prints its
+flame summary.
 
 The SOC argument accepts the builtin names ``S1``/``S2``/``S3``,
 ``SYN<n>[:seed]`` for a synthetic system, or a path to a ``.soc`` file.
@@ -91,23 +91,16 @@ def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
 def _add_policy_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--deadline", type=float, default=None, metavar="SEC",
                         help="wall-clock budget per solve; on exhaustion the best "
-                             "incumbent (or a heuristic fallback) is returned")
+                             "incumbent (or, with none, the LPT assignment) is returned")
     parser.add_argument("--node-budget", type=int, default=None, metavar="N",
                         help="B&B node budget per solve (anytime mode, like --deadline)")
-    parser.add_argument("--no-fallback", action="store_true",
-                        help="fail instead of degrading to heuristics when a "
-                             "budget is exhausted without an incumbent")
 
 
 def _policy_from_args(args) -> SolvePolicy | None:
     """Build the SolvePolicy the flags describe (None = exact, uncapped)."""
-    if args.deadline is None and args.node_budget is None and not args.no_fallback:
+    if args.deadline is None and args.node_budget is None:
         return None
-    return SolvePolicy(
-        deadline=args.deadline,
-        node_budget=args.node_budget,
-        fallback=() if args.no_fallback else SolvePolicy().fallback,
-    )
+    return SolvePolicy(deadline=args.deadline, node_budget=args.node_budget)
 
 
 def _runtime_scope(args):

@@ -19,13 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.baselines import lpt_assignment, simulated_annealing
+from repro.core.baselines import lpt_assignment
 from repro.core.formulation import IlpFormulation, build_assignment_ilp
 from repro.core.problem import DesignProblem
 from repro.ilp.solution import SolveStats, Status
 from repro.layout.floorplan import Floorplan
 from repro.layout.routing import tam_wirelength
-from repro.obs import FallbackReport, SolvePolicy, get_metrics, now, span
+from repro.obs import SolvePolicy, get_metrics, now, span
 from repro.runtime.telemetry import RunTelemetry
 from repro.soc.system import Soc
 from repro.tam.architecture import TamArchitecture
@@ -38,11 +38,10 @@ from repro.util.errors import InfeasibleError, SolverError
 class TamDesign:
     """An optimized test access architecture for one problem instance.
 
-    ``fallback`` records the resilience path that produced this design
-    (:class:`~repro.obs.FallbackReport`): ``None``/``"exact"`` for a proven
-    optimum, ``"incumbent"`` for a budget-truncated best-so-far, and
-    ``"lpt"``/``"sa"`` when the exact search found nothing and a heuristic
-    stood in.
+    ``provenance`` says where the assignment came from: ``"exact"`` when
+    the backend finished its search, ``"incumbent"`` for its best-so-far
+    when a budget ran out, and ``"lpt"`` when it stopped with no incumbent
+    and the LPT greedy assignment stood in.
     """
 
     problem: DesignProblem
@@ -53,7 +52,7 @@ class TamDesign:
     stats: SolveStats
     backend: str
     wirelength: float | None = None
-    fallback: FallbackReport | None = None
+    provenance: str = "exact"
 
     @property
     def arch(self) -> TamArchitecture:
@@ -62,11 +61,6 @@ class TamDesign:
     @property
     def is_proven_optimal(self) -> bool:
         return self.status is Status.OPTIMAL
-
-    @property
-    def provenance(self) -> str:
-        """Where the answer came from: exact / incumbent / lpt / sa."""
-        return self.fallback.source if self.fallback is not None else "exact"
 
     def describe(self) -> str:
         lines = [
@@ -81,8 +75,8 @@ class TamDesign:
             f"nodes={self.stats.nodes}, LPs={self.stats.lp_solves}, "
             f"{self.stats.wall_time * 1000:.0f} ms{cached}"
         )
-        if self.fallback is not None and self.fallback.degraded:
-            lines.append(f"  resilience: {self.fallback.render()}")
+        if self.provenance != "exact":
+            lines.append(f"  provenance: {self.provenance} (not proven optimal)")
         return "\n".join(lines)
 
 
@@ -102,15 +96,16 @@ def design(
     unset, the bnb solver runs its own defaults (:mod:`repro.ilp.
     branch_and_bound`, DESIGN.md §12–§13).
 
-    Without a ``policy`` the solve is exact: :class:`InfeasibleError` when
-    the constraints admit no assignment, :class:`SolverError` if the backend
-    stops without a proof. With a :class:`~repro.obs.SolvePolicy` the path
-    is *anytime*: on budget exhaustion the best incumbent is returned with
-    ``Status.FEASIBLE`` provenance, and when no incumbent exists the
-    policy's degradation ladder (LPT greedy, then simulated annealing by
-    default) stands in — with every step recorded in the design's
-    :class:`~repro.obs.FallbackReport` and the process metrics. A policy
-    with an empty ladder restores the strict behavior under a budget.
+    Without a ``policy`` the solve is exact; :class:`InfeasibleError` means
+    the constraints admit no assignment. A :class:`~repro.obs.SolvePolicy`
+    makes it *anytime*: when its budget runs out, the best incumbent comes
+    back as ``Status.FEASIBLE`` with provenance ``"incumbent"``. Whenever a
+    backend stops with no incumbent at all, the LPT greedy assignment
+    (:func:`~repro.core.baselines.lpt_assignment`) stands in, as
+    ``Status.FEASIBLE`` with provenance ``"lpt"``; if LPT cannot place
+    every core either, :class:`SolverError` says how the backend stopped.
+    Every design that is not ``"exact"`` bumps the ``design.fallbacks``
+    metric.
 
     The bnb backend starts from an incumbent: ``incumbent`` when given (a
     known-good :class:`~repro.tam.assignment.Assignment`, keyed by its
@@ -135,9 +130,7 @@ def design(
 
     with span("formulate", soc=problem.soc.name):
         formulation = build_assignment_ilp(problem)
-    if backend == "bnb" and "gap_tol" not in solver_options and (
-        policy is None or policy.gap_tol is None
-    ):
+    if backend == "bnb" and "gap_tol" not in solver_options:
         # Test times are integral cycle counts: stop once the bound is
         # within one cycle of the incumbent.
         solver_options["gap_tol"] = 1.0 - 1e-6
@@ -165,40 +158,44 @@ def design(
             reason="ILP infeasible",
         )
 
-    report = FallbackReport()
-    if not solution.is_feasible:
-        # Budget exhausted with no incumbent: walk the degradation ladder.
-        return _degrade(problem, solution, backend, policy, report, wirelength_method)
-    if solution.status is Status.FEASIBLE:
-        report.source = "incumbent"
-        report.reason = f"budget exhausted after {solution.stats.nodes} nodes"
-        report.record_step("exact", "incumbent", nodes=solution.stats.nodes)
-
     with span("decode"):
-        assignment = formulation.decode(solution)
-        violations = problem.validate(assignment)
-        if violations:
-            raise SolverError(
-                "solver returned an assignment violating the problem constraints: "
-                + "; ".join(violations)
-            )
+        if solution.is_feasible:
+            assignment = formulation.decode(solution)
+            violations = problem.validate(assignment)
+            if violations:
+                raise SolverError(
+                    "solver returned an assignment violating the problem constraints: "
+                    + "; ".join(violations)
+                )
+            status = solution.status
+            provenance = "incumbent" if status is Status.FEASIBLE else "exact"
+        else:
+            # The backend stopped with no incumbent: LPT stands in.
+            try:
+                assignment = lpt_assignment(problem).assignment
+            except InfeasibleError:
+                raise SolverError(
+                    f"backend {backend!r} stopped with status {solution.status.value} "
+                    f"after {solution.stats.nodes} nodes"
+                ) from None
+            status, provenance = Status.FEASIBLE, "lpt"
         bus_times = assignment.bus_times(problem.timing)
         makespan = max(bus_times)
         wirelength = None
         if problem.floorplan is not None:
             wirelength = tam_wirelength(problem.floorplan, assignment, method=wirelength_method)
-    if report.degraded:
+    if provenance != "exact":
         get_metrics().counter("design.fallbacks").inc()
     return TamDesign(
         problem=problem,
         assignment=assignment,
         makespan=makespan,
         bus_times=bus_times,
-        status=solution.status,
+        status=status,
         stats=solution.stats,
         backend=solution.backend,
         wirelength=wirelength,
-        fallback=report,
+        provenance=provenance,
     )
 
 
@@ -233,63 +230,6 @@ class _LptSeed:
         except InfeasibleError:
             return None
         return _warm_start(self.formulation, incumbent)
-
-
-def _degrade(
-    problem: DesignProblem,
-    solution,
-    backend: str,
-    policy: SolvePolicy | None,
-    report: FallbackReport,
-    wirelength_method: str,
-) -> TamDesign:
-    """Budget exhausted without an incumbent: heuristics stand in.
-
-    Walks ``policy.fallback`` (default LPT greedy, then simulated
-    annealing). Each rung's outcome lands in the report; if every rung
-    fails — or the policy forbids degradation — the original strict
-    :class:`SolverError` is raised.
-    """
-    ladder = policy.fallback if policy is not None else ()
-    report.reason = (
-        f"backend {backend!r} stopped with status {solution.status.value} "
-        f"after {solution.stats.nodes} nodes"
-    )
-    report.record_step("exact", "no_incumbent", nodes=solution.stats.nodes)
-    assignment = None
-    with span("fallback", ladder=list(ladder)):
-        for rung in ladder:
-            try:
-                if rung == "lpt":
-                    candidate = lpt_assignment(problem)
-                else:  # "sa" — the only other registered rung
-                    candidate = simulated_annealing(problem, seed=0)
-            except InfeasibleError as exc:
-                report.record_step(rung, "infeasible", detail=str(exc.reason or exc))
-                continue
-            report.record_step(rung, "ok", makespan=candidate.makespan)
-            report.source = rung
-            assignment = candidate.assignment
-            break
-    if assignment is None:
-        raise SolverError(report.reason)
-
-    get_metrics().counter("design.fallbacks").inc()
-    bus_times = assignment.bus_times(problem.timing)
-    wirelength = None
-    if problem.floorplan is not None:
-        wirelength = tam_wirelength(problem.floorplan, assignment, method=wirelength_method)
-    return TamDesign(
-        problem=problem,
-        assignment=assignment,
-        makespan=max(bus_times),
-        bus_times=bus_times,
-        status=Status.FEASIBLE,
-        stats=solution.stats,
-        backend=solution.backend,
-        wirelength=wirelength,
-        fallback=report,
-    )
 
 
 @dataclass
@@ -407,7 +347,7 @@ def design_best_architecture(
             continue
         solved[table] = candidate.makespan
         result.telemetry.record(candidate.stats)
-        result.telemetry.record_fallback(candidate.fallback)
+        result.telemetry.record_fallback(candidate.provenance)
         result.per_architecture.append((arch, candidate.makespan))
         if result.best is None or candidate.makespan < result.best.makespan:
             result.best = candidate

@@ -108,7 +108,7 @@ def _power_point(payload: tuple) -> SweepPoint:
         return SweepPoint(budget, None, detail=str(exc.reason or "infeasible"))
     telemetry = RunTelemetry()
     telemetry.record(result.stats)
-    telemetry.record_fallback(result.fallback)
+    telemetry.record_fallback(result.provenance)
     return SweepPoint(
         budget,
         result.makespan,
@@ -164,7 +164,7 @@ def _distance_point(payload: tuple) -> SweepPoint:
         return SweepPoint(delta, None, detail=str(exc.reason or "infeasible"))
     telemetry = RunTelemetry()
     telemetry.record(result.stats)
-    telemetry.record_fallback(result.fallback)
+    telemetry.record_fallback(result.provenance)
     return SweepPoint(
         delta,
         result.makespan,

@@ -308,7 +308,7 @@ class SolveRequest(DerivedFields):
 
     def _design_payload(self, result: TamDesign) -> dict[str, Any]:
         soc = result.problem.soc
-        payload = {
+        return {
             "kind": "design",
             "soc": soc.name,
             "widths": list(result.arch.widths),
@@ -326,9 +326,6 @@ class SolveRequest(DerivedFields):
             },
             "stats": result.stats.as_dict(),
         }
-        if result.fallback is not None:
-            payload["fallback"] = result.fallback.as_dict()
-        return payload
 
     # ------------------------------------------------------------- transport
     def as_payload(self) -> dict[str, Any]:

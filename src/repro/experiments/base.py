@@ -35,8 +35,8 @@ class ExperimentConfig:
         understands via :meth:`override`.
     ``policy``
         A :class:`~repro.obs.SolvePolicy` capping every solve the harness
-        issues (deadline / node budget / retry / fallback ladder). None
-        (default) keeps the exact, uncapped path.
+        issues (deadline / node budget). None (default) keeps the exact,
+        uncapped path.
     """
 
     jobs: int = 1

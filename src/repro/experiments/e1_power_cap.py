@@ -59,7 +59,7 @@ def run(socs=None, archs=None, timing: str = "serial", backend: str = "bnb",
                     table.add_row([round(budget, 1), None, None, None, None])
                     continue
                 result.telemetry.record(designed.stats)
-                result.telemetry.record_fallback(designed.fallback)
+                result.telemetry.record_fallback(designed.provenance)
                 plain = build_schedule(problem, designed.assignment)
                 capped = schedule_with_power_cap(problem, designed.assignment, budget)
                 profile = capped.schedule.power_profile()
@@ -84,7 +84,7 @@ def run(socs=None, archs=None, timing: str = "serial", backend: str = "bnb",
             problem = DesignProblem(soc=soc, arch=arch, timing=timing)
             designed = design(problem, backend=backend, **config.design_options())
             result.telemetry.record(designed.stats)
-            result.telemetry.record_fallback(designed.fallback)
+            result.telemetry.record_fallback(designed.provenance)
             free = schedule_with_power_cap(problem, designed.assignment, soc.total_test_power)
             result.check(
                 abs(free.slowdown) < 1e-9,

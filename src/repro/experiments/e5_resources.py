@@ -70,7 +70,7 @@ def run(socs=None, archs=None, backend: str = "bnb",
                 problem = DesignProblem(soc=soc, arch=arch, timing=timing)
                 designed = design(problem, backend=backend, **config.design_options())
                 result.telemetry.record(designed.stats)
-                result.telemetry.record_fallback(designed.fallback)
+                result.telemetry.record_fallback(designed.provenance)
                 utilization = tam_utilization(soc, designed.assignment, problem.timing)
                 memory = ate_vector_memory(designed.assignment, problem.timing)
                 result.check(

@@ -59,7 +59,7 @@ def run(sizes=DEFAULT_SIZES, seed: int = 5, timing: str = "serial",
         ours = design(problem, backend="bnb", cache=False, **config.design_options())
         bnb_time = now() - start
         result.telemetry.record(ours.stats)
-        result.telemetry.record_fallback(ours.fallback)
+        result.telemetry.record_fallback(ours.provenance)
 
         start = now()
         reference = design(problem, backend="scipy", cache=False, **config.design_options())

@@ -68,7 +68,7 @@ def run(socs=None, archs=None, timing: str = "serial", backend: str = "bnb",
                 **config.design_options(),
             )
             result.telemetry.record(baseline.stats)
-            result.telemetry.record_fallback(baseline.fallback)
+            result.telemetry.record_fallback(baseline.provenance)
             unconstrained = baseline.makespan
             previous = math.inf
             for budget in sorted(budgets):
@@ -80,7 +80,7 @@ def run(socs=None, archs=None, timing: str = "serial", backend: str = "bnb",
                                    len(power_groups(soc, budget)), None, None, None])
                     continue
                 result.telemetry.record(designed.stats)
-                result.telemetry.record_fallback(designed.fallback)
+                result.telemetry.record_fallback(designed.provenance)
                 schedule = build_schedule(problem, designed.assignment, policy="power_stagger")
                 pairwise_peak = _max_pairwise_concurrent(schedule, budget)
                 result.check(

@@ -71,7 +71,7 @@ def run(socs=None, archs=None, timing: str = "serial", backend: str = "bnb",
                     went_infeasible = True
                     continue
                 result.telemetry.record(designed.stats)
-                result.telemetry.record_fallback(designed.fallback)
+                result.telemetry.record_fallback(designed.provenance)
                 result.check(
                     not went_infeasible,
                     f"{soc.name} delta={delta:.2f}: feasibility is monotone in delta",

@@ -39,7 +39,7 @@ def _solve(result, soc, arch, timing, backend, power_budget=None, floorplan=None
     except InfeasibleError:
         return None
     result.telemetry.record(designed.stats)
-    result.telemetry.record_fallback(designed.fallback)
+    result.telemetry.record_fallback(designed.provenance)
     return designed.makespan
 
 

@@ -13,9 +13,10 @@ our from-scratch replacement:
 - :mod:`repro.ilp.simplex` — a revised dual simplex
   (:class:`~repro.ilp.simplex.RevisedSimplex`) that reoptimizes node LPs
   warm from a parent :class:`~repro.ilp.simplex.Basis`;
-- :mod:`repro.ilp.presolve_root` — root model presolve (dual fixing,
-  singleton substitution, coefficient tightening, row cleanup) with exact
-  postsolve back to the original variable space;
+- :mod:`repro.ilp.presolve_root` — root model presolve (bound propagation
+  to a fixed point, then removal of the columns it fixed and of the rows
+  that can no longer bind) with exact postsolve back to the original
+  variable space;
 - :mod:`repro.ilp.branch_and_bound` — best-first branch and bound with a
   diving heuristic for early incumbents;
 - :mod:`repro.ilp.scipy_backend` — a thin adapter around

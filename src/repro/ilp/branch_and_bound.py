@@ -44,6 +44,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import numbers
 
 import numpy as np
 
@@ -58,7 +59,7 @@ from repro.ilp.solution import Solution, SolveStats, Status, relative_gap
 from repro.obs import get_metrics, node_event, now, span
 from repro.obs import event as trace_event
 from repro.obs.policy import CheckpointStore
-from repro.util.errors import SolverError
+from repro.util.errors import SolverError, ValidationError
 
 _INT_TOL = 1e-6
 
@@ -93,12 +94,16 @@ class BranchAndBoundSolver:
         returned solution has status ``NODE_LIMIT`` (or ``FEASIBLE`` if an
         incumbent was found on the way).
     gap_tol:
-        Absolute optimality gap at which the search stops early. The TAM
-        objectives are integral cycle counts, so the designer passes
-        ``gap_tol`` slightly under 1 to stop as soon as the bound rounds up
-        to the incumbent.
+        Absolute optimality gap at which the search stops early; a finite,
+        non-negative number (anything else raises
+        :class:`~repro.util.errors.ValidationError`, since the proven bound
+        is the incumbent minus ``gap_tol``). The TAM objectives are
+        integral cycle counts, so the designer passes ``gap_tol`` slightly
+        under 1 to stop as soon as the bound rounds up to the incumbent.
     time_limit:
-        Wall-clock budget in seconds (None = unlimited).
+        Wall-clock budget in seconds (None = unlimited). The LPs solved
+        before the tree (the root LP and its cut-round re-solves) read it
+        pivot by pivot; the dive and the node loop read it between LPs.
     dive:
         Whether to run the rounding dive at the root for an early incumbent.
     cut_rounds:
@@ -130,10 +135,18 @@ class BranchAndBoundSolver:
         warm_start: dict | None = None,
         checkpoint_dir: str | None = None,
     ):
+        if not (
+            isinstance(gap_tol, numbers.Real) and math.isfinite(gap_tol) and gap_tol >= 0
+        ):
+            raise ValidationError(
+                f"gap_tol must be a finite, non-negative number, got {gap_tol!r}"
+            )
         self.model = model
         self.node_limit = node_limit
         self.gap_tol = gap_tol
         self.time_limit = time_limit
+        # Absolute end of the solve (None = unlimited), set when it starts.
+        self._deadline: float | None = None
         self.dive = dive
         self.cut_rounds = cut_rounds
         # Cut rows in the working LP, in the order root separation added them.
@@ -214,8 +227,6 @@ class BranchAndBoundSolver:
         self._check_rhs = np.concatenate(rhs) if rhs else None
 
     def _install_warm_start(self, values: dict) -> None:
-        from repro.util.errors import ValidationError
-
         problems = self.model.check_solution(values)
         if problems:
             raise ValidationError(
@@ -249,8 +260,10 @@ class BranchAndBoundSolver:
     # ------------------------------------------------------------------ api
     def solve(self) -> Solution:
         start = now()
+        if self.time_limit is not None:
+            self._deadline = start + self.time_limit
         try:
-            status = self._search(start)
+            status = self._search()
         finally:
             self._flush_checkpoint()
             self._settle_bound()
@@ -280,21 +293,23 @@ class BranchAndBoundSolver:
         want_reduced_costs: bool = False,
         basis: Basis | None = None,
         cutoff: float | None = None,
+        deadline: float | None = None,
     ) -> LpResult:
         """One node LP: warm dual-simplex reoptimization when available.
 
         ``basis`` is the parent's optimal basis (the engine ignores it when
         its generation is stale — cut rounds rebuild the matrix). The warm
-        engine's three healthy outcomes map directly: ``optimal`` (after a
-        residual check of the claimed point), ``infeasible``, and
-        ``cutoff`` (the monotone dual bound crossed ``cutoff``; the caller
-        prunes). Anything else — or a failed residual check — re-solves
+        engine's four healthy outcomes map directly: ``optimal`` (after a
+        residual check of the claimed point), ``infeasible``, ``cutoff``
+        (the monotone dual bound crossed ``cutoff``; the caller prunes) and
+        ``deadline`` (the clock passed ``deadline`` mid-solve; the caller
+        stops). Anything else — or a failed residual check — re-solves
         cold with HiGHS.
         """
         self._stats.lp_solves += 1
         lp_start = now()
-        warm = self._warm_engine.solve(lb, ub, basis=basis, cutoff=cutoff)
-        trusted = warm.status in ("infeasible", "cutoff") or (
+        warm = self._warm_engine.solve(lb, ub, basis=basis, cutoff=cutoff, deadline=deadline)
+        trusted = warm.status in ("infeasible", "cutoff", "deadline") or (
             warm.status == "optimal" and self._warm_point_ok(warm.x, lb, ub)
         )
         if trusted:
@@ -331,9 +346,14 @@ class BranchAndBoundSolver:
         """Objective value at/above which a solution cannot matter."""
         return self._incumbent_obj - self.gap_tol
 
-    def _out_of_time(self, start: float) -> bool:
+    def _out_of_time(self) -> bool:
         """The deadline test shared by the node loop and the root work."""
-        return self.time_limit is not None and now() - start > self.time_limit
+        return self._deadline is not None and now() > self._deadline
+
+    def _exhausted(self, kind: str) -> Status:
+        """A budget ran out: the incumbent, if any, is the answer."""
+        trace_event("budget_exhausted", kind=kind, nodes=self._stats.nodes)
+        return Status.FEASIBLE if self._incumbent_x is not None else Status.NODE_LIMIT
 
     def _fractional_index(self, x: np.ndarray) -> int | None:
         """The most fractional integer variable, or None if all integral.
@@ -418,7 +438,7 @@ class BranchAndBoundSolver:
     def _try_update_incumbent(self, x: np.ndarray, objective: float) -> None:
         """Install an *original-space* candidate as the incumbent.
 
-        Presolve folds fixed/substituted columns into the constant term, so
+        Root presolve folds the columns it fixed into the constant term, so
         a reduced-space objective equals the original-space one — the
         cutoff needs no translation, only the vector does (see
         :meth:`_accept_candidate` for search-space candidates).
@@ -465,9 +485,7 @@ class BranchAndBoundSolver:
         if self._checkpoint_dirty:
             self._save_checkpoint(debounce=False)
 
-    def _dive_for_incumbent(
-        self, start: float, x: np.ndarray, basis: Basis | None = None
-    ) -> None:
+    def _dive_for_incumbent(self, x: np.ndarray, basis: Basis | None = None) -> None:
         """Round-and-refix dive from the root relaxation.
 
         Repeatedly fixes the most fractional integer variable to its nearest
@@ -485,7 +503,7 @@ class BranchAndBoundSolver:
                 obj = float(self._form.c @ current) + self._form.c0
                 self._accept_candidate(current, obj)
                 return
-            if self._out_of_time(start):
+            if self._out_of_time():
                 return
             value = float(round(current[j]))
             value = min(max(value, lb[j]), ub[j])
@@ -511,9 +529,10 @@ class BranchAndBoundSolver:
         self._basis_generation += 1
         self._warm_engine = RevisedSimplex(self._form, generation=self._basis_generation)
 
-    def _separate_root(self, start: float, root: LpResult) -> LpResult:
+    def _separate_root(self, root: LpResult) -> LpResult:
         """Clique-cut rounds at the root, while the deadline allows; returns
-        the final root relaxation.
+        the final root relaxation, with status ``deadline`` when the clock
+        ran out inside a re-solve.
 
         A round stops the loop when it separates nothing. A cut added in one
         round holds at every later root point, so no round repeats one.
@@ -527,7 +546,7 @@ class BranchAndBoundSolver:
             graph_span.attrs["edges"] = conflicts.num_edges
         with span("ilp.cuts.separate", rounds=self.cut_rounds) as sep_span:
             for _ in range(self.cut_rounds):
-                if self._out_of_time(start):
+                if self._out_of_time():
                     break
                 added = generate_cuts(conflicts, root.x)
                 if not added:
@@ -537,7 +556,10 @@ class BranchAndBoundSolver:
                 self._stats.cut_rounds += 1
                 self._rebuild_with_cuts()
                 root = self._solve_node(
-                    self._base_lb, self._base_ub, want_reduced_costs=True
+                    self._base_lb,
+                    self._base_ub,
+                    want_reduced_costs=True,
+                    deadline=self._deadline,
                 )
                 trace_event(
                     "cut_round",
@@ -545,9 +567,10 @@ class BranchAndBoundSolver:
                     active=len(self._cuts),
                     bound=root.objective,
                 )
-                if root.status == "infeasible":
+                if root.status in ("infeasible", "deadline"):
                     # Cuts are valid for the integer hull, so an infeasible
-                    # cut-strengthened root proves integer infeasibility.
+                    # cut-strengthened root proves integer infeasibility; a
+                    # re-solve the deadline stopped ends the solve.
                     break
                 if root.status != "optimal":  # only numerical noise lands here
                     raise SolverError("root LP failed after adding cuts")
@@ -556,7 +579,7 @@ class BranchAndBoundSolver:
             sep_span.attrs["cuts"] = self._stats.cuts
         return root
 
-    def _search(self, start: float) -> Status:
+    def _search(self) -> Status:
         with span("ilp.presolve_root.reduce") as model_span:
             reduction = presolve_root(self._orig_form)
             self._stats.root_cols_removed = reduction.stats["cols_removed"]
@@ -579,9 +602,14 @@ class BranchAndBoundSolver:
 
         with span("ilp.simplex.root_lp"):
             root = self._solve_node(
-                self._base_lb, self._base_ub, want_reduced_costs=True
+                self._base_lb,
+                self._base_ub,
+                want_reduced_costs=True,
+                deadline=self._deadline,
             )
         self._stats.nodes += 1
+        if root.status == "deadline":
+            return self._exhausted("deadline")
         if root.status == "infeasible":
             return Status.INFEASIBLE
         if root.status == "unbounded":
@@ -596,9 +624,11 @@ class BranchAndBoundSolver:
             return Status.OPTIMAL
 
         if self.cut_rounds > 0:
-            root = self._separate_root(start, root)
+            root = self._separate_root(root)
             if root.status == "infeasible":
                 return Status.INFEASIBLE
+            if root.status == "deadline":
+                return self._exhausted("deadline")
             if self._fractional_index(root.x) is None:
                 self._accept_candidate(root.x, root.objective)
                 self._stats.best_bound = root.objective
@@ -613,11 +643,11 @@ class BranchAndBoundSolver:
 
         with span("ilp.branch_and_bound.dive", dive=self.dive):
             if self.dive:
-                self._dive_for_incumbent(start, root.x, basis=root.basis)
+                self._dive_for_incumbent(root.x, basis=root.basis)
             self._apply_reduced_cost_fixing()
 
         with span("ilp.branch_and_bound") as search_span:
-            status = self._best_first(start, root)
+            status = self._best_first(root)
             search_span.attrs["nodes"] = self._stats.nodes
             search_span.attrs["status"] = status.value
             search_span.attrs["presolve_fixings"] = self._stats.presolve_fixings
@@ -645,7 +675,7 @@ class BranchAndBoundSolver:
             node = node[0]
         return lb, ub
 
-    def _best_first(self, start: float, root: LpResult) -> Status:
+    def _best_first(self, root: LpResult) -> Status:
         """The best-first loop over delta-bound nodes.
 
         Heap entries are ``(bound, tick, depth, chain, branch_info, basis)``:
@@ -697,11 +727,9 @@ class BranchAndBoundSolver:
                 return self._proven()
 
             if self._stats.nodes >= self.node_limit:
-                trace_event("budget_exhausted", kind="nodes", nodes=self._stats.nodes)
-                return Status.FEASIBLE if self._incumbent_x is not None else Status.NODE_LIMIT
-            if self._out_of_time(start):
-                trace_event("budget_exhausted", kind="deadline", nodes=self._stats.nodes)
-                return Status.FEASIBLE if self._incumbent_x is not None else Status.NODE_LIMIT
+                return self._exhausted("nodes")
+            if self._out_of_time():
+                return self._exhausted("deadline")
 
             lb, ub = self._materialize(chain)
             if np.count_nonzero(lb > ub):

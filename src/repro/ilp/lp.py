@@ -33,11 +33,13 @@ class LpResult:
     warm engine produced this result — child nodes reoptimize from it.
     A ``"cutoff"`` status means the warm engine proved the LP bound is
     above the caller's objective cutoff without finishing the solve; the
-    node prunes with no ``x``. ``"fallback"`` is the warm engine's answer
-    to numerical doubt: the caller re-solves cold.
+    node prunes with no ``x``. ``"deadline"`` means the warm engine ran
+    past the caller's deadline, also with no ``x``. ``"fallback"`` is the
+    warm engine's answer to numerical doubt: the caller re-solves cold.
     """
 
-    status: str  # "optimal" | "infeasible" | "unbounded" | "cutoff" | "fallback" | "error"
+    # "optimal" | "infeasible" | "unbounded" | "cutoff" | "deadline" | "fallback" | "error"
+    status: str
     x: np.ndarray | None
     objective: float | None
     iterations: int = 0

@@ -313,13 +313,12 @@ class Model:
         ``cache_token()``.
 
         ``policy`` is a :class:`~repro.obs.SolvePolicy` bounding the solve:
-        its deadline / node budget / gap tolerance map onto the backend's
-        limits. A capped
-        solve can return ``Status.FEASIBLE`` (best incumbent) or
-        ``Status.NODE_LIMIT`` (no incumbent found); the degradation ladder
-        for the latter lives one level up in :func:`repro.core.design`.
-        The removed legacy ``node_limit=`` / ``time_limit=`` kwargs raise
-        :class:`TypeError` — a policy is the only effort path.
+        its deadline and node budget map onto the backend's limits. A
+        capped solve can return ``Status.FEASIBLE`` (best incumbent) or
+        ``Status.NODE_LIMIT`` (no incumbent found); one level up,
+        :func:`repro.core.design` puts the LPT assignment in place of the
+        latter. The removed legacy ``node_limit=`` / ``time_limit=`` kwargs
+        raise :class:`TypeError` — a policy is the only effort path.
 
         ``lint`` gates the solve on the static model linter
         (:mod:`repro.analysis.model_lint`): ``"warn"`` prints findings to
@@ -337,8 +336,8 @@ class Model:
         ``cache_hit=True``. The cache key covers the ad-hoc options and what
         the policy's cached fields imply (:meth:`~repro.obs.SolvePolicy.
         cache_view`): the *effective* budgets, so a truncated solve never
-        masquerades as an uncapped one, but not its fallback or checkpoint
-        settings, which never change the answer.
+        masquerades as an uncapped one, but not its checkpoint directory,
+        which never changes the answer.
         """
         if lint not in ("off", "warn", "error"):
             raise ValueError(f"lint must be 'off', 'warn' or 'error', got {lint!r}")

@@ -6,7 +6,8 @@ differs from its parent by bound tightenings only, which leave the parent's
 reduced costs (and therefore dual feasibility) intact, so reoptimization
 typically takes a handful of dual pivots instead of a cold solve. An
 objective ``cutoff`` turns the monotone dual bound into an early node
-prune. Anything numerically doubtful — singular basis, dual infeasibility
+prune, and an absolute ``deadline`` stops a long solve between two pivots.
+Anything numerically doubtful — singular basis, dual infeasibility
 that status flips cannot repair, tiny pivots, iteration cap — returns a
 ``fallback`` result and the caller re-solves cold with HiGHS (see
 DESIGN.md §13).
@@ -25,6 +26,7 @@ import numpy as np
 
 from repro.ilp.lp import LpResult
 from repro.ilp.model import MatrixForm
+from repro.obs import now
 
 #: Nonbasic-at-lower / nonbasic-at-upper / nonbasic-free / basic.
 NB_LOWER, NB_UPPER, NB_FREE, IN_BASIS = 0, 1, 2, 3
@@ -195,6 +197,7 @@ class RevisedSimplex:
         ub: np.ndarray,
         basis: Basis | None = None,
         cutoff: float | None = None,
+        deadline: float | None = None,
     ) -> LpResult:
         """Reoptimize under new bounds, warm from ``basis`` when possible.
 
@@ -203,8 +206,10 @@ class RevisedSimplex:
         is an objective value (including the constant offset): the dual
         objective is a monotone lower bound, so the solve stops with
         ``"cutoff"`` as soon as it crosses — the caller prunes the node
-        without finishing the LP. ``"fallback"`` means numerical trouble:
-        re-solve cold.
+        without finishing the LP. ``deadline`` is a :func:`repro.obs.now`
+        reading: a solve that still needs a pivot past it stops with
+        ``"deadline"`` and no point. ``"fallback"`` means numerical
+        trouble: re-solve cold.
         """
         n, m = self.n, self.m
         if np.count_nonzero(lb > ub):
@@ -299,6 +304,8 @@ class RevisedSimplex:
                         since_refactor=since_refactor,
                     ),
                 )
+            if deadline is not None and now() > deadline:
+                return LpResult("deadline", None, None, iterations)
 
             # Dual ratio test over row r of B^-1 W. Leaving below its lower
             # bound, a column may enter when moving it off its bound lowers

@@ -11,11 +11,10 @@ Everything time- and effort-related flows through this package:
 - :mod:`repro.obs.metrics` — a process-wide :class:`MetricsRegistry` of
   counters / gauges / histograms the solver stack writes into;
 - :mod:`repro.obs.policy` — :class:`SolvePolicy` (deadline, node budget,
-  gap tolerance, degradation ladder, incumbent checkpointing) and the
-  :class:`FallbackReport` provenance record.
+  incumbent checkpointing).
 
 The blessed public names (re-exported by :mod:`repro.api`): ``SolvePolicy``,
-``FallbackReport``, ``MetricsRegistry``, ``trace_solve``, ``get_metrics``.
+``MetricsRegistry``, ``trace_solve``, ``get_metrics``.
 """
 
 from repro.obs.clock import Stopwatch, now
@@ -28,13 +27,7 @@ from repro.obs.metrics import (
     set_metrics,
     use_metrics,
 )
-from repro.obs.policy import (
-    DEFAULT_FALLBACK,
-    FALLBACK_RUNGS,
-    CheckpointStore,
-    FallbackReport,
-    SolvePolicy,
-)
+from repro.obs.policy import CheckpointStore, SolvePolicy
 from repro.obs.tracing import (
     Span,
     Tracer,
@@ -49,9 +42,6 @@ from repro.obs.tracing import (
 __all__ = [
     "CheckpointStore",
     "Counter",
-    "DEFAULT_FALLBACK",
-    "FALLBACK_RUNGS",
-    "FallbackReport",
     "Gauge",
     "Histogram",
     "MetricsRegistry",

@@ -1,15 +1,12 @@
-"""Solve policies: bounded effort and graceful degradation.
+"""Solve policies: bounded effort for one solve or many.
 
 A :class:`SolvePolicy` is the single object that says how hard a solve may
-try and what happens when the budget runs out:
+try:
 
 - **budgets** — ``deadline`` (wall seconds) and ``node_budget`` (B&B nodes)
-  cap the exact search; ``gap_tol`` loosens the optimality proof;
-- **degradation ladder** — when the budget is exhausted, an incumbent (if
-  any) is returned as ``Status.FEASIBLE``; with no incumbent the designer
-  walks ``fallback`` — by default LPT greedy then simulated annealing —
-  instead of raising, and records what happened in a
-  :class:`FallbackReport`;
+  cap the exact search. When one runs out, the best incumbent is returned
+  as ``Status.FEASIBLE``; with none, :func:`repro.core.design` puts the LPT
+  assignment in its place;
 - **checkpointing** — ``checkpoint_dir`` persists the best incumbent per
   instance fingerprint, so an interrupted sweep resumes warm.
 
@@ -43,12 +40,6 @@ from pathlib import Path
 from typing import Any, ClassVar, TypeVar
 
 from repro.util.errors import ValidationError
-
-#: Escalation rungs the designer knows how to run, in the order tried.
-FALLBACK_RUNGS = ("lpt", "sa")
-
-#: Default degradation ladder on budget exhaustion without an incumbent.
-DEFAULT_FALLBACK = ("lpt", "sa")
 
 _D = TypeVar("_D", bound="DerivedFields")
 
@@ -139,9 +130,9 @@ class DerivedFields:
     built, so a payload with ``2.5`` rounds fails there with a
     :class:`~repro.util.errors.ValidationError`, not deep inside a solve.
     Every other malformed payload raises that error too. A field that
-    changes how a solve runs but never what it returns (the fallback
-    ladder, worker fan-out, checkpoint I/O) opts out of the cache key next
-    to its definition with ``metadata={"cache": False}``;
+    changes how a solve runs but never what it returns (worker fan-out,
+    checkpoint I/O) opts out of the cache key next to its definition with
+    ``metadata={"cache": False}``;
     :meth:`cache_view` resets exactly those fields, nested blocks included.
     A field stored in one shape and sent in another names its wire
     converter with ``metadata={"wire": dict}``. Flow rule D001 rejects a
@@ -239,19 +230,15 @@ class DerivedFields:
 
 @dataclass(frozen=True)
 class SolvePolicy(DerivedFields):
-    """Effort budget + degradation behavior for one (or many) solves.
+    """Effort budget and incumbent checkpoints for one (or many) solves.
 
     The effort budget shapes what a solve returns and forms the cache
-    token. The fallback ladder replaces a solve that found nothing but
-    never alters what a completed solve would have produced, and the
-    checkpoint directory only persists incumbents, so those fields stay
+    token. The checkpoint directory only persists incumbents, so it stays
     out of it.
     """
 
     deadline: float | None = None
     node_budget: int | None = None
-    gap_tol: float | None = None
-    fallback: tuple[str, ...] = field(default=DEFAULT_FALLBACK, metadata={"cache": False})
     checkpoint_dir: str | None = field(default=None, metadata={"cache": False})
 
     def __post_init__(self) -> None:
@@ -260,15 +247,6 @@ class SolvePolicy(DerivedFields):
             raise ValidationError(f"deadline must be positive, got {self.deadline}")
         if self.node_budget is not None and self.node_budget <= 0:
             raise ValidationError(f"node_budget must be positive, got {self.node_budget}")
-        if self.gap_tol is not None and self.gap_tol < 0:
-            raise ValidationError(f"gap_tol cannot be negative, got {self.gap_tol}")
-        ladder = tuple(self.fallback or ())
-        object.__setattr__(self, "fallback", ladder)
-        unknown = [rung for rung in ladder if rung not in FALLBACK_RUNGS]
-        if unknown:
-            raise ValidationError(
-                f"unknown fallback rung(s) {unknown}; known: {list(FALLBACK_RUNGS)}"
-            )
 
     # ------------------------------------------------------------ derivations
     @property
@@ -276,24 +254,13 @@ class SolvePolicy(DerivedFields):
         """True when the exact search may stop before proving optimality."""
         return self.deadline is not None or self.node_budget is not None
 
-    @property
-    def degrades(self) -> bool:
-        """True when exhaustion without an incumbent falls back to heuristics."""
-        return bool(self.fallback)
-
     def backend_options(self, backend: str = "bnb") -> dict[str, Any]:
         """The solver kwargs this policy implies for ``backend``."""
         options: dict[str, Any] = {}
-        if backend == "scipy":
-            if self.deadline is not None:
-                options["time_limit"] = self.deadline
-        else:
-            if self.node_budget is not None:
-                options["node_limit"] = self.node_budget
-            if self.deadline is not None:
-                options["time_limit"] = self.deadline
-            if self.gap_tol is not None:
-                options["gap_tol"] = self.gap_tol
+        if backend != "scipy" and self.node_budget is not None:
+            options["node_limit"] = self.node_budget
+        if self.deadline is not None:
+            options["time_limit"] = self.deadline
         return options
 
     def checkpoint_options(self, backend: str = "bnb") -> dict[str, Any]:
@@ -306,49 +273,6 @@ class SolvePolicy(DerivedFields):
         if backend == "scipy" or self.checkpoint_dir is None:
             return {}
         return {"checkpoint_dir": self.checkpoint_dir}
-
-
-@dataclass
-class FallbackReport:
-    """What the anytime solve path actually did — returned in telemetry.
-
-    ``source`` is the provenance of the returned design: ``"exact"`` (the
-    solver proved optimality), ``"incumbent"`` (budget exhausted, best
-    incumbent returned), ``"lpt"`` / ``"sa"`` (heuristic degradation).
-    ``ladder`` lists every step attempted in order with its outcome.
-    """
-
-    source: str = "exact"
-    reason: str | None = None
-    ladder: list[dict[str, Any]] = field(default_factory=list)
-
-    @property
-    def degraded(self) -> bool:
-        return self.source != "exact"
-
-    def record_step(self, step: str, outcome: str, **detail) -> None:
-        self.ladder.append({"step": step, "outcome": outcome, **detail})
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "source": self.source,
-            "degraded": self.degraded,
-            "reason": self.reason,
-            "ladder": [dict(step) for step in self.ladder],
-        }
-
-    def render(self) -> str:
-        """One-line provenance summary for reports."""
-        if not self.degraded:
-            return "exact solve"
-        bits = [f"source={self.source}"]
-        if self.reason:
-            bits.append(f"reason={self.reason}")
-        if self.ladder:
-            bits.append(
-                "ladder=" + "->".join(f"{s['step']}:{s['outcome']}" for s in self.ladder)
-            )
-        return ", ".join(bits)
 
 
 class CheckpointStore:

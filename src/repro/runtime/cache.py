@@ -25,8 +25,8 @@ Why the key is sound (see DESIGN.md §7):
   through the shared ``cache_token()`` protocol
   (:mod:`repro.runtime.fingerprint`): a different search configuration may
   legitimately return a different (equally optimal) vertex, so it must
-  never alias. Policy fields marked ``metadata={"cache": False}``
-  (fallback ladder, checkpoint directory) never enter the key.
+  never alias. Policy fields marked ``metadata={"cache": False}`` (the
+  checkpoint directory) never enter the key.
 
 Storage is a two-level hierarchy: an in-memory LRU (per process) in front
 of an optional on-disk JSON store under ``directory`` (conventionally

@@ -41,8 +41,8 @@ def cache_token_of(value: Any) -> str:
     token = getattr(value, "cache_token", None)
     if callable(token):
         # The protocol: the object names its own result-affecting fields
-        # canonically; repr() would also drag in settings (retry counts,
-        # fallback ladders) that never change what a solve returns.
+        # canonically; repr() would also drag in settings (worker counts,
+        # checkpoint directories) that never change what a solve returns.
         return str(token())
     if isinstance(value, Mapping):
         items = []

@@ -44,9 +44,9 @@ class RunTelemetry(SolveCounters):
         for spec in fields(SolveCounters):
             setattr(self, spec.name, getattr(self, spec.name) + getattr(stats, spec.name))
 
-    def record_fallback(self, report) -> None:
-        """Count one degraded design (see :class:`repro.obs.FallbackReport`)."""
-        if report is not None and getattr(report, "degraded", False):
+    def record_fallback(self, provenance: str) -> None:
+        """Count one design whose ``provenance`` is not ``"exact"``."""
+        if provenance != "exact":
             self.fallbacks += 1
 
     def merge(self, other: "RunTelemetry | None") -> None:

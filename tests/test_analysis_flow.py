@@ -249,13 +249,6 @@ class TestD001SeededMutations:
         assert offenders, "deadline dropped from the policy token undetected"
         assert any("SolvePolicy.deadline" in d.message for d in offenders)
 
-    def test_deleting_gap_tol_token_contribution_fires(self, mutable_tree):
-        # Same guard for the optimality tolerance: a solve stopped at a
-        # loose gap must not answer a request for a tight one.
-        offenders = self.opt_out_field(mutable_tree, "gap_tol", "float | None")
-        assert offenders, "gap_tol dropped from the policy token undetected"
-        assert any("SolvePolicy.gap_tol" in d.message for d in offenders)
-
     def test_deleting_node_budget_token_contribution_fires(self, mutable_tree):
         # Same guard for an effort field: a solve truncated by its node
         # budget must never be replayed for an uncapped request.

@@ -91,9 +91,16 @@ class TestFacadeManifest:
     def test_pr8_solver_options_surface(self):
         # The solver block left the facade with its class: the settings
         # tree is SolvePolicy alone, and cut_rounds is a bnb solver kwarg.
-        # The cut wrapper class and its default constant went before it.
+        # The cut wrapper class and its default constant went before it,
+        # and the fallback ladder's report went after it.
         assert "SolvePolicy" in api.__all__
-        for name in ("SolverOptions", "CutPolicy", "DEFAULT_CUT_POLICY", "TransientSolverError"):
+        for name in (
+            "SolverOptions",
+            "CutPolicy",
+            "DEFAULT_CUT_POLICY",
+            "TransientSolverError",
+            "FallbackReport",
+        ):
             assert name not in api.__all__ and not hasattr(api, name)
 
     def test_pr9_presolve_surface(self):

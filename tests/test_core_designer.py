@@ -13,7 +13,7 @@ from repro.obs import MetricsRegistry, SolvePolicy, use_metrics
 from repro.runtime import use_cache
 from repro.soc import generate_synthetic_soc
 from repro.tam import TamArchitecture, exhaustive_optimal
-from repro.util.errors import InfeasibleError, SolverError
+from repro.util.errors import InfeasibleError, SolverError, ValidationError
 
 
 class TestDesignUnconstrained:
@@ -107,10 +107,12 @@ class TestDesignConstrained:
         assert constrained >= base - 1e-9
 
     def test_exhausted_strict_policy_raises_solver_error(self, lpt_unplaceable):
+        # A budget that stops the search before any incumbent, on a problem
+        # LPT cannot place, leaves nothing to return.
         with pytest.raises(SolverError):
             design(
                 lpt_unplaceable,
-                policy=SolvePolicy(node_budget=1, fallback=()),
+                policy=SolvePolicy(node_budget=1),
                 dive=False,
                 cache=False,
             )
@@ -120,6 +122,14 @@ class TestDesignConstrained:
         problem = DesignProblem(soc=s2, arch=arch, timing="serial")
         with pytest.raises(TypeError, match="SolvePolicy"):
             design(problem, node_limit=1)
+
+    @pytest.mark.parametrize("gap_tol", [-0.5, math.nan])
+    def test_bad_gap_tol_is_a_validation_error(self, s1, gap_tol):
+        # The proven bound is the incumbent minus gap_tol: a negative one
+        # would claim a bound above the optimum, and nan no bound at all.
+        problem = DesignProblem(soc=s1, arch=TamArchitecture([16, 8]), timing="serial")
+        with pytest.raises(ValidationError, match="gap_tol must be a finite, non-negative"):
+            design(problem, gap_tol=gap_tol, cache=False)
 
 
 class TestBestArchitecture:

@@ -7,11 +7,15 @@ parity with the direct library calls, and the CLI's request construction.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.cli import _request_from_args, build_parser
 from repro.core import DesignProblem, SolveRequest, design, resolve_soc
+from repro.ilp import BranchAndBoundSolver
 from repro.obs import SolvePolicy
+from repro.runtime import SolutionCache, use_cache
 from repro.tam import TamArchitecture
 from repro.util.errors import ValidationError
 
@@ -83,9 +87,11 @@ class TestValidation:
             ({"deadline": 0}, "deadline must be positive"),
             ({"deadline": "soon"}, "deadline must be a number"),
             ({"node_budget": 0}, "node_budget must be positive"),
-            ({"gap_tol": -0.5}, "gap_tol cannot be negative"),
-            ({"fallback": ["tabu"]}, "unknown fallback rung"),
-            ({"fallback": "lpt"}, "fallback must be a list of strings"),
+            # The policy is a budget: gap_tol is a solver option, and the
+            # fallback ladder is gone.
+            ({"gap_tol": 0.5}, "unknown SolvePolicy field.*gap_tol"),
+            ({"fallback": ["lpt"]}, "unknown SolvePolicy field.*fallback"),
+            ({"fallback": [], "deadline": 1.0}, "unknown SolvePolicy field.*fallback"),
             ({"checkpoint_dir": 7}, "checkpoint_dir must be a string"),
             # The solver block is retired: a payload naming it, or one of
             # its old knobs, has an unknown key.
@@ -100,6 +106,14 @@ class TestValidation:
         wire = {"kind": "design", "soc": "S1", "widths": [16, 8], "policy": policy}
         with pytest.raises(ValidationError, match=message):
             SolveRequest.from_payload(wire)
+
+    @pytest.mark.parametrize("gap_tol", [-0.5, math.nan])
+    def test_bad_gap_tol_option_fails_the_solve(self, gap_tol):
+        # gap_tol is checked where the bnb solver reads it.
+        wire = {"kind": "design", "soc": "S1", "widths": [16, 8], "options": {"gap_tol": gap_tol}}
+        request = SolveRequest.from_payload(wire)
+        with pytest.raises(ValidationError, match="gap_tol must be a finite, non-negative"):
+            request.run()
 
     def test_widths_and_options_are_canonicalized(self):
         a = make_request(widths=[16, 16], options={"b": 2, "a": 1})
@@ -120,6 +134,27 @@ class TestFingerprint:
         assert make_request(timing="fixed").fingerprint() != base
         assert make_request(options={"dive": False}).fingerprint() != base
         assert make_request(policy=SolvePolicy(node_budget=9)).fingerprint() != base
+
+    def test_gap_tol_option_reaches_the_solver_and_its_key(self, monkeypatch):
+        seen = []
+        init = BranchAndBoundSolver.__init__
+
+        def recording_init(solver, model, **options):
+            seen.append(options["gap_tol"])
+            init(solver, model, **options)
+
+        monkeypatch.setattr(BranchAndBoundSolver, "__init__", recording_init)
+        loose = make_request(options={"gap_tol": 0.5})
+        assert loose.fingerprint() != make_request().fingerprint()
+        cache = SolutionCache()
+        with use_cache(cache):
+            loose.run()
+            make_request().run()
+            loose.run()
+        # design() fills in its own gap_tol only when the request has none,
+        # and each value keys its own solve.
+        assert seen == [0.5, 1.0 - 1e-6]
+        assert (cache.misses, cache.hits) == (2, 1)
 
     def test_policy_checkpoint_dir_is_not_result_affecting(self):
         # The service injects a per-job checkpoint dir; that must never
@@ -144,7 +179,7 @@ class TestWireFormat:
             timing="fixed",
             power_budget=900.0,
             backend="bnb",
-            policy=SolvePolicy(deadline=5.0, fallback=("lpt",)),
+            policy=SolvePolicy(deadline=5.0),
             jobs=2,
             options={"dive": False},
         )
@@ -210,11 +245,11 @@ class TestCliConstructsRequests:
     @pytest.mark.parametrize(
         "flag",
         ["--cuts", "--no-cuts", "--cut-rounds=2", "--root-presolve", "--no-root-presolve",
-         "--retries=2", "--no-warm-lps"],
+         "--retries=2", "--no-warm-lps", "--no-fallback"],
     )
     def test_retired_solver_flags_are_usage_errors(self, flag, capsys):
-        # The solver block and its flags are gone, like the retry loop and
-        # the cold-LP switch before them.
+        # The solver block and its flags are gone, like the retry loop, the
+        # cold-LP switch and the fallback ladder before them.
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["design", "S1", "--widths", "16,16", flag])
         assert exc.value.code == 2

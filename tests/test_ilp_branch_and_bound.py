@@ -1,12 +1,15 @@
 """Tests for branch and bound, including randomized cross-checks vs HiGHS MILP."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import DesignProblem, build_assignment_ilp
-from repro.ilp import INTEGER, BranchAndBoundSolver, Model, Status, quicksum
+from repro.core import DesignProblem, build_assignment_ilp, design, lpt_assignment
+from repro.ilp import INTEGER, BranchAndBoundSolver, Model, Status, branch_and_bound, quicksum
+from repro.ilp import simplex
 from repro.layout import grid_place
 from repro.obs import SolvePolicy
 from repro.soc import build_s1, build_s3
@@ -102,7 +105,7 @@ class TestStatuses:
         weights = rng.integers(5, 40, size=18).tolist()
         profits = rng.integers(5, 40, size=18).tolist()
         m, _ = knapsack_model(weights, profits, int(sum(weights) * 0.4))
-        sol = m.solve(policy=SolvePolicy(node_budget=2, fallback=()), dive=False)
+        sol = m.solve(policy=SolvePolicy(node_budget=2), dive=False)
         assert sol.status in (Status.NODE_LIMIT, Status.FEASIBLE)
 
     def test_legacy_limit_kwargs_are_rejected(self):
@@ -124,7 +127,7 @@ class TestStatuses:
 
 class TestDeadline:
     @staticmethod
-    def _model(case):
+    def _problem(case):
         soc = build_s3() if case == "S3" else build_s1()
         widths, extra = (16, 8, 4), {}
         if case == "S3":
@@ -132,13 +135,25 @@ class TestDeadline:
         elif case == "S1-layout":
             # Tight enough that two root cut rounds run without a deadline.
             extra = {"floorplan": grid_place(soc), "max_pair_distance": 3.0}
-        problem = DesignProblem(soc, TamArchitecture(widths), timing="serial", **extra)
-        return build_assignment_ilp(problem).model
+        return DesignProblem(soc, TamArchitecture(widths), timing="serial", **extra)
+
+    @classmethod
+    def _model(cls, case):
+        return build_assignment_ilp(cls._problem(case)).model
+
+    @staticmethod
+    def _pivot_clock(monkeypatch):
+        """Stop the solver's clock and move the LP engine's one second per
+        pivot, so a deadline of N seconds lands after the Nth pivot of the
+        solve, whatever the machine's speed."""
+        ticks = itertools.count(1)
+        monkeypatch.setattr(branch_and_bound, "now", lambda: 0.0)
+        monkeypatch.setattr(simplex, "now", lambda: float(next(ticks)))
 
     @pytest.mark.parametrize("case", ["S1", "S3", "S1-layout"])
     def test_expired_deadline_stops_root_work(self, case):
-        # The root LP still runs; the cut rounds and the dive behind it
-        # check the deadline first, as the node loop does.
+        # The root LP stops before its first pivot; the cut rounds and the
+        # dive behind it never start.
         model = self._model(case)
         unlimited = BranchAndBoundSolver(model).solve()
         assert unlimited.stats.lp_solves > 1
@@ -146,6 +161,34 @@ class TestDeadline:
         assert solution.stats.lp_solves == 1
         assert solution.stats.cut_rounds == 0
         assert solution.status is Status.NODE_LIMIT
+
+    @pytest.mark.parametrize("stage", ["root LP", "cut round"])
+    def test_deadline_stops_an_lp_before_the_tree(self, stage, monkeypatch):
+        # The root LP and its cut-round re-solves read the deadline pivot by
+        # pivot, so a deadline inside one stops the solve two pivots in.
+        model = self._model("S1-layout")
+        root = BranchAndBoundSolver(model, cut_rounds=0, node_limit=1, dive=False).solve()
+        before = 0 if stage == "root LP" else root.stats.lp_iterations
+        self._pivot_clock(monkeypatch)
+        solution = BranchAndBoundSolver(model, time_limit=before + 2.0).solve()
+        stats = solution.stats
+        assert solution.status is Status.NODE_LIMIT
+        assert stats.best_bound is None
+        assert stats.lp_iterations == before + 2
+        # A stopped LP is a warm-engine solve, as perfbench's span check
+        # (root and node LP spans = warm solves + cold fallbacks) expects.
+        lps = 1 if stage == "root LP" else 2
+        assert stats.lp_solves == stats.warm_lp_solves == lps
+        assert stats.cut_rounds == lps - 1
+
+    def test_design_keeps_the_lpt_seed_when_the_root_lp_stops(self, monkeypatch):
+        problem = self._problem("S3")
+        self._pivot_clock(monkeypatch)
+        result = design(problem, policy=SolvePolicy(deadline=2.0), cache=False)
+        assert result.status is Status.FEASIBLE
+        assert result.provenance == "incumbent"
+        assert result.stats.best_bound is None and result.stats.lp_iterations == 2
+        assert result.makespan == lpt_assignment(problem).makespan
 
 
 class TestStats:

@@ -441,10 +441,10 @@ class TestCarriedFactorization:
         bare = []
         original = RevisedSimplex.solve
 
-        def spying(self, lb, ub, basis=None, cutoff=None):
+        def spying(self, lb, ub, basis=None, cutoff=None, deadline=None):
             if basis is not None:
                 bare.append(basis.inverse is None)
-            return original(self, lb, ub, basis=basis, cutoff=cutoff)
+            return original(self, lb, ub, basis=basis, cutoff=cutoff, deadline=deadline)
 
         monkeypatch.setattr(RevisedSimplex, "solve", spying)
         return bare
@@ -500,7 +500,9 @@ class TestPivotIdentity:
         calls = []
         original = RevisedSimplex.solve
 
-        def recording(self, lb, ub, basis=None, cutoff=None):
+        def recording(self, lb, ub, basis=None, cutoff=None, deadline=None):
+            # No deadline here: every LP runs to its end, as the reference does.
+            assert deadline is None
             calls.append((self, lb.copy(), ub.copy(), basis, cutoff))
             return original(self, lb, ub, basis=basis, cutoff=cutoff)
 

@@ -9,7 +9,7 @@ These properties pin what that derivation must keep true for every class:
   request, whose wire form drops defaults);
 - changing a cached field changes the token — no two requests that differ
   in what a solve returns may alias — and changing an opted-out field
-  (fallback ladder, fan-out, checkpoint I/O) does not;
+  (fan-out, checkpoint I/O) does not;
 - the opted-out set of each class is pinned here, so moving a field out of
   the key is a visible, reviewed change;
 - a non-integer (or bool) in an ``int`` field is rejected when the object
@@ -27,13 +27,13 @@ from hypothesis import strategies as st
 
 from repro.core import SolveRequest
 from repro.core.request import _REQUIRED as REQUIRED_BY_KIND
-from repro.obs import FALLBACK_RUNGS, SolvePolicy
+from repro.obs import SolvePolicy
 from repro.obs.policy import DerivedFields
 from repro.util.errors import ValidationError
 
 #: The fields each class keeps out of its cache token.
 OPTED_OUT = {
-    SolvePolicy: {"fallback", "checkpoint_dir"},
+    SolvePolicy: {"checkpoint_dir"},
     SolveRequest: {"jobs"},
 }
 
@@ -74,8 +74,6 @@ FIELDS: dict[type, dict] = {}
 FIELDS[SolvePolicy] = {
     "deadline": optional(real),
     "node_budget": optional(positive),
-    "gap_tol": optional(st.floats(min_value=0.0, max_value=10.0)),
-    "fallback": st.lists(st.sampled_from(FALLBACK_RUNGS), max_size=3).map(tuple),
     "checkpoint_dir": optional(st.text(alphabet="abc/_", min_size=1, max_size=8)),
 }
 FIELDS[SolveRequest] = {
@@ -174,7 +172,7 @@ def test_nested_opted_out_fields_keep_the_token():
     # An opted-out field inside a cached block stays out of the parent key.
     base = SolveRequest(kind="design", soc="S1", widths=(16, 8), policy=SolvePolicy())
     changed = base.with_overrides(
-        jobs=4, policy=SolvePolicy(fallback=(), checkpoint_dir="ckpt")
+        jobs=4, policy=SolvePolicy(checkpoint_dir="ckpt")
     )
     assert changed.cache_token() == base.cache_token()
     assert changed.cache_view() == base

@@ -1,8 +1,8 @@
 """SolvePolicy semantics: budgets, degradation, cache keying.
 
 Covers the anytime-solve path end to end: policy validation and
-backend-option mapping, rejection of the removed legacy kwargs, heuristic
-fallback with provenance, the capped-solve cache-key regression, incumbent
+backend-option mapping, rejection of the removed legacy kwargs, the LPT
+stand-in with provenance, the capped-solve cache-key regression, incumbent
 checkpointing (including a resume after the solving process is killed),
 and the parallel metrics-equivalence invariant.
 """
@@ -20,13 +20,7 @@ from repro.core import DesignProblem, design, lpt_assignment, width_sweep
 from repro.ilp import Model, branch_and_bound, quicksum
 from repro.ilp.model import register_backend, unregister_backend
 from repro.ilp.solution import Solution, Status
-from repro.obs import (
-    CheckpointStore,
-    FallbackReport,
-    SolvePolicy,
-    trace_solve,
-    use_metrics,
-)
+from repro.obs import CheckpointStore, SolvePolicy, trace_solve, use_metrics
 from repro.runtime import RunTelemetry, SolutionCache
 from repro.runtime.cache import solve_fingerprint
 from repro.tam import TamArchitecture
@@ -63,27 +57,16 @@ class TestPolicyObject:
             SolvePolicy(node_budget=-1)
         with pytest.raises(ValidationError, match="node_budget must be an integer"):
             SolvePolicy(node_budget=2.5)
-        with pytest.raises(ValidationError):
-            SolvePolicy(fallback=("greedy",))
 
-    def test_fallback_coerced_to_tuple(self):
-        policy = SolvePolicy(fallback=["lpt"])
-        assert policy.fallback == ("lpt",)
-        assert policy.degrades
-
-    def test_capped_and_degrades_flags(self):
+    def test_capped_flag(self):
         assert not SolvePolicy().is_capped
+        assert not SolvePolicy(checkpoint_dir="ckpt").is_capped
         assert SolvePolicy(node_budget=5).is_capped
         assert SolvePolicy(deadline=1.0).is_capped
-        assert not SolvePolicy(fallback=()).degrades
 
     def test_backend_options_mapping(self):
-        policy = SolvePolicy(deadline=2.0, node_budget=7, gap_tol=0.5)
-        assert policy.backend_options("bnb") == {
-            "node_limit": 7,
-            "time_limit": 2.0,
-            "gap_tol": 0.5,
-        }
+        policy = SolvePolicy(deadline=2.0, node_budget=7)
+        assert policy.backend_options("bnb") == {"node_limit": 7, "time_limit": 2.0}
         # scipy understands only a time limit.
         assert policy.backend_options("scipy") == {"time_limit": 2.0}
 
@@ -95,14 +78,14 @@ class TestPolicyObject:
         assert SolvePolicy().checkpoint_options("bnb") == {}
 
     def test_cache_token_covers_only_effort_fields(self):
-        a = SolvePolicy(node_budget=5, checkpoint_dir="ckpt", fallback=())
+        a = SolvePolicy(node_budget=5, checkpoint_dir="ckpt")
         b = SolvePolicy(node_budget=5)
         c = SolvePolicy(node_budget=6)
         assert a.cache_token() == b.cache_token()
         assert a.cache_token() != c.cache_token()
 
     def test_dict_round_trip(self):
-        policy = SolvePolicy(deadline=1.5, node_budget=3, fallback=("lpt",))
+        policy = SolvePolicy(deadline=1.5, node_budget=3, checkpoint_dir="ckpt")
         assert SolvePolicy.from_dict(policy.as_dict()) == policy
 
     def test_from_dict_rejects_unknown_fields(self):
@@ -112,7 +95,7 @@ class TestPolicyObject:
     def test_policy_is_picklable(self):
         import pickle
 
-        policy = SolvePolicy(deadline=1.0, fallback=("lpt",))
+        policy = SolvePolicy(deadline=1.0, checkpoint_dir="ckpt")
         assert pickle.loads(pickle.dumps(policy)) == policy
 
 
@@ -185,6 +168,8 @@ class TestSolverOptionsBlock:
             "checkpoint_interval",
             "max_retries",
             "fallback_seed",
+            "fallback",
+            "gap_tol",
         ):
             with pytest.raises(ValidationError, match=f"unknown SolvePolicy field.*{key}"):
                 SolvePolicy.from_dict({"node_budget": 3, key: 1})
@@ -241,12 +226,11 @@ class TestDegradation:
         result = design(problem, policy=SolvePolicy(node_budget=1), cache=False)
         assert result.status is Status.FEASIBLE
         assert result.provenance == "incumbent"
-        assert result.fallback is not None and result.fallback.degraded
         # The incumbent is a real, validated assignment.
         assert not problem.validate(result.assignment)
 
     def test_no_incumbent_falls_back_to_lpt(self, s1, arch3):
-        # On bnb the LPT seed is the first incumbent, so LPT's rung is
+        # On bnb the LPT seed is the first incumbent, so the stand-in is
         # reached only through a backend that stops with nothing.
         problem = DesignProblem(soc=s1, arch=arch3, timing="serial")
 
@@ -265,17 +249,18 @@ class TestDegradation:
         assert result.status is Status.FEASIBLE
         assert result.provenance == "lpt"
         assert result.makespan == pytest.approx(lpt_assignment(problem).makespan)
-        steps = [s["step"] for s in result.fallback.ladder]
-        assert steps[0] == "exact" and "lpt" in steps
+        assert "provenance: lpt" in result.describe()
         assert metrics.counter("design.fallbacks").value == 1
 
     def test_empty_ladder_raises_like_legacy(self, lpt_unplaceable):
-        with pytest.raises(SolverError):
+        # LPT cannot place every core, so the search starts with no
+        # incumbent, stops with none after one node, and the stand-in
+        # fails too: the error says how the backend stopped.
+        with pytest.raises(
+            SolverError, match="^backend 'bnb' stopped with status node_limit after 1 nodes$"
+        ):
             design(
-                lpt_unplaceable,
-                policy=SolvePolicy(node_budget=1, fallback=()),
-                dive=False,
-                cache=False,
+                lpt_unplaceable, policy=SolvePolicy(node_budget=1), dive=False, cache=False
             )
 
     def test_exact_solve_reports_exact_provenance(self, s1, arch3):
@@ -283,7 +268,7 @@ class TestDegradation:
         result = design(problem, policy=SolvePolicy(deadline=600.0), cache=False)
         assert result.status is Status.OPTIMAL
         assert result.provenance == "exact"
-        assert not result.fallback.degraded
+        assert "provenance" not in result.describe()
 
     def test_fallback_recorded_in_run_telemetry(self, s1, arch3):
         problem = DesignProblem(soc=s1, arch=arch3, timing="serial")
@@ -292,18 +277,9 @@ class TestDegradation:
         )
         telemetry = RunTelemetry()
         telemetry.record(result.stats)
-        telemetry.record_fallback(result.fallback)
+        telemetry.record_fallback(result.provenance)
         assert telemetry.fallbacks == 1
         assert "1 fallbacks" in telemetry.render()
-
-    def test_fallback_report_renders_provenance(self):
-        report = FallbackReport(source="sa", reason="budget")
-        report.record_step("exact", "no_incumbent")
-        report.record_step("sa", "ok")
-        text = report.render()
-        assert "source=sa" in text and "reason=budget" in text
-        assert "exact:no_incumbent" in text
-        assert FallbackReport().render() == "exact solve"
 
 
 class TestCacheKeying:
@@ -331,7 +307,7 @@ class TestCacheKeying:
         problem = DesignProblem(soc=s1, arch=arch3, timing="serial")
         cache = SolutionCache()
         design(problem, cache=cache)
-        replay = design(problem, policy=SolvePolicy(fallback=()), cache=cache)
+        replay = design(problem, policy=SolvePolicy(), cache=cache)
         assert replay.stats.cache_hit
 
 

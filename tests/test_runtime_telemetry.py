@@ -85,7 +85,8 @@ class TestRunTelemetry:
         a, b = RunTelemetry(jobs=2), RunTelemetry(jobs=5)
         a.record(distinct_stats())
         b.record(distinct_stats())
-        b.record_fallback(type("Report", (), {"degraded": True})())
+        b.record_fallback("lpt")
+        b.record_fallback("exact")
         a.merge(b)
         assert a.jobs == 2
         assert (a.solves, a.cache_misses, a.fallbacks) == (2, 2, 1)

@@ -300,6 +300,18 @@ class TestHttpRoundTrip:
         assert excinfo.value.status == 400
         assert "unknown SolvePolicy field(s): solver" in str(excinfo.value)
 
+    @pytest.mark.parametrize("retired", [{"fallback": ["lpt", "sa"]}, {"gap_tol": 0.5}])
+    def test_retired_policy_fields_rejected_at_submit(self, service, retired):
+        # The policy is a budget: the ladder is gone and gap_tol is a
+        # solver option, so either key in a policy is a 400 before queueing.
+        client = ServiceClient(service)
+        payload = make_request(backend="bnb").as_payload()
+        payload["policy"] = {"deadline": 30, **retired}
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(payload)
+        assert excinfo.value.status == 400
+        assert f"unknown SolvePolicy field(s): {next(iter(retired))}" in str(excinfo.value)
+
     def test_unknown_job_is_404(self, service):
         client = ServiceClient(service)
         with pytest.raises(ServiceError) as excinfo:
@@ -338,9 +350,7 @@ class TestHttpRoundTrip:
 
     def test_policy_job_streams_incumbents(self, service):
         client = ServiceClient(service)
-        request = make_request(
-            backend="bnb", widths=(16, 8), policy=SolvePolicy(fallback=())
-        )
+        request = make_request(backend="bnb", widths=(16, 8), policy=SolvePolicy())
         submitted = client.submit(request)
         job_id = submitted["job"]["id"]
         client.wait(job_id, timeout=60)
